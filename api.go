@@ -157,8 +157,9 @@ func (e *Engine) Do(ctx context.Context, req Request) (Response, error) {
 // resolveRequest validates a Request's shape and resolves it to structured
 // form: the answering template's name, the compiled query (with any
 // per-request Confidence override folded in), and the on-keys dims. It is
-// the shared front half of Do and of a ShardGroup's scatter-gather, which
-// resolves once and fans the structured form out to every shard.
+// the shared front half of Do, of AnswerPartial, and of a ShardGroup's
+// scatter-gather, which resolves once and fans the structured form out to
+// every shard.
 func (e *Engine) resolveRequest(req Request) (name string, q Query, onKeys []int, err error) {
 	name = req.Template
 	q = req.Query
@@ -190,68 +191,62 @@ func (e *Engine) resolveRequest(req Request) (name string, q Query, onKeys []int
 	return name, q, onKeys, nil
 }
 
-// answerPartial answers one already-resolved request in mergeable form —
-// the shard-local half of a ShardGroup's scatter-gather. MinSyncOffset is
-// the group's concern and is ignored here; the returned Response carries
-// only the metadata fields (Result stays zero until the merge).
-func (e *Engine) answerPartial(ctx context.Context, name string, q Query, onKeys []int) (core.Partial, Response, error) {
+// AnswerPartial resolves req and answers it in mergeable form — the
+// per-shard half of a Router's scatter-gather, called in-process by a
+// ShardGroup (which resolves once and hands every shard the structured
+// form) and by a cluster shard node on behalf of its coordinator (which
+// forwards the raw request: registrations are identical on every peer, so
+// resolution is deterministic across the cluster). The answer carries the
+// resolved confidence, which tells the router which z to merge at — SQL
+// can carry its own CONFIDENCE clause, so the effective level is only
+// known after resolution. MinSyncOffset is ignored: synchronization is the
+// router's concern.
+func (e *Engine) AnswerPartial(ctx context.Context, req Request) (ShardAnswer, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	var t0 time.Time
+	if req.Trace {
+		t0 = time.Now()
+	}
+	name, q, onKeys, err := e.resolveRequest(req)
+	if err != nil {
+		return ShardAnswer{}, err
+	}
 	s, ok := e.lookup(name)
 	if !ok {
-		return core.Partial{}, Response{}, fmt.Errorf("janus: %w %q", ErrUnknownTemplate, name)
+		return ShardAnswer{}, fmt.Errorf("janus: %w %q", ErrUnknownTemplate, name)
 	}
 	if err := ctx.Err(); err != nil {
-		return core.Partial{}, Response{}, err
+		return ShardAnswer{}, err
 	}
 	sp := e.spans.start()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var (
-		p   core.Partial
-		err error
-	)
+	var p core.Partial
 	if onKeys != nil {
 		p, err = s.dpt.AnswerUniformPartial(q, onKeys)
 	} else {
 		p, err = s.dpt.AnswerPartial(q)
 	}
 	if err != nil {
-		return core.Partial{}, Response{}, err
+		return ShardAnswer{}, err
 	}
 	// Emitted as shard 0 here; a grouped shard's installed observer stamps
 	// the true index (see ShardGroup.SetSpanObserver).
 	e.spans.end(SpanShardAnswer, 0, sp)
-	return p, Response{
+	a := ShardAnswer{
+		Partial:         p,
 		Template:        name,
+		Confidence:      q.Confidence,
 		SampleSize:      s.dpt.SampleSize(),
 		Population:      s.dpt.Population(),
 		CatchUpProgress: s.dpt.CatchUpProgress(),
-	}, nil
-}
-
-// AnswerPartial resolves req and answers it in mergeable form — the
-// remote-shard entry point of a cluster's scatter-gather. Where a
-// ShardGroup resolves once and fans the structured form out in-process, a
-// shard node receives the raw request (its registrations are identical to
-// every peer's, so resolution is deterministic across the cluster) and
-// returns the partial plus the resolved query, whose Confidence tells the
-// coordinator which z to merge at — SQL can carry its own CONFIDENCE
-// clause, so the effective level is only known after resolution.
-// MinSyncOffset and Trace are ignored: synchronization and trace assembly
-// are the coordinator's concern. The Response carries only metadata
-// (Result stays zero until the merge).
-func (e *Engine) AnswerPartial(ctx context.Context, req Request) (core.Partial, Response, Query, error) {
-	if ctx == nil {
-		ctx = context.Background()
 	}
-	name, q, onKeys, err := e.resolveRequest(req)
-	if err != nil {
-		return core.Partial{}, Response{}, Query{}, err
+	if req.Trace {
+		a.Stages = []TraceStage{{Stage: StageAnswer, Dur: time.Since(t0)}}
 	}
-	p, resp, err := e.answerPartial(ctx, name, q, onKeys)
-	if err != nil {
-		return core.Partial{}, Response{}, Query{}, err
-	}
-	return p, resp, q, nil
+	return a, nil
 }
 
 // Query answers q against the named template's synopsis.

@@ -125,8 +125,7 @@ func BenchmarkInsert(b *testing.B) {
 // BenchmarkInsertBatch measures batched synopsis maintenance through the
 // v2 ingest path: each batch of 512 tuples pays one update-lock round trip
 // and one trigger evaluation, versus one per tuple in BenchmarkInsert —
-// compare tuples/sec across the two (also recorded in BENCH_PR2.json via
-// janusbench -perf).
+// compare tuples/sec across the two.
 func BenchmarkInsertBatch(b *testing.B) {
 	const batch = 512
 	eng, _ := benchEngine(b, 50000)

@@ -6,93 +6,24 @@
 //
 //	janusbench -exp table2            # one experiment
 //	janusbench -exp all -rows 300000  # everything at a larger scale
-//	janusbench -perf BENCH_PR2.json   # serving-perf trajectory snapshot
-//	janusbench -restart BENCH_PR3.json # warm restore vs cold rebuild
-//	janusbench -shards BENCH_PR4.json  # shard-group scaling experiment
-//	janusbench -shards BENCH_PR6.json -procs 1,2,4  # multi-core matrix
-//	janusbench -cluster BENCH_PR7.json # remote coordinator vs in-process group
-//	janusbench -binary BENCH_PR8.json  # binary client protocol vs HTTP/JSON
-//	janusbench -reshard BENCH_PR9.json # online reshard under live traffic
-//	janusbench -check BENCH_PR2.json   # CI perf-regression gate
 //	janusbench -list
 //
 // Experiments: table2, fig5, fig6, fig7, fig8, fig9, fig10, table3,
 // table4, ablation-beta, ablation-indexes, ablation-catchup.
 //
-// -perf runs the serving micro-suite instead: per-tuple vs batched ingest
-// throughput and v2 query latency percentiles, written as JSON so the
-// repo's perf trajectory is recorded per PR.
-//
-// -restart measures the durability subsystem: boot a store-backed engine,
-// checkpoint it, stream a log tail past the checkpoint, then time a warm
-// restart (checkpoint + log-tail replay) against the cold rebuild the
-// daemon paid before checkpoints existed (archive replay + full synopsis
-// re-initialization).
-//
-// -shards measures scale-out serving: batched ingest throughput and
-// scatter-gather query latency through a hash-sharded ShardGroup at 1, 2,
-// 4, and 8 shards (parallel wins require cores; GOMAXPROCS is recorded).
-// With -procs it instead writes a multi-core matrix — every (GOMAXPROCS,
-// shard-count) cell over procs × {1, 4} — separating what cores buy a
-// fixed topology from what sharding buys at fixed cores.
-//
-// -cluster measures what the network boundary costs: the same 4-shard
-// serving hot paths through an in-process ShardGroup and through a
-// Coordinator scatter-gathering over 4 shard nodes behind the binary RPC
-// protocol on loopback. The remote/in-process ingest slowdown factor is
-// the headline: it prices the frame codec, CRC, and TCP round trips with
-// the engine work held constant.
-//
-// -binary measures what the client codec costs: the same single-engine
-// ingest and query hot paths driven twice over real loopback connections —
-// once through the HTTP/JSON v2 API, once through the binary client
-// protocol (transport frames carrying tuples in the segment-log encoding).
-// Engine work, connection reuse, and the workload are held constant, so
-// the binary/JSON ingest speedup prices the codec swap alone.
-//
-// -reshard measures the online reshard protocol under live traffic: a
-// 1-shard group is split to 4 and merged to 2 while concurrent ingest
-// (exercising the dual-write window) and queries keep running. Each step
-// records the migration throughput (rows/sec through drain-and-re-route),
-// the cutover pause (the only write-blocking window), and query latency
-// percentiles sampled strictly during the copy.
-//
-// -check is the CI perf-regression gate: it detects which suite the given
-// baseline JSON records (by shape), reruns that suite at the baseline's
-// scale, and exits non-zero when ingest throughput drops — or query p95
-// rises — beyond -tolerance (default 25%). Re-baseline by regenerating the
-// BENCH_*.json with the matching flag and committing it.
+// Serving performance (latency, throughput, restart, per-layer cost) is
+// measured by the repository benchmark instead: see bench/README.md and
+// BENCHMARK.json.
 package main
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"io"
-	"math"
-	"net"
-	"net/http"
-	"net/http/httptest"
 	"os"
-	"path/filepath"
-	"runtime"
 	"sort"
-	"strconv"
-	"strings"
-	"sync"
 	"time"
 
-	janus "janusaqp"
-	"janusaqp/client"
-	"janusaqp/internal/cluster"
 	"janusaqp/internal/experiments"
-	"janusaqp/internal/server"
-	"janusaqp/internal/stats"
-	"janusaqp/internal/transport"
-	"janusaqp/internal/workload"
 )
 
 type runner func(experiments.Options) (*experiments.Table, error)
@@ -128,73 +59,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	quick := flag.Bool("quick", false, "shrink everything for a fast smoke run")
 	list := flag.Bool("list", false, "list available experiments")
-	perf := flag.String("perf", "", "write the serving-perf JSON snapshot to this file and exit")
-	restart := flag.String("restart", "", "write the warm-restart vs cold-rebuild JSON snapshot to this file and exit")
-	shards := flag.String("shards", "", "write the shard-scaling JSON snapshot (1/2/4/8-shard ingest throughput + query latency) to this file and exit")
-	clusterOut := flag.String("cluster", "", "write the distributed-serving JSON snapshot (4-shard in-process group vs remote coordinator over loopback RPC) to this file and exit")
-	binaryOut := flag.String("binary", "", "write the client-protocol JSON snapshot (binary RPC vs HTTP/JSON serving hot paths over loopback) to this file and exit")
-	reshardOut := flag.String("reshard", "", "write the online-reshard JSON snapshot (1->4->2 live split/merge under concurrent ingest+queries) to this file and exit")
-	procs := flag.String("procs", "", "comma-separated GOMAXPROCS values (e.g. 1,2,4): with -shards, write a procs × shard-count multi-core matrix snapshot instead of the single-setting scaling curve")
-	check := flag.String("check", "", "rerun the suite a committed BENCH_*.json baseline records and exit non-zero if it regressed beyond -tolerance")
-	tolerance := flag.Float64("tolerance", 0.25, "relative regression the -check gate allows before failing")
 	flag.Parse()
-
-	if *perf != "" {
-		if err := runPerf(*perf, *rows, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "perf:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *restart != "" {
-		if err := runRestart(*restart, *rows, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "restart:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *shards != "" {
-		if *procs != "" {
-			if err := runMatrix(*shards, *rows, *seed, *procs); err != nil {
-				fmt.Fprintln(os.Stderr, "matrix:", err)
-				os.Exit(1)
-			}
-			return
-		}
-		if err := runShards(*shards, *rows, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "shards:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *clusterOut != "" {
-		if err := runCluster(*clusterOut, *rows, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "cluster:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *binaryOut != "" {
-		if err := runBinary(*binaryOut, *rows, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "binary:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *reshardOut != "" {
-		if err := runReshard(*reshardOut, *rows, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "reshard:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *check != "" {
-		if err := runCheck(*check, *seed, *tolerance); err != nil {
-			fmt.Fprintln(os.Stderr, "check:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *list {
 		names := make([]string, 0, len(registry))
@@ -229,1546 +94,4 @@ func main() {
 		tbl.Fprint(os.Stdout)
 		fmt.Printf("[%s completed in %.1fs]\n\n", name, time.Since(start).Seconds())
 	}
-}
-
-// --- serving-perf snapshot ---------------------------------------------------
-
-// perfReport is the JSON shape of the per-PR serving-perf record
-// (BENCH_PR2.json): ingest throughput single vs. batched, and v2 query
-// latency percentiles.
-type perfReport struct {
-	Rows                      int     `json:"rows"`
-	IngestTuples              int     `json:"ingestTuples"`
-	BatchSize                 int     `json:"batchSize"`
-	IngestSingleTuplesPerSec  float64 `json:"ingestSingleTuplesPerSec"`
-	IngestBatchedTuplesPerSec float64 `json:"ingestBatchedTuplesPerSec"`
-	IngestBatchSpeedup        float64 `json:"ingestBatchSpeedup"`
-	Queries                   int     `json:"queries"`
-	QueryP50Micros            float64 `json:"queryP50Micros"`
-	QueryP95Micros            float64 `json:"queryP95Micros"`
-}
-
-// runPerf measures the v2 serving hot paths and writes the JSON snapshot.
-func runPerf(path string, rows int, seed int64) error {
-	rep, err := measurePerf(rows, seed)
-	if err != nil {
-		return err
-	}
-	if err := writeJSON(path, rep); err != nil {
-		return err
-	}
-	fmt.Printf("perf: single %.0f t/s, batched %.0f t/s (%.2fx), query p50 %.0fµs p95 %.0fµs -> %s\n",
-		rep.IngestSingleTuplesPerSec, rep.IngestBatchedTuplesPerSec, rep.IngestBatchSpeedup,
-		rep.QueryP50Micros, rep.QueryP95Micros, path)
-	return nil
-}
-
-// measurePerf runs the serving micro-suite on a freshly booted engine:
-// per-tuple Insert vs InsertBatch tuples/sec (the batched path pays one
-// update-lock round trip and one trigger evaluation per batch), then Do()
-// latency percentiles over a rectangle workload.
-func measurePerf(rows int, seed int64) (perfReport, error) {
-	if rows <= 0 {
-		rows = 120000
-	}
-	const (
-		ingestN   = 30000
-		batchSize = 512
-		queryN    = 2000
-	)
-	tuples, err := workload.Generate(workload.NYCTaxi, rows, 0, seed)
-	if err != nil {
-		return perfReport{}, err
-	}
-	build := func() (*janus.Engine, error) {
-		b := janus.NewBroker()
-		for _, t := range tuples {
-			b.PublishInsert(t)
-		}
-		eng := janus.NewEngine(janus.Config{
-			LeafNodes: 128, SampleRate: 0.01, CatchUpRate: 0.10, Seed: seed,
-		}, b)
-		if err := eng.AddTemplate(janus.Template{
-			Name: "trips", PredicateDims: []int{0}, AggIndex: 0, Agg: janus.Sum,
-		}); err != nil {
-			return nil, err
-		}
-		return eng, nil
-	}
-
-	// Per-tuple ingest: one lock round trip and trigger check per tuple.
-	engSingle, err := build()
-	if err != nil {
-		return perfReport{}, err
-	}
-	freshA, err := workload.Generate(workload.NYCTaxi, ingestN, 10_000_000, seed+1)
-	if err != nil {
-		return perfReport{}, err
-	}
-	start := time.Now()
-	for _, t := range freshA {
-		engSingle.Insert(t)
-	}
-	singleTPS := float64(ingestN) / time.Since(start).Seconds()
-
-	// Batched ingest on an identically built engine.
-	engBatch, err := build()
-	if err != nil {
-		return perfReport{}, err
-	}
-	freshB, err := workload.Generate(workload.NYCTaxi, ingestN, 20_000_000, seed+2)
-	if err != nil {
-		return perfReport{}, err
-	}
-	start = time.Now()
-	for lo := 0; lo < len(freshB); lo += batchSize {
-		hi := min(lo+batchSize, len(freshB))
-		if err := engBatch.InsertBatch(freshB[lo:hi]); err != nil {
-			return perfReport{}, err
-		}
-	}
-	batchTPS := float64(ingestN) / time.Since(start).Seconds()
-
-	// v2 query latency over a mixed rectangle workload.
-	gen := workload.NewQueryGen(seed+3, tuples, []int{0})
-	queries := gen.Workload(256, janus.FuncSum)
-	ctx := context.Background()
-	lats := make([]float64, 0, queryN)
-	for i := 0; i < queryN; i++ {
-		resp, err := engBatch.Do(ctx, janus.Request{Template: "trips", Query: queries[i%len(queries)]})
-		if err != nil {
-			return perfReport{}, err
-		}
-		lats = append(lats, float64(resp.Elapsed.Microseconds()))
-	}
-
-	return perfReport{
-		Rows:                      rows,
-		IngestTuples:              ingestN,
-		BatchSize:                 batchSize,
-		IngestSingleTuplesPerSec:  singleTPS,
-		IngestBatchedTuplesPerSec: batchTPS,
-		IngestBatchSpeedup:        batchTPS / singleTPS,
-		Queries:                   queryN,
-		QueryP50Micros:            stats.Percentile(lats, 0.50),
-		QueryP95Micros:            stats.Percentile(lats, 0.95),
-	}, nil
-}
-
-// writeJSON writes one report as indented JSON.
-func writeJSON(path string, v any) error {
-	raw, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(raw, '\n'), 0o644)
-}
-
-// --- restart snapshot --------------------------------------------------------
-
-// restartReport is the JSON shape of the per-PR durability record
-// (BENCH_PR3.json, extended by BENCH_PR5.json): what a checkpoint costs
-// to write, what a warm restart (checkpoint load + archive restore +
-// log-tail replay) saves over the cold rebuild (archive replay + full
-// synopsis re-initialization), and — since compaction — what rotating the
-// segment logs behind a checkpoint reclaims: the data-dir bytes and the
-// recovery tail-replay counts must drop to O(live data + post-checkpoint
-// tail) regardless of how much churned history the logs accumulated.
-type restartReport struct {
-	Rows                  int     `json:"rows"`
-	TailRecords           int     `json:"tailRecords"`
-	CheckpointBytes       int64   `json:"checkpointBytes"`
-	CheckpointWriteMillis float64 `json:"checkpointWriteMillis"`
-	WarmRestoreMillis     float64 `json:"warmRestoreMillis"`
-	ColdRebuildMillis     float64 `json:"coldRebuildMillis"`
-	WarmSpeedup           float64 `json:"warmSpeedup"`
-
-	// Compaction phase (zero in pre-compaction baselines, which the -check
-	// gate therefore skips): the data dir is churned past the live size,
-	// checkpointed, compacted, and recovered again.
-	ChurnRecords            int     `json:"churnRecords,omitempty"`
-	PostCompactTailRecords  int     `json:"postCompactTailRecords,omitempty"`
-	DataDirBytesPreCompact  int64   `json:"dataDirBytesPreCompact,omitempty"`
-	DataDirBytesPostCompact int64   `json:"dataDirBytesPostCompact,omitempty"`
-	CompactReclaimFactor    float64 `json:"compactReclaimFactor,omitempty"`
-	CompactMillis           float64 `json:"compactMillis,omitempty"`
-	TailReplayPreCompact    int     `json:"tailReplayPreCompact,omitempty"`
-	TailReplayPostCompact   int     `json:"tailReplayPostCompact"`
-	// CompactedRestoreMillis is the zero-to-serving time over the
-	// compacted layout — the steady-state restart a long-lived daemon
-	// pays: snapshot install plus the bounded post-checkpoint tail, with
-	// no O(history) log read in front.
-	CompactedRestoreMillis float64 `json:"compactedRestoreMillis,omitempty"`
-}
-
-// runRestart measures the durability subsystem and writes the snapshot.
-func runRestart(path string, rows int, seed int64) error {
-	rep, err := measureRestart(rows, seed)
-	if err != nil {
-		return err
-	}
-	if err := writeJSON(path, rep); err != nil {
-		return err
-	}
-	fmt.Printf("restart: warm %.1fms vs cold %.1fms (%.1fx), checkpoint %.1fms/%d bytes -> %s\n",
-		rep.WarmRestoreMillis, rep.ColdRebuildMillis, rep.WarmSpeedup,
-		rep.CheckpointWriteMillis, rep.CheckpointBytes, path)
-	fmt.Printf("compact: data dir %d -> %d bytes (%.2fx) in %.1fms; recovery tail replay %d -> %d records; compacted restore %.1fms\n",
-		rep.DataDirBytesPreCompact, rep.DataDirBytesPostCompact, rep.CompactReclaimFactor,
-		rep.CompactMillis, rep.TailReplayPreCompact, rep.TailReplayPostCompact, rep.CompactedRestoreMillis)
-	return nil
-}
-
-// measureRestart measures the zero-to-serving time of both restart paths
-// over the same data directory: warm (Store.Recover off the checkpoint)
-// versus cold (archive replay off the bare log plus AddTemplate),
-// asserting along the way that both paths land on the same row count.
-//
-// The scenario is shaped like a serving deployment rather than a unit
-// test: several templates (a dashboard registers one per panel family —
-// cold pays a full sample-optimize-populate-catch-up initialization per
-// template, warm decodes each synopsis), a catch-up requirement matching
-// a serving quality bar (cold re-folds it from the archive, warm restores
-// the progress from the image), and a log tail bounded by the checkpoint
-// cadence.
-func measureRestart(rows int, seed int64) (restartReport, error) {
-	if rows <= 0 {
-		rows = 120000
-	}
-	fail := func(err error) (restartReport, error) { return restartReport{}, err }
-	const tailN = 4096
-	cfg := janus.Config{LeafNodes: 128, SampleRate: 0.01, CatchUpRate: 0.25, Seed: seed}
-	templates := []janus.Template{
-		{Name: "trips", PredicateDims: []int{0}, AggIndex: 0, Agg: janus.Sum},
-		{Name: "fares", PredicateDims: []int{0}, AggIndex: 1, Agg: janus.Avg},
-		{Name: "passengers", PredicateDims: []int{0}, AggIndex: 2, Agg: janus.Count},
-	}
-
-	dir, err := os.MkdirTemp("", "janusbench-restart-")
-	if err != nil {
-		return fail(err)
-	}
-	defer os.RemoveAll(dir)
-
-	// First life: boot durable, checkpoint, stream a tail past it.
-	tuples, err := workload.Generate(workload.NYCTaxi, rows, 0, seed)
-	if err != nil {
-		return fail(err)
-	}
-	tail, err := workload.Generate(workload.NYCTaxi, tailN, 30_000_000, seed+9)
-	if err != nil {
-		return fail(err)
-	}
-	st, err := janus.OpenStore(dir)
-	if err != nil {
-		return fail(err)
-	}
-	st.Broker().PublishInsertBatch(tuples)
-	eng := janus.NewEngine(cfg, st.Broker())
-	for _, tmpl := range templates {
-		if err := eng.AddTemplate(tmpl); err != nil {
-			return fail(err)
-		}
-	}
-	start := time.Now()
-	info, err := st.WriteCheckpoint(eng)
-	if err != nil {
-		return fail(err)
-	}
-	ckptMillis := float64(time.Since(start).Microseconds()) / 1000
-	for lo := 0; lo < len(tail); lo += 512 {
-		hi := min(lo+512, len(tail))
-		if err := eng.InsertBatch(tail[lo:hi]); err != nil {
-			return fail(err)
-		}
-	}
-	if err := st.Close(); err != nil {
-		return fail(err)
-	}
-
-	// Warm restart: checkpoint + archive replay + log-tail replay.
-	start = time.Now()
-	st2, err := janus.OpenStore(dir)
-	if err != nil {
-		return fail(err)
-	}
-	warm, rec, err := st2.Recover(cfg)
-	if err != nil {
-		return fail(err)
-	}
-	warmMillis := float64(time.Since(start).Microseconds()) / 1000
-	if rec.TailInserts != tailN {
-		return fail(fmt.Errorf("warm restart replayed %d tail records, want %d", rec.TailInserts, tailN))
-	}
-	tailReplayPre := rec.TailInserts + rec.TailDeletes
-	if got := len(warm.Templates()); got != len(templates) {
-		return fail(fmt.Errorf("warm restart restored %d templates, want %d", got, len(templates)))
-	}
-	wantRows := int64(rows + tailN)
-	if got := st2.Broker().Archive().Len(); got != wantRows {
-		return fail(fmt.Errorf("warm restart restored %d rows, want %d", got, wantRows))
-	}
-	if err := st2.Close(); err != nil {
-		return fail(err)
-	}
-
-	// Cold rebuild: what the same boot pays with no checkpoint — full log
-	// replay into the archive, then synopsis re-initialization.
-	if err := os.Remove(filepath.Join(dir, "checkpoint.db")); err != nil {
-		return fail(err)
-	}
-	start = time.Now()
-	st3, err := janus.OpenStore(dir)
-	if err != nil {
-		return fail(err)
-	}
-	if _, _, err := st3.Recover(cfg); !errors.Is(err, janus.ErrNoCheckpoint) {
-		return fail(fmt.Errorf("cold path: Recover = %w, want ErrNoCheckpoint", err))
-	}
-	cold := janus.NewEngine(cfg, st3.Broker())
-	for _, tmpl := range templates {
-		if err := cold.AddTemplate(tmpl); err != nil {
-			return fail(err)
-		}
-	}
-	coldMillis := float64(time.Since(start).Microseconds()) / 1000
-	if got := st3.Broker().Archive().Len(); got != wantRows {
-		return fail(fmt.Errorf("cold rebuild restored %d rows, want %d", got, wantRows))
-	}
-
-	// Compaction: churn the store well past its live size (insert + delete
-	// the same rows, the pattern that makes archival logs grow without
-	// bound), checkpoint, rotate the logs behind it, and recover once more
-	// — the data dir and the recovery tail replay must both land at
-	// O(live data + post-checkpoint tail), independent of the churn.
-	const (
-		churnN    = 20000
-		postTailN = 512
-	)
-	churn, err := workload.Generate(workload.NYCTaxi, churnN, 50_000_000, seed+13)
-	if err != nil {
-		return fail(err)
-	}
-	churnIDs := make([]int64, len(churn))
-	for i, t := range churn {
-		churnIDs[i] = t.ID
-	}
-	for lo := 0; lo < len(churn); lo += 512 {
-		hi := min(lo+512, len(churn))
-		if err := cold.InsertBatch(churn[lo:hi]); err != nil {
-			return fail(err)
-		}
-		if _, err := cold.DeleteBatch(churnIDs[lo:hi]); err != nil {
-			return fail(err)
-		}
-	}
-	if _, err := st3.WriteCheckpoint(cold); err != nil {
-		return fail(err)
-	}
-	postTail, err := workload.Generate(workload.NYCTaxi, postTailN, 60_000_000, seed+17)
-	if err != nil {
-		return fail(err)
-	}
-	if err := cold.InsertBatch(postTail); err != nil {
-		return fail(err)
-	}
-	preBytes, err := dirBytes(dir)
-	if err != nil {
-		return fail(err)
-	}
-	start = time.Now()
-	cinfo, err := st3.Compact()
-	if err != nil {
-		return fail(err)
-	}
-	compactMillis := float64(time.Since(start).Microseconds()) / 1000
-	if cinfo.InsertsDropped == 0 || cinfo.DeletesDropped == 0 {
-		return fail(fmt.Errorf("compaction dropped %d/%d records, want both > 0", cinfo.InsertsDropped, cinfo.DeletesDropped))
-	}
-	postBytes, err := dirBytes(dir)
-	if err != nil {
-		return fail(err)
-	}
-	if err := st3.Close(); err != nil {
-		return fail(err)
-	}
-
-	// Recover the compacted layout: only the post-checkpoint tail replays.
-	start = time.Now()
-	st4, err := janus.OpenStore(dir)
-	if err != nil {
-		return fail(err)
-	}
-	compacted, rec4, err := st4.Recover(cfg)
-	if err != nil {
-		return fail(err)
-	}
-	compactedRestoreMillis := float64(time.Since(start).Microseconds()) / 1000
-	if got := len(compacted.Templates()); got != len(templates) {
-		return fail(fmt.Errorf("post-compaction restart restored %d templates, want %d", got, len(templates)))
-	}
-	if got := st4.Broker().Archive().Len(); got != wantRows+postTailN {
-		return fail(fmt.Errorf("post-compaction restart restored %d rows, want %d", got, wantRows+postTailN))
-	}
-	if base := st4.Broker().Inserts.BaseOffset(); base == 0 {
-		return fail(fmt.Errorf("post-compaction insert log still starts at offset 0"))
-	}
-	tailReplayPost := rec4.TailInserts + rec4.TailDeletes
-	if tailReplayPost != postTailN {
-		return fail(fmt.Errorf("post-compaction restart replayed %d tail records, want %d", tailReplayPost, postTailN))
-	}
-	if err := st4.Close(); err != nil {
-		return fail(err)
-	}
-
-	return restartReport{
-		Rows:                  rows,
-		TailRecords:           tailN,
-		CheckpointBytes:       info.Bytes,
-		CheckpointWriteMillis: ckptMillis,
-		WarmRestoreMillis:     warmMillis,
-		ColdRebuildMillis:     coldMillis,
-		WarmSpeedup:           coldMillis / warmMillis,
-
-		ChurnRecords:            2 * churnN,
-		PostCompactTailRecords:  postTailN,
-		DataDirBytesPreCompact:  preBytes,
-		DataDirBytesPostCompact: postBytes,
-		CompactReclaimFactor:    float64(preBytes) / float64(postBytes),
-		CompactMillis:           compactMillis,
-		TailReplayPreCompact:    tailReplayPre,
-		TailReplayPostCompact:   tailReplayPost,
-		CompactedRestoreMillis:  compactedRestoreMillis,
-	}, nil
-}
-
-// dirBytes sums the file sizes under dir (one level: data dirs are flat).
-func dirBytes(dir string) (int64, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return 0, err
-	}
-	var total int64
-	for _, e := range entries {
-		fi, err := e.Info()
-		if err != nil {
-			return 0, err
-		}
-		if fi.Mode().IsRegular() {
-			total += fi.Size()
-		}
-	}
-	return total, nil
-}
-
-// --- shard-scaling snapshot --------------------------------------------------
-
-// shardPoint is one scaling measurement: a K-shard group's batched ingest
-// throughput and scatter-gather query latency percentiles.
-type shardPoint struct {
-	Shards             int     `json:"shards"`
-	IngestTuplesPerSec float64 `json:"ingestTuplesPerSec"`
-	QueryP50Micros     float64 `json:"queryP50Micros"`
-	QueryP95Micros     float64 `json:"queryP95Micros"`
-}
-
-// shardReport is the JSON shape of the per-PR scale-out record
-// (BENCH_PR4.json). GOMAXPROCS is recorded because shard parallelism is
-// a core-count story: a 1-core runner serializes the K update locks and
-// shows ~1x; the acceptance target (4-shard >= 1.5x ingest) is for
-// multi-core runners.
-type shardReport struct {
-	Rows          int          `json:"rows"`
-	IngestTuples  int          `json:"ingestTuples"`
-	BatchSize     int          `json:"batchSize"`
-	Queries       int          `json:"queries"`
-	GoMaxProcs    int          `json:"gomaxprocs"`
-	Points        []shardPoint `json:"points"`
-	Speedup4Shard float64      `json:"speedup4Shard"`
-}
-
-// measureShards builds a hash-sharded group at each K and measures the
-// serving hot paths through the group surface: InsertBatch (split per
-// shard, K update locks in parallel) and Do (scatter-gather with merged
-// confidence intervals).
-func measureShards(rows int, seed int64) (shardReport, error) {
-	if rows <= 0 {
-		rows = 120000
-	}
-	const (
-		ingestN   = 30000
-		batchSize = 512
-		queryN    = 1000
-	)
-	tuples, err := workload.Generate(workload.NYCTaxi, rows, 0, seed)
-	if err != nil {
-		return shardReport{}, err
-	}
-	gen := workload.NewQueryGen(seed+3, tuples, []int{0})
-	queries := gen.Workload(256, janus.FuncSum)
-	ctx := context.Background()
-
-	rep := shardReport{
-		Rows:         rows,
-		IngestTuples: ingestN,
-		BatchSize:    batchSize,
-		Queries:      queryN,
-		GoMaxProcs:   runtime.GOMAXPROCS(0),
-	}
-	var oneShardTPS float64
-	for _, k := range []int{1, 2, 4, 8} {
-		p, err := measureGroupPoint(ctx, k, ingestN, batchSize, queryN, seed, tuples, queries)
-		if err != nil {
-			return shardReport{}, err
-		}
-		rep.Points = append(rep.Points, p)
-		if k == 1 {
-			oneShardTPS = p.IngestTuplesPerSec
-		}
-		if k == 4 && oneShardTPS > 0 {
-			rep.Speedup4Shard = p.IngestTuplesPerSec / oneShardTPS
-		}
-	}
-	return rep, nil
-}
-
-// measureGroupPoint builds a fresh K-shard group over tuples and measures
-// the serving hot paths through the group surface: InsertBatch (split per
-// shard, K update locks in parallel) and Do (scatter-gather with merged
-// confidence intervals).
-func measureGroupPoint(ctx context.Context, k, ingestN, batchSize, queryN int, seed int64, tuples []janus.Tuple, queries []janus.Query) (shardPoint, error) {
-	parts := janus.SplitByShard(tuples, k)
-	engines := make([]*janus.Engine, k)
-	for i := range engines {
-		b := janus.NewBroker()
-		b.PublishInsertBatch(parts[i])
-		engines[i] = janus.NewEngine(janus.Config{
-			LeafNodes: 128, SampleRate: 0.01, CatchUpRate: 0.10, Seed: seed,
-		}.WithShardSeed(i), b)
-	}
-	group, err := janus.NewShardGroup(engines)
-	if err != nil {
-		return shardPoint{}, err
-	}
-	if err := group.AddTemplate(janus.Template{
-		Name: "trips", PredicateDims: []int{0}, AggIndex: 0, Agg: janus.Sum,
-	}); err != nil {
-		return shardPoint{}, err
-	}
-
-	fresh, err := workload.Generate(workload.NYCTaxi, ingestN, 10_000_000, seed+int64(k))
-	if err != nil {
-		return shardPoint{}, err
-	}
-	start := time.Now()
-	for lo := 0; lo < len(fresh); lo += batchSize {
-		hi := min(lo+batchSize, len(fresh))
-		if err := group.InsertBatch(fresh[lo:hi]); err != nil {
-			return shardPoint{}, err
-		}
-	}
-	tps := float64(ingestN) / time.Since(start).Seconds()
-
-	lats := make([]float64, 0, queryN)
-	for i := 0; i < queryN; i++ {
-		resp, err := group.Do(ctx, janus.Request{Template: "trips", Query: queries[i%len(queries)]})
-		if err != nil {
-			return shardPoint{}, err
-		}
-		lats = append(lats, float64(resp.Elapsed.Microseconds()))
-	}
-	return shardPoint{
-		Shards:             k,
-		IngestTuplesPerSec: tps,
-		QueryP50Micros:     stats.Percentile(lats, 0.50),
-		QueryP95Micros:     stats.Percentile(lats, 0.95),
-	}, nil
-}
-
-// runShards measures the scaling experiment and writes the snapshot.
-func runShards(path string, rows int, seed int64) error {
-	rep, err := measureShards(rows, seed)
-	if err != nil {
-		return err
-	}
-	if err := writeJSON(path, rep); err != nil {
-		return err
-	}
-	for _, p := range rep.Points {
-		fmt.Printf("shards=%d: ingest %.0f t/s, query p50 %.0fµs p95 %.0fµs\n",
-			p.Shards, p.IngestTuplesPerSec, p.QueryP50Micros, p.QueryP95Micros)
-	}
-	fmt.Printf("shards: 4-shard ingest speedup %.2fx over 1 shard (GOMAXPROCS=%d) -> %s\n",
-		rep.Speedup4Shard, rep.GoMaxProcs, path)
-	return nil
-}
-
-// --- multi-core matrix snapshot ----------------------------------------------
-
-// matrixRow is one cell of the multi-core matrix: the serving hot paths
-// through a K-shard group with GOMAXPROCS pinned to Procs for the whole
-// measurement.
-type matrixRow struct {
-	Procs              int     `json:"procs"`
-	Shards             int     `json:"shards"`
-	IngestTuplesPerSec float64 `json:"ingestTuplesPerSec"`
-	QueryP50Micros     float64 `json:"queryP50Micros"`
-	QueryP95Micros     float64 `json:"queryP95Micros"`
-}
-
-// matrixReport is the JSON shape of the per-PR multi-core record
-// (BENCH_PR6.json): the procs × shard-count grid that separates the two
-// parallelism stories — GOMAXPROCS rows show what cores buy a fixed
-// topology, shard columns show what sharding buys at fixed cores. NumCPU
-// is recorded because rows with procs > NumCPU measure oversubscription,
-// not speedup; the -check gate is one-sided so baselines cut on a small
-// machine stay passable on bigger CI runners.
-type matrixReport struct {
-	Rows         int         `json:"rows"`
-	IngestTuples int         `json:"ingestTuples"`
-	BatchSize    int         `json:"batchSize"`
-	Queries      int         `json:"queries"`
-	NumCPU       int         `json:"numCpu"`
-	Procs        []int       `json:"procs"`
-	Matrix       []matrixRow `json:"matrix"`
-}
-
-// matrixShardCounts are the shard columns of the matrix: the single-engine
-// baseline and the topology the scale-out acceptance target names.
-var matrixShardCounts = []int{1, 4}
-
-// parseProcs parses the -procs flag: comma-separated positive GOMAXPROCS
-// values, e.g. "1,2,4".
-func parseProcs(s string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		p, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || p < 1 {
-			return nil, fmt.Errorf("-procs wants comma-separated positive integers, got %q", s)
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}
-
-// measureMatrix measures every (procs, shards) cell, pinning GOMAXPROCS
-// around each row and restoring the caller's setting afterwards.
-func measureMatrix(rows int, seed int64, procs []int) (matrixReport, error) {
-	if rows <= 0 {
-		rows = 120000
-	}
-	const (
-		ingestN   = 30000
-		batchSize = 512
-		queryN    = 1000
-	)
-	tuples, err := workload.Generate(workload.NYCTaxi, rows, 0, seed)
-	if err != nil {
-		return matrixReport{}, err
-	}
-	gen := workload.NewQueryGen(seed+3, tuples, []int{0})
-	queries := gen.Workload(256, janus.FuncSum)
-	ctx := context.Background()
-
-	rep := matrixReport{
-		Rows:         rows,
-		IngestTuples: ingestN,
-		BatchSize:    batchSize,
-		Queries:      queryN,
-		NumCPU:       runtime.NumCPU(),
-		Procs:        procs,
-	}
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
-	for _, p := range procs {
-		runtime.GOMAXPROCS(p)
-		for _, k := range matrixShardCounts {
-			pt, err := measureGroupPoint(ctx, k, ingestN, batchSize, queryN, seed, tuples, queries)
-			if err != nil {
-				return matrixReport{}, err
-			}
-			rep.Matrix = append(rep.Matrix, matrixRow{
-				Procs:              p,
-				Shards:             k,
-				IngestTuplesPerSec: pt.IngestTuplesPerSec,
-				QueryP50Micros:     pt.QueryP50Micros,
-				QueryP95Micros:     pt.QueryP95Micros,
-			})
-		}
-	}
-	return rep, nil
-}
-
-// runMatrix measures the multi-core matrix and writes the snapshot.
-func runMatrix(path string, rows int, seed int64, procsFlag string) error {
-	procs, err := parseProcs(procsFlag)
-	if err != nil {
-		return err
-	}
-	rep, err := measureMatrix(rows, seed, procs)
-	if err != nil {
-		return err
-	}
-	if err := writeJSON(path, rep); err != nil {
-		return err
-	}
-	for _, r := range rep.Matrix {
-		fmt.Printf("procs=%d shards=%d: ingest %.0f t/s, query p50 %.0fµs p95 %.0fµs\n",
-			r.Procs, r.Shards, r.IngestTuplesPerSec, r.QueryP50Micros, r.QueryP95Micros)
-	}
-	fmt.Printf("matrix: %d cells (NumCPU=%d) -> %s\n", len(rep.Matrix), rep.NumCPU, path)
-	return nil
-}
-
-// --- distributed-serving snapshot --------------------------------------------
-
-// clusterReport is the JSON shape of the per-PR distributed-serving record
-// (BENCH_PR7.json): the same 4-shard hot paths measured twice — through
-// the in-process ShardGroup and through a Coordinator scatter-gathering
-// over shard nodes behind the binary RPC protocol on loopback. The
-// slowdown factors isolate the network boundary's price (frame codec,
-// CRC, TCP round trips) with engine work held constant; the acceptance
-// bar is remote ingest within 2x of in-process at the same K.
-type clusterReport struct {
-	Rows         int `json:"rows"`
-	IngestTuples int `json:"ingestTuples"`
-	BatchSize    int `json:"batchSize"`
-	Queries      int `json:"queries"`
-	Shards       int `json:"shards"`
-	GoMaxProcs   int `json:"gomaxprocs"`
-
-	InProcIngestTuplesPerSec float64 `json:"inprocIngestTuplesPerSec"`
-	InProcQueryP50Micros     float64 `json:"inprocQueryP50Micros"`
-	InProcQueryP95Micros     float64 `json:"inprocQueryP95Micros"`
-
-	RemoteIngestTuplesPerSec float64 `json:"remoteIngestTuplesPerSec"`
-	RemoteQueryP50Micros     float64 `json:"remoteQueryP50Micros"`
-	RemoteQueryP95Micros     float64 `json:"remoteQueryP95Micros"`
-
-	// RemoteIngestSlowdown is inproc/remote ingest throughput (1.0 = free
-	// network boundary); RemoteQueryP50Slowdown likewise for median query
-	// latency (remote/inproc).
-	RemoteIngestSlowdown   float64 `json:"remoteIngestSlowdown"`
-	RemoteQueryP50Slowdown float64 `json:"remoteQueryP50Slowdown"`
-}
-
-// clusterShards fixes the topology of the -cluster suite to the K the
-// scale-out acceptance targets name.
-const clusterShards = 4
-
-// measureCluster measures the same serving hot paths through both shard
-// surfaces at K=4: ingest in 512-tuple batches and scatter-gather queries.
-func measureCluster(rows int, seed int64) (clusterReport, error) {
-	if rows <= 0 {
-		rows = 120000
-	}
-	const (
-		ingestN   = 30000
-		batchSize = 512
-		queryN    = 1000
-	)
-	tuples, err := workload.Generate(workload.NYCTaxi, rows, 0, seed)
-	if err != nil {
-		return clusterReport{}, err
-	}
-	gen := workload.NewQueryGen(seed+3, tuples, []int{0})
-	queries := gen.Workload(256, janus.FuncSum)
-	ctx := context.Background()
-
-	inproc, err := measureGroupPoint(ctx, clusterShards, ingestN, batchSize, queryN, seed, tuples, queries)
-	if err != nil {
-		return clusterReport{}, err
-	}
-	remote, err := measureCoordinatorPoint(ctx, ingestN, batchSize, queryN, seed, tuples, queries)
-	if err != nil {
-		return clusterReport{}, err
-	}
-
-	return clusterReport{
-		Rows:         rows,
-		IngestTuples: ingestN,
-		BatchSize:    batchSize,
-		Queries:      queryN,
-		Shards:       clusterShards,
-		GoMaxProcs:   runtime.GOMAXPROCS(0),
-
-		InProcIngestTuplesPerSec: inproc.IngestTuplesPerSec,
-		InProcQueryP50Micros:     inproc.QueryP50Micros,
-		InProcQueryP95Micros:     inproc.QueryP95Micros,
-
-		RemoteIngestTuplesPerSec: remote.IngestTuplesPerSec,
-		RemoteQueryP50Micros:     remote.QueryP50Micros,
-		RemoteQueryP95Micros:     remote.QueryP95Micros,
-
-		RemoteIngestSlowdown:   inproc.IngestTuplesPerSec / remote.IngestTuplesPerSec,
-		RemoteQueryP50Slowdown: remote.QueryP50Micros / math.Max(inproc.QueryP50Micros, 1),
-	}, nil
-}
-
-// measureCoordinatorPoint builds the same K-shard engines measureGroupPoint
-// would, but puts each behind a transport server on loopback and measures
-// through a Coordinator — the only variable versus the in-process point is
-// the network boundary.
-func measureCoordinatorPoint(ctx context.Context, ingestN, batchSize, queryN int, seed int64, tuples []janus.Tuple, queries []janus.Query) (shardPoint, error) {
-	parts := janus.SplitByShard(tuples, clusterShards)
-	peers := make([]string, clusterShards)
-	var cleanup []func()
-	defer func() {
-		for _, fn := range cleanup {
-			fn()
-		}
-	}()
-	for i := 0; i < clusterShards; i++ {
-		b := janus.NewBroker()
-		b.PublishInsertBatch(parts[i])
-		eng := janus.NewEngine(janus.Config{
-			LeafNodes: 128, SampleRate: 0.01, CatchUpRate: 0.10, Seed: seed,
-		}.WithShardSeed(i), b)
-		if err := eng.AddTemplate(janus.Template{
-			Name: "trips", PredicateDims: []int{0}, AggIndex: 0, Agg: janus.Sum,
-		}); err != nil {
-			return shardPoint{}, err
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return shardPoint{}, err
-		}
-		srv := transport.NewServer(cluster.NewNode(eng, nil))
-		go srv.Serve(ln)
-		cleanup = append(cleanup, srv.Close)
-		peers[i] = ln.Addr().String()
-	}
-	coord, err := cluster.NewCoordinator(peers, nil)
-	if err != nil {
-		return shardPoint{}, err
-	}
-	cleanup = append(cleanup, func() { coord.Close() })
-
-	fresh, err := workload.Generate(workload.NYCTaxi, ingestN, 10_000_000, seed+clusterShards)
-	if err != nil {
-		return shardPoint{}, err
-	}
-	start := time.Now()
-	for lo := 0; lo < len(fresh); lo += batchSize {
-		hi := min(lo+batchSize, len(fresh))
-		if err := coord.InsertBatch(fresh[lo:hi]); err != nil {
-			return shardPoint{}, err
-		}
-	}
-	tps := float64(ingestN) / time.Since(start).Seconds()
-
-	lats := make([]float64, 0, queryN)
-	for i := 0; i < queryN; i++ {
-		resp, err := coord.Do(ctx, janus.Request{Template: "trips", Query: queries[i%len(queries)]})
-		if err != nil {
-			return shardPoint{}, err
-		}
-		lats = append(lats, float64(resp.Elapsed.Microseconds()))
-	}
-	return shardPoint{
-		Shards:             clusterShards,
-		IngestTuplesPerSec: tps,
-		QueryP50Micros:     stats.Percentile(lats, 0.50),
-		QueryP95Micros:     stats.Percentile(lats, 0.95),
-	}, nil
-}
-
-// runCluster measures the distributed-serving suite and writes the
-// snapshot.
-func runCluster(path string, rows int, seed int64) error {
-	rep, err := measureCluster(rows, seed)
-	if err != nil {
-		return err
-	}
-	if err := writeJSON(path, rep); err != nil {
-		return err
-	}
-	fmt.Printf("cluster: in-process %d-shard ingest %.0f t/s, query p50 %.0fµs p95 %.0fµs\n",
-		rep.Shards, rep.InProcIngestTuplesPerSec, rep.InProcQueryP50Micros, rep.InProcQueryP95Micros)
-	fmt.Printf("cluster: remote     %d-shard ingest %.0f t/s, query p50 %.0fµs p95 %.0fµs\n",
-		rep.Shards, rep.RemoteIngestTuplesPerSec, rep.RemoteQueryP50Micros, rep.RemoteQueryP95Micros)
-	fmt.Printf("cluster: network boundary costs %.2fx ingest, %.2fx query p50 (GOMAXPROCS=%d) -> %s\n",
-		rep.RemoteIngestSlowdown, rep.RemoteQueryP50Slowdown, rep.GoMaxProcs, path)
-	return nil
-}
-
-// --- client-protocol snapshot ------------------------------------------------
-
-// binaryReport is the JSON shape of the per-PR client-protocol record
-// (BENCH_PR8.json): the single-engine serving hot paths driven twice over
-// real loopback connections — through the HTTP/JSON v2 API and through the
-// binary client protocol — with identical engines and workloads. The
-// speedup factors price the codec swap alone (JSON marshal/unmarshal and
-// HTTP framing versus segment-log tuples in CRC'd binary frames); the
-// acceptance bar is binary ingest at 2x JSON ingest throughput or better.
-type binaryReport struct {
-	Rows         int `json:"rows"`
-	IngestTuples int `json:"ingestTuples"`
-	BatchSize    int `json:"batchSize"`
-	Queries      int `json:"queries"`
-	GoMaxProcs   int `json:"gomaxprocs"`
-
-	JSONIngestTuplesPerSec float64 `json:"jsonIngestTuplesPerSec"`
-	JSONQueryP50Micros     float64 `json:"jsonQueryP50Micros"`
-	JSONQueryP95Micros     float64 `json:"jsonQueryP95Micros"`
-
-	BinaryIngestTuplesPerSec float64 `json:"binaryIngestTuplesPerSec"`
-	BinaryQueryP50Micros     float64 `json:"binaryQueryP50Micros"`
-	BinaryQueryP95Micros     float64 `json:"binaryQueryP95Micros"`
-
-	// BinaryIngestSpeedup is binary/JSON ingest throughput (1.0 = the
-	// binary codec buys nothing); BinaryQueryP50Speedup likewise for
-	// median client-observed query latency (JSON/binary).
-	BinaryIngestSpeedup   float64 `json:"binaryIngestSpeedup"`
-	BinaryQueryP50Speedup float64 `json:"binaryQueryP50Speedup"`
-}
-
-// measureBinary measures the client-facing hot paths over both codecs.
-// Both sides pay a real TCP round trip per request on loopback with
-// connection reuse (HTTP keep-alive vs the transport client's pool), the
-// same freshly built engine state, the same ingest batches, and the same
-// query workload — the codec is the only variable.
-func measureBinary(rows int, seed int64) (binaryReport, error) {
-	if rows <= 0 {
-		rows = 120000
-	}
-	const (
-		ingestN   = 30000
-		batchSize = 512
-		queryN    = 2000
-	)
-	fail := func(err error) (binaryReport, error) { return binaryReport{}, err }
-	tuples, err := workload.Generate(workload.NYCTaxi, rows, 0, seed)
-	if err != nil {
-		return fail(err)
-	}
-	build := func() (*janus.Engine, error) {
-		b := janus.NewBroker()
-		b.PublishInsertBatch(tuples)
-		eng := janus.NewEngine(janus.Config{
-			LeafNodes: 128, SampleRate: 0.01, CatchUpRate: 0.10, Seed: seed,
-		}, b)
-		if err := eng.AddTemplate(janus.Template{
-			Name: "trips", PredicateDims: []int{0}, AggIndex: 0, Agg: janus.Sum,
-		}); err != nil {
-			return nil, err
-		}
-		return eng, nil
-	}
-	fresh, err := workload.Generate(workload.NYCTaxi, ingestN, 10_000_000, seed+1)
-	if err != nil {
-		return fail(err)
-	}
-	gen := workload.NewQueryGen(seed+3, tuples, []int{0})
-	queries := gen.Workload(256, janus.FuncSum)
-	ctx := context.Background()
-
-	// JSON side: the full v2 HTTP surface on a loopback listener.
-	engJSON, err := build()
-	if err != nil {
-		return fail(err)
-	}
-	hsrv := server.New(engJSON, server.Options{})
-	hs := httptest.NewServer(hsrv.Handler())
-	defer hs.Close()
-	defer hsrv.Close()
-	hc := hs.Client()
-	post := func(path string, body []byte) ([]byte, error) {
-		resp, err := hc.Post(hs.URL+path, "application/json", bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		defer resp.Body.Close()
-		out, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return nil, err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return nil, fmt.Errorf("%s: HTTP %d: %s", path, resp.StatusCode, out)
-		}
-		return out, nil
-	}
-
-	// The JSON client pays what a real one pays: marshal the batch, POST,
-	// decode the ack — all inside the timed region.
-	start := time.Now()
-	for lo := 0; lo < len(fresh); lo += batchSize {
-		hi := min(lo+batchSize, len(fresh))
-		wire := make([]server.WireTuple, hi-lo)
-		for i, t := range fresh[lo:hi] {
-			wire[i] = server.WireTuple{ID: t.ID, Key: t.Key, Vals: t.Vals}
-		}
-		body, err := json.Marshal(server.IngestRequest{Tuples: wire})
-		if err != nil {
-			return fail(err)
-		}
-		out, err := post("/v2/ingest", body)
-		if err != nil {
-			return fail(err)
-		}
-		var ack server.IngestResponse
-		if err := json.Unmarshal(out, &ack); err != nil {
-			return fail(err)
-		}
-	}
-	jsonTPS := float64(ingestN) / time.Since(start).Seconds()
-
-	jsonLats := make([]float64, 0, queryN)
-	for i := 0; i < queryN; i++ {
-		q := queries[i%len(queries)]
-		t0 := time.Now()
-		body, err := json.Marshal(server.QueryRequestV2{QueryRequest: server.QueryRequest{
-			Template: "trips", Func: "SUM", Min: q.Rect.Min, Max: q.Rect.Max,
-		}})
-		if err != nil {
-			return fail(err)
-		}
-		out, err := post("/v2/query", body)
-		if err != nil {
-			return fail(err)
-		}
-		var res server.QueryResultV2
-		if err := json.Unmarshal(out, &res); err != nil {
-			return fail(err)
-		}
-		jsonLats = append(jsonLats, float64(time.Since(t0).Microseconds()))
-	}
-
-	// Binary side: an identically built engine behind the client edge on
-	// its own loopback listener, driven through the public client package.
-	engBin, err := build()
-	if err != nil {
-		return fail(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return fail(err)
-	}
-	tsrv := transport.NewServer(cluster.NewClientEdge(engBin, nil))
-	go tsrv.Serve(ln)
-	defer tsrv.Close()
-	cl := client.Dial(ln.Addr().String())
-	defer cl.Close()
-
-	start = time.Now()
-	for lo := 0; lo < len(fresh); lo += batchSize {
-		hi := min(lo+batchSize, len(fresh))
-		if _, err := cl.Ingest(ctx, fresh[lo:hi], nil); err != nil {
-			return fail(err)
-		}
-	}
-	binTPS := float64(ingestN) / time.Since(start).Seconds()
-
-	binLats := make([]float64, 0, queryN)
-	for i := 0; i < queryN; i++ {
-		t0 := time.Now()
-		if _, err := cl.Query(ctx, janus.Request{Template: "trips", Query: queries[i%len(queries)]}); err != nil {
-			return fail(err)
-		}
-		binLats = append(binLats, float64(time.Since(t0).Microseconds()))
-	}
-
-	jsonP50 := stats.Percentile(jsonLats, 0.50)
-	binP50 := stats.Percentile(binLats, 0.50)
-	return binaryReport{
-		Rows:         rows,
-		IngestTuples: ingestN,
-		BatchSize:    batchSize,
-		Queries:      queryN,
-		GoMaxProcs:   runtime.GOMAXPROCS(0),
-
-		JSONIngestTuplesPerSec: jsonTPS,
-		JSONQueryP50Micros:     jsonP50,
-		JSONQueryP95Micros:     stats.Percentile(jsonLats, 0.95),
-
-		BinaryIngestTuplesPerSec: binTPS,
-		BinaryQueryP50Micros:     binP50,
-		BinaryQueryP95Micros:     stats.Percentile(binLats, 0.95),
-
-		BinaryIngestSpeedup:   binTPS / jsonTPS,
-		BinaryQueryP50Speedup: jsonP50 / math.Max(binP50, 1),
-	}, nil
-}
-
-// runBinary measures the client-protocol suite and writes the snapshot.
-func runBinary(path string, rows int, seed int64) error {
-	rep, err := measureBinary(rows, seed)
-	if err != nil {
-		return err
-	}
-	if err := writeJSON(path, rep); err != nil {
-		return err
-	}
-	fmt.Printf("binary: json   ingest %.0f t/s, query p50 %.0fµs p95 %.0fµs\n",
-		rep.JSONIngestTuplesPerSec, rep.JSONQueryP50Micros, rep.JSONQueryP95Micros)
-	fmt.Printf("binary: binary ingest %.0f t/s, query p50 %.0fµs p95 %.0fµs\n",
-		rep.BinaryIngestTuplesPerSec, rep.BinaryQueryP50Micros, rep.BinaryQueryP95Micros)
-	fmt.Printf("binary: codec swap buys %.2fx ingest, %.2fx query p50 (GOMAXPROCS=%d) -> %s\n",
-		rep.BinaryIngestSpeedup, rep.BinaryQueryP50Speedup, rep.GoMaxProcs, path)
-	return nil
-}
-
-// --- online-reshard snapshot -------------------------------------------------
-
-// reshardStep is one layout change measured under live traffic: the
-// migration throughput of the drain-and-re-route copy, the cutover pause
-// (the only window where writes block), and query latency percentiles
-// over exactly the queries that ran while the copy was in flight.
-type reshardStep struct {
-	FromShards               int     `json:"fromShards"`
-	ToShards                 int     `json:"toShards"`
-	Epoch                    int64   `json:"epoch"`
-	RowsMigrated             int64   `json:"rowsMigrated"`
-	DualWrites               int64   `json:"dualWrites"`
-	MigratedRowsPerSec       float64 `json:"migratedRowsPerSec"`
-	CutoverPauseMicros       float64 `json:"cutoverPauseMicros"`
-	QueryP50DuringCopyMicros float64 `json:"queryP50DuringCopyMicros"`
-	QueryP95DuringCopyMicros float64 `json:"queryP95DuringCopyMicros"`
-}
-
-// reshardReport is the JSON shape of the per-PR online-reshard record
-// (BENCH_PR9.json): the 1 -> 4 split and 4 -> 2 merge of the same live
-// group, each under concurrent batched ingest (so the dual-write window
-// is exercised, not idle) and a concurrent query loop. GOMAXPROCS is
-// recorded because the copy competes with the serving path for cores.
-type reshardReport struct {
-	Rows       int           `json:"rows"`
-	GoMaxProcs int           `json:"gomaxprocs"`
-	Steps      []reshardStep `json:"reshardSteps"`
-}
-
-// measureReshardStep reshards group to k shards while a background
-// goroutine keeps batch-ingesting spare and the calling goroutine keeps
-// querying; only latencies sampled while the copy is in flight count.
-func measureReshardStep(ctx context.Context, group *janus.ShardGroup, k int, cfg janus.Config, spare []janus.Tuple, queries []janus.Query) (reshardStep, error) {
-	done := make(chan struct{})
-	var writers sync.WaitGroup
-	writers.Add(1)
-	var ingestErr error
-	go func() {
-		defer writers.Done()
-		const batch = 256
-		for lo := 0; lo < len(spare); lo += batch {
-			select {
-			case <-done:
-				return
-			default:
-			}
-			hi := min(lo+batch, len(spare))
-			if err := group.InsertBatch(spare[lo:hi]); err != nil {
-				ingestErr = err
-				return
-			}
-		}
-	}()
-
-	type outcome struct {
-		rep *janus.ReshardReport
-		err error
-	}
-	resCh := make(chan outcome, 1)
-	go func() {
-		rep, err := group.Reshard(ctx, janus.ReshardOptions{TargetShards: k, Config: cfg})
-		resCh <- outcome{rep, err}
-	}()
-
-	var lats []float64
-	var res outcome
-sample:
-	for {
-		select {
-		case res = <-resCh:
-			break sample
-		default:
-		}
-		t0 := time.Now()
-		if _, err := group.Do(ctx, janus.Request{Template: "trips", Query: queries[len(lats)%len(queries)]}); err != nil {
-			res = <-resCh
-			close(done)
-			writers.Wait()
-			return reshardStep{}, err
-		}
-		lats = append(lats, float64(time.Since(t0).Microseconds()))
-	}
-	close(done)
-	writers.Wait()
-	if res.err != nil {
-		return reshardStep{}, res.err
-	}
-	if ingestErr != nil {
-		return reshardStep{}, ingestErr
-	}
-	rep := res.rep
-	return reshardStep{
-		FromShards:               rep.FromShards,
-		ToShards:                 rep.ToShards,
-		Epoch:                    rep.Epoch,
-		RowsMigrated:             rep.RowsCopied,
-		DualWrites:               rep.DualWrites,
-		MigratedRowsPerSec:       float64(rep.RowsCopied) / math.Max(rep.CopyDuration.Seconds(), 1e-9),
-		CutoverPauseMicros:       float64(rep.CutoverPause.Microseconds()),
-		QueryP50DuringCopyMicros: stats.Percentile(lats, 0.50),
-		QueryP95DuringCopyMicros: stats.Percentile(lats, 0.95),
-	}, nil
-}
-
-// measureReshard runs the live split/merge drill: build a 1-shard group
-// over rows tuples, split it to 4, then merge to 2, each step measured
-// under concurrent ingest and queries.
-func measureReshard(rows int, seed int64) (reshardReport, error) {
-	if rows <= 0 {
-		rows = 120000
-	}
-	cfg := janus.Config{LeafNodes: 128, SampleRate: 0.01, CatchUpRate: 0.10, Seed: seed}
-	tuples, err := workload.Generate(workload.NYCTaxi, rows, 0, seed)
-	if err != nil {
-		return reshardReport{}, err
-	}
-	queries := workload.NewQueryGen(seed+3, tuples, []int{0}).Workload(256, janus.FuncSum)
-	ctx := context.Background()
-
-	b := janus.NewBroker()
-	b.PublishInsertBatch(tuples)
-	eng := janus.NewEngine(cfg.WithShardSeed(0), b)
-	group, err := janus.NewShardGroup([]*janus.Engine{eng})
-	if err != nil {
-		return reshardReport{}, err
-	}
-	if err := group.AddTemplate(janus.Template{
-		Name: "trips", PredicateDims: []int{0}, AggIndex: 0, Agg: janus.Sum,
-	}); err != nil {
-		return reshardReport{}, err
-	}
-
-	rep := reshardReport{Rows: rows, GoMaxProcs: runtime.GOMAXPROCS(0)}
-	for i, k := range []int{4, 2} {
-		spare, err := workload.Generate(workload.NYCTaxi, 20000, int64(10_000_000*(i+1)), seed+int64(k))
-		if err != nil {
-			return reshardReport{}, err
-		}
-		step, err := measureReshardStep(ctx, group, k, cfg, spare, queries)
-		if err != nil {
-			return reshardReport{}, fmt.Errorf("reshard to %d shards: %w", k, err)
-		}
-		rep.Steps = append(rep.Steps, step)
-	}
-	return rep, nil
-}
-
-// runReshard measures the online-reshard suite and writes the snapshot.
-func runReshard(path string, rows int, seed int64) error {
-	rep, err := measureReshard(rows, seed)
-	if err != nil {
-		return err
-	}
-	if err := writeJSON(path, rep); err != nil {
-		return err
-	}
-	for _, s := range rep.Steps {
-		fmt.Printf("reshard %d->%d: migrated %d rows @ %.0f rows/s, cutover pause %.0fµs, query p50 %.0fµs p95 %.0fµs during copy (dual-writes %d)\n",
-			s.FromShards, s.ToShards, s.RowsMigrated, s.MigratedRowsPerSec,
-			s.CutoverPauseMicros, s.QueryP50DuringCopyMicros, s.QueryP95DuringCopyMicros, s.DualWrites)
-	}
-	fmt.Printf("reshard: 1->4->2 drill complete (GOMAXPROCS=%d) -> %s\n", rep.GoMaxProcs, path)
-	return nil
-}
-
-// --- CI perf-regression gate -------------------------------------------------
-
-// latencySlackMicros is an absolute allowance added on top of the relative
-// tolerance for latency comparisons: committed p95s sit in the tens of
-// microseconds, where timer granularity and one scheduler hiccup exceed
-// any honest relative bound.
-const latencySlackMicros = 10.0
-
-// checkRuns is how many times -check repeats a suite, gating on the
-// best run per metric. Load noise on shared runners is one-sided — a
-// neighbor can only slow the suite down — so the best of N approximates
-// the machine's true capability where a single run flakes.
-const checkRuns = 3
-
-// cutoverSlackMicros is the absolute allowance for the reshard cutover
-// pause: the pause is one write-gated watermark carry plus a pointer
-// swap, so its baseline sits near scheduler granularity where relative
-// tolerances are meaningless.
-const cutoverSlackMicros = 2000.0
-
-// gate accumulates pass/fail lines for one -check run.
-type gate struct {
-	tol    float64
-	failed bool
-}
-
-// lower fails when got < base·(1-tol) — for throughput-like metrics where
-// lower is worse.
-func (g *gate) lower(metric string, base, got float64) {
-	floor := base * (1 - g.tol)
-	ok := got >= floor
-	g.report(metric, base, got, floor, ok, ">=")
-}
-
-// higher fails when got > base·(1+tol)+slack — for latency-like metrics
-// where higher is worse.
-func (g *gate) higher(metric string, base, got, slack float64) {
-	ceil := base*(1+g.tol) + slack
-	ok := got <= ceil
-	g.report(metric, base, got, ceil, ok, "<=")
-}
-
-func (g *gate) report(metric string, base, got, bound float64, ok bool, rel string) {
-	verdict := "ok"
-	if !ok {
-		verdict = "REGRESSED"
-		g.failed = true
-	}
-	fmt.Printf("  %-40s baseline %12.1f  now %12.1f  (gate %s %.1f)  %s\n",
-		metric, base, got, rel, bound, verdict)
-}
-
-// runCheck is the perf-regression gate: detect which suite the baseline
-// file records by its JSON shape, rerun that suite at the baseline's
-// scale, and fail when ingest throughput or query p95 regresses beyond
-// the tolerance. Machine-speed-dependent millisecond timings (the restart
-// suite) are gated on the warm/cold ratio instead of absolute times.
-func runCheck(path string, seed int64, tol float64) error {
-	if tol <= 0 || tol >= 1 {
-		return fmt.Errorf("-tolerance must be in (0,1), got %g", tol)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var probe map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &probe); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	g := &gate{tol: tol}
-	switch {
-	case probe["matrix"] != nil:
-		var base matrixReport
-		if err := json.Unmarshal(raw, &base); err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		fmt.Printf("check: rerunning multi-core matrix suite vs %s (rows=%d, procs=%v, best of %d, tolerance %.0f%%)\n",
-			path, base.Rows, base.Procs, checkRuns, tol*100)
-		type cell struct{ procs, shards int }
-		now := make(map[cell]matrixRow)
-		for r := 0; r < checkRuns; r++ {
-			cur, err := measureMatrix(base.Rows, seed, base.Procs)
-			if err != nil {
-				return err
-			}
-			for _, row := range cur.Matrix {
-				key := cell{row.Procs, row.Shards}
-				best, ok := now[key]
-				if !ok {
-					now[key] = row
-					continue
-				}
-				best.IngestTuplesPerSec = math.Max(best.IngestTuplesPerSec, row.IngestTuplesPerSec)
-				best.QueryP50Micros = math.Min(best.QueryP50Micros, row.QueryP50Micros)
-				best.QueryP95Micros = math.Min(best.QueryP95Micros, row.QueryP95Micros)
-				now[key] = best
-			}
-		}
-		for _, br := range base.Matrix {
-			nr, ok := now[cell{br.Procs, br.Shards}]
-			if !ok {
-				return fmt.Errorf("rerun produced no procs=%d shards=%d cell", br.Procs, br.Shards)
-			}
-			g.lower(fmt.Sprintf("procs=%d shards=%d ingest tuples/sec", br.Procs, br.Shards), br.IngestTuplesPerSec, nr.IngestTuplesPerSec)
-			g.higher(fmt.Sprintf("procs=%d shards=%d query p95 µs", br.Procs, br.Shards), br.QueryP95Micros, nr.QueryP95Micros, latencySlackMicros)
-		}
-	case probe["points"] != nil:
-		var base shardReport
-		if err := json.Unmarshal(raw, &base); err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		fmt.Printf("check: rerunning shard-scaling suite vs %s (rows=%d, best of %d, tolerance %.0f%%)\n",
-			path, base.Rows, checkRuns, tol*100)
-		now := make(map[int]shardPoint)
-		for r := 0; r < checkRuns; r++ {
-			cur, err := measureShards(base.Rows, seed)
-			if err != nil {
-				return err
-			}
-			for _, p := range cur.Points {
-				best, ok := now[p.Shards]
-				if !ok {
-					now[p.Shards] = p
-					continue
-				}
-				best.IngestTuplesPerSec = math.Max(best.IngestTuplesPerSec, p.IngestTuplesPerSec)
-				best.QueryP50Micros = math.Min(best.QueryP50Micros, p.QueryP50Micros)
-				best.QueryP95Micros = math.Min(best.QueryP95Micros, p.QueryP95Micros)
-				now[p.Shards] = best
-			}
-		}
-		for _, bp := range base.Points {
-			np, ok := now[bp.Shards]
-			if !ok {
-				return fmt.Errorf("rerun produced no %d-shard point", bp.Shards)
-			}
-			g.lower(fmt.Sprintf("shards=%d ingest tuples/sec", bp.Shards), bp.IngestTuplesPerSec, np.IngestTuplesPerSec)
-			g.higher(fmt.Sprintf("shards=%d query p95 µs", bp.Shards), bp.QueryP95Micros, np.QueryP95Micros, latencySlackMicros)
-		}
-	case probe["remoteIngestTuplesPerSec"] != nil:
-		var base clusterReport
-		if err := json.Unmarshal(raw, &base); err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		fmt.Printf("check: rerunning distributed-serving suite vs %s (rows=%d, best of %d, tolerance %.0f%%)\n",
-			path, base.Rows, checkRuns, tol*100)
-		var best clusterReport
-		for r := 0; r < checkRuns; r++ {
-			cur, err := measureCluster(base.Rows, seed)
-			if err != nil {
-				return err
-			}
-			if r == 0 {
-				best = cur
-				continue
-			}
-			best.RemoteIngestTuplesPerSec = math.Max(best.RemoteIngestTuplesPerSec, cur.RemoteIngestTuplesPerSec)
-			best.RemoteQueryP95Micros = math.Min(best.RemoteQueryP95Micros, cur.RemoteQueryP95Micros)
-			best.RemoteIngestSlowdown = math.Min(best.RemoteIngestSlowdown, cur.RemoteIngestSlowdown)
-		}
-		g.lower("remote ingest tuples/sec", base.RemoteIngestTuplesPerSec, best.RemoteIngestTuplesPerSec)
-		g.higher("remote query p95 µs", base.RemoteQueryP95Micros, best.RemoteQueryP95Micros, latencySlackMicros)
-		// The acceptance bar is absolute, not baseline-relative: the network
-		// boundary must never cost more than 2x ingest throughput at the
-		// same K, whatever the committed snapshot says.
-		g.higher("remote/in-process ingest slowdown", 2.0/(1+tol), best.RemoteIngestSlowdown, 0)
-	case probe["binaryIngestTuplesPerSec"] != nil:
-		var base binaryReport
-		if err := json.Unmarshal(raw, &base); err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		fmt.Printf("check: rerunning client-protocol suite vs %s (rows=%d, best of %d, tolerance %.0f%%)\n",
-			path, base.Rows, checkRuns, tol*100)
-		var best binaryReport
-		for r := 0; r < checkRuns; r++ {
-			cur, err := measureBinary(base.Rows, seed)
-			if err != nil {
-				return err
-			}
-			if r == 0 {
-				best = cur
-				continue
-			}
-			best.BinaryIngestTuplesPerSec = math.Max(best.BinaryIngestTuplesPerSec, cur.BinaryIngestTuplesPerSec)
-			best.BinaryQueryP95Micros = math.Min(best.BinaryQueryP95Micros, cur.BinaryQueryP95Micros)
-			best.BinaryIngestSpeedup = math.Max(best.BinaryIngestSpeedup, cur.BinaryIngestSpeedup)
-		}
-		g.lower("binary ingest tuples/sec", base.BinaryIngestTuplesPerSec, best.BinaryIngestTuplesPerSec)
-		g.higher("binary query p95 µs", base.BinaryQueryP95Micros, best.BinaryQueryP95Micros, latencySlackMicros)
-		// The speedup bar is absolute, not baseline-relative: the binary
-		// codec must keep ingest around 2x the JSON path whatever the
-		// committed snapshot says. It gets the same tolerance as every
-		// other throughput gate because the ratio is engine-diluted — both
-		// sides pay identical InsertBatch work, so the measured speedup
-		// sits close to the bar and one GC pause swings it.
-		g.lower("binary/json ingest speedup", 2.0, best.BinaryIngestSpeedup)
-	case probe["ingestBatchedTuplesPerSec"] != nil:
-		var base perfReport
-		if err := json.Unmarshal(raw, &base); err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		fmt.Printf("check: rerunning serving-perf suite vs %s (rows=%d, best of %d, tolerance %.0f%%)\n",
-			path, base.Rows, checkRuns, tol*100)
-		var best perfReport
-		for r := 0; r < checkRuns; r++ {
-			cur, err := measurePerf(base.Rows, seed)
-			if err != nil {
-				return err
-			}
-			if r == 0 {
-				best = cur
-				continue
-			}
-			best.IngestBatchedTuplesPerSec = math.Max(best.IngestBatchedTuplesPerSec, cur.IngestBatchedTuplesPerSec)
-			best.IngestSingleTuplesPerSec = math.Max(best.IngestSingleTuplesPerSec, cur.IngestSingleTuplesPerSec)
-			best.QueryP95Micros = math.Min(best.QueryP95Micros, cur.QueryP95Micros)
-		}
-		g.lower("batched ingest tuples/sec", base.IngestBatchedTuplesPerSec, best.IngestBatchedTuplesPerSec)
-		g.lower("single ingest tuples/sec", base.IngestSingleTuplesPerSec, best.IngestSingleTuplesPerSec)
-		g.higher("query p95 µs", base.QueryP95Micros, best.QueryP95Micros, latencySlackMicros)
-	case probe["reshardSteps"] != nil:
-		var base reshardReport
-		if err := json.Unmarshal(raw, &base); err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		fmt.Printf("check: rerunning online-reshard suite vs %s (rows=%d, best of %d, tolerance %.0f%%)\n",
-			path, base.Rows, checkRuns, tol*100)
-		type hop struct{ from, to int }
-		now := make(map[hop]reshardStep)
-		for r := 0; r < checkRuns; r++ {
-			cur, err := measureReshard(base.Rows, seed)
-			if err != nil {
-				return err
-			}
-			for _, s := range cur.Steps {
-				key := hop{s.FromShards, s.ToShards}
-				best, ok := now[key]
-				if !ok {
-					now[key] = s
-					continue
-				}
-				best.MigratedRowsPerSec = math.Max(best.MigratedRowsPerSec, s.MigratedRowsPerSec)
-				best.CutoverPauseMicros = math.Min(best.CutoverPauseMicros, s.CutoverPauseMicros)
-				best.QueryP95DuringCopyMicros = math.Min(best.QueryP95DuringCopyMicros, s.QueryP95DuringCopyMicros)
-				now[key] = best
-			}
-		}
-		for _, bs := range base.Steps {
-			ns, ok := now[hop{bs.FromShards, bs.ToShards}]
-			if !ok {
-				return fmt.Errorf("rerun produced no %d->%d reshard step", bs.FromShards, bs.ToShards)
-			}
-			g.lower(fmt.Sprintf("reshard %d->%d migrated rows/sec", bs.FromShards, bs.ToShards), bs.MigratedRowsPerSec, ns.MigratedRowsPerSec)
-			g.higher(fmt.Sprintf("reshard %d->%d query p95 during copy µs", bs.FromShards, bs.ToShards), bs.QueryP95DuringCopyMicros, ns.QueryP95DuringCopyMicros, latencySlackMicros)
-			// The cutover pause is a sub-millisecond write-gated window:
-			// absolute scheduler jitter dwarfs any honest relative bound, so
-			// it gets a wider absolute slack than query latencies.
-			g.higher(fmt.Sprintf("reshard %d->%d cutover pause µs", bs.FromShards, bs.ToShards), bs.CutoverPauseMicros, ns.CutoverPauseMicros, cutoverSlackMicros)
-		}
-	case probe["warmRestoreMillis"] != nil:
-		var base restartReport
-		if err := json.Unmarshal(raw, &base); err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		fmt.Printf("check: rerunning restart suite vs %s (rows=%d, best of %d, tolerance %.0f%%)\n",
-			path, base.Rows, checkRuns, tol*100)
-		bestSpeedup := 0.0
-		bestReclaim := 0.0
-		bestTailReplay := math.MaxInt
-		for r := 0; r < checkRuns; r++ {
-			cur, err := measureRestart(base.Rows, seed)
-			if err != nil {
-				return err
-			}
-			bestSpeedup = math.Max(bestSpeedup, cur.WarmSpeedup)
-			bestReclaim = math.Max(bestReclaim, cur.CompactReclaimFactor)
-			bestTailReplay = min(bestTailReplay, cur.TailReplayPostCompact)
-		}
-		// Absolute restore times track machine speed; the warm/cold ratio is
-		// the durability subsystem's own contribution, so gate on that.
-		g.lower("warm-restart speedup (cold/warm)", base.WarmSpeedup, bestSpeedup)
-		if base.CompactReclaimFactor > 0 {
-			// Compaction-era baseline (BENCH_PR5.json): the data-dir shrink
-			// is a byte ratio at fixed scale and seed — if it decays, churned
-			// history is surviving compaction (the unbounded-growth bug
-			// coming back). The post-compact tail replay is exact at a fixed
-			// seed, so it gates with no slack at all.
-			g.lower("data-dir compaction reclaim factor", base.CompactReclaimFactor, bestReclaim)
-			g.higher("post-compact tail replay records", float64(base.TailReplayPostCompact), float64(bestTailReplay), 0)
-		}
-	default:
-		return fmt.Errorf("%s: unrecognized baseline shape (want a -perf, -restart, -shards, -cluster, -binary, or -reshard snapshot)", path)
-	}
-	if g.failed {
-		return fmt.Errorf("perf regression beyond %.0f%% tolerance vs %s (re-baseline deliberately by regenerating the snapshot)", tol*100, path)
-	}
-	fmt.Println("check: no regression beyond tolerance")
-	return nil
 }

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -92,6 +94,13 @@ type Engine struct {
 
 	reg  sync.RWMutex
 	syns map[string]*synopsis
+	// ordered holds syns' values sorted by template name, and is what every
+	// iteration walks: templates share the engine rng (re-initializations
+	// draw from it), so ranging over the map would make a multi-template
+	// engine irreproducible for a fixed seed. It is copy-on-write under reg
+	// — a published slice is never mutated — so readers may keep it past
+	// the lock.
+	ordered []*synopsis
 
 	// upd serializes all state mutations: Insert/Delete, catch-up pumps,
 	// trigger evaluation, re-initialization swaps, and template builds.
@@ -167,27 +176,30 @@ func (e *Engine) lookup(name string) (*synopsis, bool) {
 	return s, ok
 }
 
-// snapshotSyns copies the current synopsis set out of the registry so
-// paths that do not hold upd can iterate without holding reg.
+// snapshotSyns returns the current synopsis set in name order so paths
+// that do not hold upd can iterate without holding reg.
 func (e *Engine) snapshotSyns() []*synopsis {
 	e.reg.RLock()
 	defer e.reg.RUnlock()
-	out := make([]*synopsis, 0, len(e.syns))
-	for _, s := range e.syns {
-		out = append(out, s)
-	}
-	return out
+	return e.ordered
 }
 
-// forEachSynUpdLocked iterates the registry under its read lock without
-// copying. Caller holds e.upd: every registry writer also takes upd first,
-// so the map is quiescent, no reg writer can be pending, and holding
-// reg.RLock for the duration (even across a re-initialization) cannot
-// block concurrent readers.
+// registerSynopsis adds s to the registry. Caller holds e.upd.
+func (e *Engine) registerSynopsis(s *synopsis) {
+	e.reg.Lock()
+	defer e.reg.Unlock()
+	e.syns[s.tmpl.Name] = s
+	i, _ := slices.BinarySearchFunc(e.ordered, s.tmpl.Name, func(o *synopsis, name string) int {
+		return strings.Compare(o.tmpl.Name, name)
+	})
+	e.ordered = slices.Insert(slices.Clone(e.ordered), i, s)
+}
+
+// forEachSynUpdLocked iterates the registry in name order. Caller holds
+// e.upd: every registry writer also takes upd first, so the set cannot
+// change under the iteration.
 func (e *Engine) forEachSynUpdLocked(fn func(*synopsis)) {
-	e.reg.RLock()
-	defer e.reg.RUnlock()
-	for _, s := range e.syns {
+	for _, s := range e.snapshotSyns() {
 		fn(s)
 	}
 }
@@ -211,9 +223,7 @@ func (e *Engine) AddTemplate(t Template) error {
 	if err != nil {
 		return err
 	}
-	e.reg.Lock()
-	e.syns[t.Name] = &synopsis{tmpl: t, dpt: dpt}
-	e.reg.Unlock()
+	e.registerSynopsis(&synopsis{tmpl: t, dpt: dpt})
 	return nil
 }
 
@@ -915,13 +925,12 @@ func (e *Engine) FollowOffsets() SyncState {
 	return e.follow.offsets()
 }
 
-// Templates lists the registered template names.
+// Templates lists the registered template names, sorted.
 func (e *Engine) Templates() []string {
-	e.reg.RLock()
-	defer e.reg.RUnlock()
-	out := make([]string, 0, len(e.syns))
-	for name := range e.syns {
-		out = append(out, name)
+	syns := e.snapshotSyns()
+	out := make([]string, len(syns))
+	for i, s := range syns {
+		out[i] = s.tmpl.Name
 	}
 	return out
 }

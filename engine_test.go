@@ -1,6 +1,7 @@
 package janus
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -386,5 +387,85 @@ func TestEnginePartialRepartitionMode(t *testing.T) {
 	}
 	if res.Estimate <= 0 {
 		t.Errorf("COUNT = %g after partial rebuilds", res.Estimate)
+	}
+}
+
+// TestEngineTwoTemplatesReproducibleForFixedSeed pins the iteration order
+// of the synopsis registry: templates share the engine rng (every
+// re-initialization draws its pooled sample from it), so two engines with
+// equal seed, the same two templates, and the same insert/delete stream
+// must return identical answers. Ranging over the registry map made the
+// draw order — and so every later sample — a coin flip per evaluation.
+// Several rounds run in-process so map-order luck cannot pass it.
+func TestEngineTwoTemplatesReproducibleForFixedSeed(t *testing.T) {
+	boot, err := workload.Generate(workload.NYCTaxi, 12000, 0, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	templates := []Template{
+		{Name: "trips", PredicateDims: []int{0}, AggIndex: 0, Agg: Sum},
+		{Name: "fares", PredicateDims: []int{1}, AggIndex: 1, Agg: Sum},
+	}
+	build := func() *Engine {
+		b := NewBroker()
+		b.PublishInsertBatch(boot)
+		eng := NewEngine(Config{
+			LeafNodes: 16, SampleRate: 0.02, CatchUpRate: 0.2,
+			Beta: 2, AutoRepartition: true, TriggerCooldown: 256, Seed: 7,
+		}, b)
+		for _, tmpl := range templates {
+			if err := eng.AddTemplate(tmpl); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Skewed in both predicate dimensions, so both templates' triggers
+		// fire in the same evaluations (the Figure 10 scenario, twice).
+		rng := rand.New(rand.NewSource(8))
+		id := int64(5_000_000)
+		for batch := 0; batch < 40; batch++ {
+			ins := make([]Tuple, 256)
+			for i := range ins {
+				ins[i] = Tuple{
+					ID:   id,
+					Key:  Point{1e6 + rng.Float64()*1000, 1e6 + rng.Float64()*1000, 40000},
+					Vals: []float64{rng.Float64() * 500, rng.Float64() * 90, 1},
+				}
+				id++
+			}
+			if err := eng.InsertBatch(ins); err != nil {
+				t.Fatal(err)
+			}
+			del := make([]int64, 64)
+			for i := range del {
+				del[i] = boot[batch*64+i].ID
+			}
+			if _, err := eng.DeleteBatch(del); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return eng
+	}
+	for round := 0; round < 6; round++ {
+		a, b := build(), build()
+		if a.Reinits < 2 {
+			t.Fatalf("round %d: %d re-initializations; the stream must re-partition both templates to exercise the shared rng", round, a.Reinits)
+		}
+		for _, tmpl := range templates {
+			gen := workload.NewQueryGen(3, boot, tmpl.PredicateDims)
+			for _, fn := range []Func{FuncSum, FuncCount, FuncAvg} {
+				for _, q := range gen.Workload(20, fn) {
+					req := Request{Template: tmpl.Name, Query: q}
+					ra, errA := a.Do(context.Background(), req)
+					rb, errB := b.Do(context.Background(), req)
+					if (errA == nil) != (errB == nil) {
+						t.Fatalf("round %d: %s func %v: error mismatch %v vs %v", round, tmpl.Name, fn, errA, errB)
+					}
+					if ra.Result != rb.Result || ra.SampleSize != rb.SampleSize {
+						t.Fatalf("round %d: %s func %v over %v: equal-seed engines disagree: %+v (m=%d) vs %+v (m=%d)",
+							round, tmpl.Name, fn, q.Rect, ra.Result, ra.SampleSize, rb.Result, rb.SampleSize)
+					}
+				}
+			}
+		}
 	}
 }

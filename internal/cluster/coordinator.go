@@ -5,26 +5,26 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	janus "janusaqp"
-	"janusaqp/internal/core"
 	"janusaqp/internal/metrics"
 	"janusaqp/internal/obs"
 	"janusaqp/internal/server"
-	"janusaqp/internal/stats"
 	"janusaqp/internal/transport"
 )
 
-// Coordinator presents K remote shard nodes as one server.Engine: ingest
-// hash-routes by the same pure (id, K) function the in-process ShardGroup
-// uses, queries scatter to every shard and merge their binary partial
-// replies with the same pooled-CI rules — so a fixed-seed cluster answers
-// COUNT/SUM byte-identically to an in-process group of the same K — and
-// the whole v2 HTTP surface, tracing, and metrics run unchanged on top.
+// Coordinator presents K remote shard nodes as one server.Engine. The
+// scatter-gather — hash-routed parallel ingest, fanned-out queries merged
+// with pooled-CI rules, which shard's error reports — is janus.Router's,
+// the very code an in-process ShardGroup runs, so a fixed-seed cluster
+// answers COUNT/SUM byte-identically to a group of the same K and the
+// whole v2 HTTP surface, tracing, and metrics run unchanged on top. What
+// the coordinator owns is what only a remote shard set has: the slots (the
+// router's remote backends), the per-call failure policy below, the gates
+// a reshard takes, and the RPC metrics.
 //
 // Failure policy, per shard call:
 //
@@ -43,10 +43,11 @@ import (
 //  4. what still fails wraps janus.ErrShardUnavailable with the shard
 //     index (503 on the HTTP surface).
 type Coordinator struct {
-	// slots is the serving slot set — one per shard, swapped wholesale by
-	// Reshard. Methods load it once and work over that snapshot, so a
-	// concurrent layout change never mutates a scatter mid-flight.
-	slots atomic.Pointer[[]*slot]
+	// layout is the serving slot set — one per shard — and the router over
+	// it, swapped wholesale by Reshard. Methods load it once and work over
+	// that snapshot, so a concurrent layout change never mutates a scatter
+	// mid-flight.
+	layout atomic.Pointer[layout]
 
 	// gate holds ingest out of a reshard: InsertBatch and DeleteBatch take
 	// the read side, Reshard the write side for the whole copy — cluster
@@ -63,67 +64,79 @@ type Coordinator struct {
 	// epoch counts completed reshards — the serving layout's generation.
 	epoch atomic.Int64
 
-	// tmplMu guards the lazily fetched template cache (registrations are
-	// a boot-time affair on every node, so one fetch serves the process).
-	tmplMu sync.Mutex
-	tmpls  []janus.Template
-
 	rpcSeconds *metrics.HistogramVec
 	failovers  *metrics.Counter
 }
 
-// slot is one shard's routing state: the serving client, the optional
-// standby, and the acknowledged-write watermark failover gates on.
+// layout is one immutable serving layout: the slots and the router over
+// them.
+type layout struct {
+	slots  []*slot
+	router *janus.Router
+}
+
+// slot is one shard's routing state — the serving client, the optional
+// standby, and the acknowledged-write watermark failover gates on — and
+// the router's remote janus.ShardBackend: every method is one RPC under
+// the coordinator's failure policy.
 type slot struct {
+	c       *Coordinator
 	index   int
 	client  atomic.Pointer[transport.Client]
 	mu      sync.Mutex // serializes failover
 	standby *transport.Client
 
 	ackIns, ackDel atomic.Int64
+
+	// tmplMu guards the lazily fetched template declarations
+	// (registrations are a boot-time affair on every node, so one fetch
+	// serves the slot's lifetime; a reshard builds fresh slots).
+	tmplMu sync.Mutex
+	tmpls  []janus.Template
 }
 
 // NewCoordinator builds a coordinator over the shard nodes at peers
 // (index i serves hash-shard i). standbys maps a shard index to its warm
 // standby's address; shards without one simply cannot fail over.
 func NewCoordinator(peers []string, standbys map[int]string) (*Coordinator, error) {
-	slots, err := buildSlots(peers, standbys)
+	c := &Coordinator{}
+	ly, err := c.newLayout(peers, standbys)
 	if err != nil {
 		return nil, err
 	}
-	c := &Coordinator{}
-	c.slots.Store(&slots)
+	c.layout.Store(ly)
 	return c, nil
 }
 
-// buildSlots validates a peer list and builds its routing slots —
-// shared by NewCoordinator and the reshard swap.
-func buildSlots(peers []string, standbys map[int]string) ([]*slot, error) {
+// newLayout validates a peer list and builds its slots and their router
+// — shared by NewCoordinator and the reshard swap.
+func (c *Coordinator) newLayout(peers []string, standbys map[int]string) (*layout, error) {
 	if len(peers) == 0 {
 		return nil, errors.New("cluster: a coordinator needs at least one peer")
-	}
-	slots := make([]*slot, 0, len(peers))
-	for i, addr := range peers {
-		if addr == "" {
-			return nil, fmt.Errorf("cluster: peer %d has an empty address", i)
-		}
-		sl := &slot{index: i}
-		sl.client.Store(transport.NewClient(addr))
-		if sb, ok := standbys[i]; ok && sb != "" {
-			sl.standby = transport.NewClient(sb)
-		}
-		slots = append(slots, sl)
 	}
 	for i := range standbys {
 		if i < 0 || i >= len(peers) {
 			return nil, fmt.Errorf("cluster: standby index %d out of range (have %d peers)", i, len(peers))
 		}
 	}
-	return slots, nil
+	slots := make([]*slot, len(peers))
+	backends := make([]janus.ShardBackend, len(peers))
+	for i, addr := range peers {
+		if addr == "" {
+			return nil, fmt.Errorf("cluster: peer %d has an empty address", i)
+		}
+		sl := &slot{c: c, index: i}
+		sl.client.Store(transport.NewClient(addr))
+		if sb, ok := standbys[i]; ok && sb != "" {
+			sl.standby = transport.NewClient(sb)
+		}
+		slots[i], backends[i] = sl, sl
+	}
+	return &layout{slots: slots, router: janus.NewRouter(backends)}, nil
 }
 
-// shards loads the serving slot set snapshot.
-func (c *Coordinator) shards() []*slot { return *c.slots.Load() }
+func (c *Coordinator) shards() []*slot       { return c.layout.Load().slots }
+func (c *Coordinator) router() *janus.Router { return c.layout.Load().router }
 
 // The coordinator must keep satisfying the server's routing surface — the
 // point of the whole refactor.
@@ -209,7 +222,6 @@ func (c *Coordinator) call(ctx context.Context, sl *slot, typ byte, reqID string
 		// double-apply. The slot has failed over; the producer decides.
 		return transport.Frame{}, fmt.Errorf("%w (shard %d): request outcome unknown after primary failure; shard has failed over, retry the batch", janus.ErrShardUnavailable, sl.index)
 	}
-	start = time.Now()
 	f, err = c.callOn(ctx, next, typ, reqID, body)
 	if err != nil {
 		if errors.As(err, &te) {
@@ -295,237 +307,166 @@ func (sl *slot) noteAck(insLen, delLen int64) {
 	}
 }
 
-// Do scatter-gathers one query over every shard node and merges the
-// partial replies exactly as the in-process ShardGroup does. The raw
-// request goes to the shards (each resolves SQL/templates against its own
-// identical registrations); MinSyncOffset is rejected — cluster ingest
-// acknowledges only after every involved shard applied and logged the
-// batch, so an acknowledged write is readable without a watermark wait.
-func (c *Coordinator) Do(ctx context.Context, req janus.Request) (janus.Response, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if req.MinSyncOffset > 0 {
-		return janus.Response{}, fmt.Errorf("janus: %w: MinSyncOffset does not apply to a cluster coordinator (ingest acks are synchronous)", janus.ErrInvalidRequest)
-	}
+// --- janus.ShardBackend --------------------------------------------------------
+
+// AnswerPartial forwards the raw request — the node resolves SQL/templates
+// against its own registrations, identical on every peer — and returns the
+// node's partial reply. A traced call reports the whole round trip (encode,
+// network, shard answer, decode) as StageRPC and the node-side answering
+// time as StageAnswer.
+func (sl *slot) AnswerPartial(ctx context.Context, req janus.Request) (janus.ShardAnswer, error) {
 	var t0 time.Time
 	if req.Trace {
 		t0 = time.Now()
 	}
-	reqID := obs.RequestIDFrom(ctx)
-	body := transport.EncodeQueryRequest(req)
-	var encoded time.Time
+	f, err := sl.c.call(ctx, sl, transport.MsgQuery, obs.RequestIDFrom(ctx), transport.EncodeQueryRequest(req), true)
+	if err != nil {
+		return janus.ShardAnswer{}, err
+	}
+	rep, err := transport.DecodeQueryReply(f.Body)
+	if err != nil {
+		return janus.ShardAnswer{}, err
+	}
+	a := janus.ShardAnswer{
+		Partial:         rep.Partial,
+		Template:        rep.Template,
+		Confidence:      rep.Confidence,
+		SampleSize:      rep.SampleSize,
+		Population:      rep.Population,
+		CatchUpProgress: rep.CatchUpProgress,
+	}
 	if req.Trace {
-		encoded = time.Now()
+		a.Stages = []janus.TraceStage{
+			{Stage: janus.StageRPC, Dur: time.Since(t0)},
+			{Stage: janus.StageAnswer, Dur: time.Duration(rep.AnswerMicros) * time.Microsecond},
+		}
+	}
+	return a, nil
+}
+
+// ingest performs one MsgIngest exchange. An ack advances the slot's
+// acknowledged-write watermark — the bound failover refuses to lose.
+func (sl *slot) ingest(tuples []janus.Tuple, deleteIDs []int64) (transport.IngestReply, error) {
+	body := transport.EncodeIngestRequest(tuples, deleteIDs)
+	f, err := sl.c.call(context.Background(), sl, transport.MsgIngest, obs.RequestID(), body, false)
+	if err != nil {
+		return transport.IngestReply{}, err
+	}
+	rep, err := transport.DecodeIngestReply(f.Body)
+	if err != nil {
+		return transport.IngestReply{}, err
+	}
+	sl.noteAck(rep.InsLen, rep.DelLen)
+	return rep, nil
+}
+
+func (sl *slot) InsertBatch(tuples []janus.Tuple) error {
+	_, err := sl.ingest(tuples, nil)
+	return err
+}
+
+// DeleteBatch rebuilds the reply's unknown ids into the *BatchIDError a
+// local engine returns, so the router's missing-id merge is the only one.
+func (sl *slot) DeleteBatch(ids []int64) (int, error) {
+	rep, err := sl.ingest(nil, ids)
+	if err != nil {
+		return 0, err
+	}
+	if len(rep.Missing) > 0 {
+		return rep.Deleted, &janus.BatchIDError{IDs: rep.Missing}
+	}
+	return rep.Deleted, nil
+}
+
+// fetchJSON performs one idempotent admin RPC and decodes its JSON reply.
+func (sl *slot) fetchJSON(typ byte, body []byte, v any) error {
+	f, err := sl.c.call(context.Background(), sl, typ, obs.RequestID(), body, true)
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(f.Body, v)
+}
+
+// Stats fetches the node's engine stats. An unreachable shard contributes
+// a zeroed snapshot: the admin surface stays best-effort while the data
+// path reports hard errors.
+func (sl *slot) Stats() (st janus.EngineStats) {
+	_ = sl.fetchJSON(transport.MsgStats, nil, &st)
+	return st
+}
+
+func (sl *slot) StatsFor(template string) (st janus.TemplateStats, err error) {
+	return st, sl.fetchJSON(transport.MsgStatsFor, []byte(template), &st)
+}
+
+// declarations fetches (once) and caches the node's template
+// declarations; nil while the node cannot be reached.
+func (sl *slot) declarations() []janus.Template {
+	sl.tmplMu.Lock()
+	defer sl.tmplMu.Unlock()
+	if sl.tmpls == nil {
+		var decls []janus.Template
+		if sl.fetchJSON(transport.MsgTemplates, nil, &decls) == nil {
+			sl.tmpls = decls
+		}
+	}
+	return sl.tmpls
+}
+
+func (sl *slot) Template(name string) (janus.Template, bool) {
+	for _, t := range sl.declarations() {
+		if t.Name == name {
+			return t, true
+		}
+	}
+	return janus.Template{}, false
+}
+
+func (sl *slot) Templates() []string {
+	var names []string
+	for _, t := range sl.declarations() {
+		names = append(names, t.Name)
+	}
+	return names
+}
+
+// --- server.Engine: gates around the router ---------------------------------
+
+// Do scatter-gathers one query over every shard node (see janus.Router,
+// which also rejects MinSyncOffset: a coordinator's shard set has no
+// follow watermark).
+func (c *Coordinator) Do(ctx context.Context, req janus.Request) (janus.Response, error) {
+	if ctx == nil {
+		ctx = context.Background()
 	}
 	// Hold the swap gate shared: a reshard's install+swap window must not
 	// overlap a scatter, or a node reused across layouts could answer from
 	// the new layout while this merge still assumes the old one.
 	c.swapMu.RLock()
 	defer c.swapMu.RUnlock()
-	slots := c.shards()
-	start := time.Now()
-	replies := make([]transport.QueryReply, len(slots))
-	errs := make([]error, len(slots))
-	var rpcDurs []time.Duration
+	var began time.Time
 	if req.Trace {
-		rpcDurs = make([]time.Duration, len(slots))
+		began = time.Now()
 	}
-	var wg sync.WaitGroup
-	for i, sl := range slots {
-		wg.Add(1)
-		go func(i int, sl *slot) {
-			defer wg.Done()
-			t := time.Now()
-			f, err := c.call(ctx, sl, transport.MsgQuery, reqID, body, true)
-			if req.Trace {
-				rpcDurs[i] = time.Since(t)
-			}
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			replies[i], errs[i] = transport.DecodeQueryReply(f.Body)
-		}(i, sl)
-	}
-	wg.Wait()
-	var scattered time.Time
-	if req.Trace {
-		scattered = time.Now()
-	}
-	for i, err := range errs {
-		if err != nil {
-			// Deterministic: the lowest failing shard reports, as in the
-			// in-process group.
-			return janus.Response{}, fmt.Errorf("janus: shard %d: %w", i, err)
-		}
-	}
-	parts := make([]core.Partial, len(replies))
-	for i, rep := range replies {
-		if rep.Template != replies[0].Template {
-			return janus.Response{}, fmt.Errorf("janus: shard %d resolved template %q, shard 0 resolved %q: cluster registrations have diverged",
-				i, rep.Template, replies[0].Template)
-		}
-		parts[i] = rep.Partial
-	}
-	conf := replies[0].Confidence
-	if conf == 0 {
-		conf = 0.95
-	}
-	res, err := core.MergePartials(parts, stats.ZForConfidence(conf))
-	if err != nil {
-		return janus.Response{}, err
-	}
-	resp := janus.Response{
-		Result:          res,
-		Template:        replies[0].Template,
-		CatchUpProgress: 1,
-		Elapsed:         time.Since(start),
-	}
-	for _, rep := range replies {
-		resp.SampleSize += rep.SampleSize
-		resp.Population += rep.Population
-		if rep.CatchUpProgress < resp.CatchUpProgress {
-			resp.CatchUpProgress = rep.CatchUpProgress
-		}
-	}
-	if req.Trace {
-		resolveDur := encoded.Sub(t0)
-		scatterDur := scattered.Sub(start)
-		mergeDur := time.Since(scattered)
-		resp.Elapsed = resolveDur + scatterDur + mergeDur
-		trace := make([]janus.TraceStage, 0, 2*len(slots)+3)
-		trace = append(trace, janus.TraceStage{Stage: janus.StageResolve, Shard: -1, Dur: resolveDur})
-		trace = append(trace, janus.TraceStage{Stage: janus.StageScatter, Shard: -1, Dur: scatterDur})
-		for i, d := range rpcDurs {
-			trace = append(trace, janus.TraceStage{Stage: janus.StageRPC, Shard: i, Dur: d})
-		}
-		for i, rep := range replies {
-			trace = append(trace, janus.TraceStage{Stage: janus.StageAnswer, Shard: i, Dur: time.Duration(rep.AnswerMicros) * time.Microsecond})
-		}
-		trace = append(trace, janus.TraceStage{Stage: janus.StageMerge, Shard: -1, Dur: mergeDur})
-		resp.Trace = trace
-	}
-	return resp, nil
+	return c.router().Do(ctx, req, began)
 }
 
-// InsertBatch hash-routes the batch and applies each shard's sub-batch
-// remotely in parallel, with the in-process group's semantics: per-shard
-// atomicity, lowest failing shard reports, successful shards' sub-batches
-// stay applied. An ack also advances the slot's acknowledged-write
-// watermark — the bound failover refuses to lose.
+// InsertBatch is janus.Router.InsertBatch over the shard nodes.
 func (c *Coordinator) InsertBatch(tuples []janus.Tuple) error {
-	if len(tuples) == 0 {
-		return nil
-	}
 	// The ingest gate stalls writes for the duration of a reshard: an
 	// acknowledged write either precedes the state reconstruction (the
 	// copy carries it) or follows the swap (it lands in the new layout) —
 	// never in between, where it would be silently lost.
 	c.gate.RLock()
 	defer c.gate.RUnlock()
-	slots := c.shards()
-	reqID := obs.RequestID()
-	parts := janus.SplitByShard(tuples, len(slots))
-	errs := make([]error, len(slots))
-	var wg sync.WaitGroup
-	for i, sub := range parts {
-		if len(sub) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, sub []janus.Tuple) {
-			defer wg.Done()
-			body := transport.EncodeIngestRequest(sub, nil)
-			f, err := c.call(context.Background(), slots[i], transport.MsgIngest, reqID, body, false)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			rep, err := transport.DecodeIngestReply(f.Body)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			slots[i].noteAck(rep.InsLen, rep.DelLen)
-		}(i, sub)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("janus: shard %d: %w", i, err)
-		}
-	}
-	return nil
+	return c.router().InsertBatch(tuples, nil)
 }
 
-// DeleteBatch routes each id to its home shard, applying remotely in
-// parallel. Unknown ids merge across shards into one sorted *BatchIDError,
-// and the applied count is reported even alongside it — exactly the
-// in-process group's contract.
+// DeleteBatch is janus.Router.DeleteBatch over the shard nodes.
 func (c *Coordinator) DeleteBatch(ids []int64) (int, error) {
-	if len(ids) == 0 {
-		return 0, nil
-	}
 	c.gate.RLock()
 	defer c.gate.RUnlock()
-	slots := c.shards()
-	reqID := obs.RequestID()
-	parts := make([][]int64, len(slots))
-	if len(slots) == 1 {
-		parts[0] = ids
-	} else {
-		for _, id := range ids {
-			i := janus.ShardIndex(id, len(slots))
-			parts[i] = append(parts[i], id)
-		}
-	}
-	counts := make([]int, len(slots))
-	missings := make([][]int64, len(slots))
-	errs := make([]error, len(slots))
-	var wg sync.WaitGroup
-	for i, sub := range parts {
-		if len(sub) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, sub []int64) {
-			defer wg.Done()
-			body := transport.EncodeIngestRequest(nil, sub)
-			f, err := c.call(context.Background(), slots[i], transport.MsgIngest, reqID, body, false)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			rep, err := transport.DecodeIngestReply(f.Body)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			counts[i] = rep.Deleted
-			missings[i] = rep.Missing
-			slots[i].noteAck(rep.InsLen, rep.DelLen)
-		}(i, sub)
-	}
-	wg.Wait()
-	total := 0
-	for _, n := range counts {
-		total += n
-	}
-	for i, err := range errs {
-		if err != nil {
-			return total, fmt.Errorf("janus: shard %d: %w", i, err)
-		}
-	}
-	var missing []int64
-	for _, m := range missings {
-		missing = append(missing, m...)
-	}
-	if len(missing) > 0 {
-		slices.Sort(missing)
-		return total, &janus.BatchIDError{IDs: missing}
-	}
-	return total, nil
+	return c.router().DeleteBatch(ids)
 }
 
 // PumpCatchUp reports false: each shard node runs its own catch-up pump.
@@ -537,101 +478,18 @@ func (c *Coordinator) Follow(ctx context.Context, source *janus.Broker, state *j
 	return 0
 }
 
-// Stats gathers and merges every shard node's engine stats. Unreachable
-// shards contribute zeroed snapshots (the admin surface stays best-effort
-// while the data path reports hard errors).
-func (c *Coordinator) Stats() janus.EngineStats {
-	reqID := obs.RequestID()
-	slots := c.shards()
-	parts := make([]janus.EngineStats, len(slots))
-	var wg sync.WaitGroup
-	for i, sl := range slots {
-		wg.Add(1)
-		go func(i int, sl *slot) {
-			defer wg.Done()
-			f, err := c.call(context.Background(), sl, transport.MsgStats, reqID, nil, true)
-			if err != nil {
-				return
-			}
-			_ = json.Unmarshal(f.Body, &parts[i])
-		}(i, sl)
-	}
-	wg.Wait()
-	return janus.MergeShardStats(parts)
-}
+// Stats gathers and merges every shard node's engine stats.
+func (c *Coordinator) Stats() janus.EngineStats { return c.router().Stats() }
 
 // StatsFor gathers and merges one template's stats from every shard.
 func (c *Coordinator) StatsFor(template string) (janus.TemplateStats, error) {
-	reqID := obs.RequestID()
-	slots := c.shards()
-	parts := make([]janus.TemplateStats, len(slots))
-	errs := make([]error, len(slots))
-	var wg sync.WaitGroup
-	for i, sl := range slots {
-		wg.Add(1)
-		go func(i int, sl *slot) {
-			defer wg.Done()
-			f, err := c.call(context.Background(), sl, transport.MsgStatsFor, reqID, []byte(template), true)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			errs[i] = json.Unmarshal(f.Body, &parts[i])
-		}(i, sl)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return janus.TemplateStats{}, fmt.Errorf("janus: shard %d: %w", i, err)
-		}
-	}
-	return janus.MergeShardTemplateStats(parts), nil
-}
-
-// templates fetches (once) and caches the cluster's template
-// declarations; registrations happen at node boot, identically everywhere,
-// so shard 0's answer stands for the cluster.
-func (c *Coordinator) templates() ([]janus.Template, error) {
-	c.tmplMu.Lock()
-	defer c.tmplMu.Unlock()
-	if c.tmpls != nil {
-		return c.tmpls, nil
-	}
-	f, err := c.call(context.Background(), c.shards()[0], transport.MsgTemplates, obs.RequestID(), nil, true)
-	if err != nil {
-		return nil, err
-	}
-	var decls []janus.Template
-	if err := json.Unmarshal(f.Body, &decls); err != nil {
-		return nil, err
-	}
-	c.tmpls = decls
-	return decls, nil
+	return c.router().StatsFor(template)
 }
 
 // Template returns the declaration of the named template.
 func (c *Coordinator) Template(name string) (janus.Template, bool) {
-	decls, err := c.templates()
-	if err != nil {
-		return janus.Template{}, false
-	}
-	for _, t := range decls {
-		if t.Name == name {
-			return t, true
-		}
-	}
-	return janus.Template{}, false
+	return c.router().Template(name)
 }
 
 // Templates lists the registered template names.
-func (c *Coordinator) Templates() []string {
-	decls, err := c.templates()
-	if err != nil {
-		return nil
-	}
-	names := make([]string, len(decls))
-	for i, t := range decls {
-		names[i] = t.Name
-	}
-	return names
-}
+func (c *Coordinator) Templates() []string { return c.router().Templates() }

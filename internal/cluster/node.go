@@ -212,7 +212,7 @@ func (n *Node) serveQuery(f transport.Frame, w *transport.ResponseWriter) {
 		return
 	}
 	start := time.Now()
-	p, meta, q, err := eng.AnswerPartial(context.Background(), req)
+	a, err := eng.AnswerPartial(context.Background(), req)
 	elapsed := time.Since(start)
 	kind := "structured"
 	source := req.Template
@@ -227,12 +227,12 @@ func (n *Node) serveQuery(f transport.Frame, w *transport.ResponseWriter) {
 		return
 	}
 	w.Reply(transport.EncodeQueryReply(transport.QueryReply{
-		Partial:         p,
-		Template:        meta.Template,
-		SampleSize:      meta.SampleSize,
-		Population:      meta.Population,
-		CatchUpProgress: meta.CatchUpProgress,
-		Confidence:      q.Confidence,
+		Partial:         a.Partial,
+		Template:        a.Template,
+		SampleSize:      a.SampleSize,
+		Population:      a.Population,
+		CatchUpProgress: a.CatchUpProgress,
+		Confidence:      a.Confidence,
 		AnswerMicros:    elapsed.Microseconds(),
 	}))
 }
@@ -261,8 +261,8 @@ func (n *Node) serveClientQuery(f transport.Frame, w *transport.ResponseWriter) 
 
 // serveIngest applies one hash-routed sub-batch. Inserts apply first,
 // then deletions, mirroring the HTTP ingest path; unknown delete ids are
-// data, not an RPC failure — they return in the reply so the coordinator
-// can merge them across shards exactly like ShardGroup.DeleteBatch.
+// data, not an RPC failure — they return in the reply so the router can
+// merge them across shards (see slot.DeleteBatch).
 // On a durable node the ack is checked against the store's write health:
 // a sub-batch the log failed to persist must not be acknowledged.
 func (n *Node) serveIngest(f transport.Frame, w *transport.ResponseWriter) {

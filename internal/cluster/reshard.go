@@ -72,10 +72,11 @@ func (c *Coordinator) Reshard(ctx context.Context, newPeers []string, newStandby
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	newSlots, err := buildSlots(newPeers, newStandbys)
+	next, err := c.newLayout(newPeers, newStandbys)
 	if err != nil {
 		return nil, err
 	}
+	newSlots := next.slots
 	if !c.reshardMu.TryLock() {
 		return nil, janus.ErrReshardInProgress
 	}
@@ -118,16 +119,17 @@ func (c *Coordinator) Reshard(ctx context.Context, newPeers []string, newStandby
 		}
 		copied += n
 	}
-	src := sources[0]
-	names := src.Templates()
 	images := make([][]byte, kNew)
 	for j, b := range targets {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("cluster: reshard canceled: %w", err)
 		}
-		eng, err := buildClusterTarget(cfg.WithShardSeed(j), b, src, names, j)
+		eng, err := janus.BuildReshardTarget(cfg.WithShardSeed(j), b, sources[0], j)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("cluster: reshard: %w", err)
+		}
+		// Drain catch-up so the checkpointed install image is fully caught up.
+		for eng.PumpCatchUp() {
 		}
 		var buf bytes.Buffer
 		if _, err := eng.Checkpoint(&buf); err != nil {
@@ -161,11 +163,8 @@ func (c *Coordinator) Reshard(ctx context.Context, newPeers []string, newStandby
 			return nil, fmt.Errorf("cluster: reshard: installing target shard %d: %w (the old layout keeps routing; already-installed targets hold new-layout state)", j, err)
 		}
 	}
-	c.slots.Store(&newSlots)
+	c.layout.Store(next)
 	epoch := c.epoch.Add(1)
-	c.tmplMu.Lock()
-	c.tmpls = nil // declarations refetch lazily from the new layout
-	c.tmplMu.Unlock()
 	pause := time.Since(pauseStart)
 	c.swapMu.Unlock()
 	closeSlots(old)
@@ -305,36 +304,6 @@ func routeArchive(a *broker.Archive, targets []*janus.Broker) (moved int64, err 
 		}
 	}
 	return moved, nil
-}
-
-// buildClusterTarget constructs one target shard's engine over its loaded
-// broker with every source template and schema — the cluster twin of the
-// in-process reshard's target build. The engine's catch-up is drained so
-// the checkpointed install image is fully caught up.
-func buildClusterTarget(cfg janus.Config, b *janus.Broker, src *janus.Engine, names []string, shard int) (*janus.Engine, error) {
-	if b.Archive().Len() == 0 && len(names) > 0 {
-		// A synopsis cannot initialize from an empty archive; an empty
-		// target shard would refuse every query and poison the cluster.
-		return nil, fmt.Errorf("cluster: reshard target shard %d holds no rows; use fewer target shards or ingest more data first", shard)
-	}
-	eng := janus.NewEngine(cfg, b)
-	for _, name := range names {
-		t, ok := src.Template(name)
-		if !ok {
-			return nil, fmt.Errorf("cluster: reshard: template %q vanished from the source checkpoint", name)
-		}
-		if err := eng.AddTemplate(t); err != nil {
-			return nil, fmt.Errorf("cluster: reshard target shard %d: %w", shard, err)
-		}
-		if sc, ok := src.Schema(name); ok {
-			if err := eng.RegisterSchema(name, sc); err != nil {
-				return nil, fmt.Errorf("cluster: reshard target shard %d: %w", shard, err)
-			}
-		}
-	}
-	for eng.PumpCatchUp() {
-	}
-	return eng, nil
 }
 
 // closeSlots discards a retired slot set's pooled connections.

@@ -5,7 +5,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"sort"
 
 	"janusaqp/internal/broker"
 	"janusaqp/internal/core"
@@ -119,9 +118,7 @@ func (e *Engine) loadTemplateUpdLocked(t Template, schema *TableSchema, r io.Rea
 			return err
 		}
 	}
-	e.reg.Lock()
-	e.syns[t.Name] = &synopsis{tmpl: t, dpt: dpt, schema: schema}
-	e.reg.Unlock()
+	e.registerSynopsis(&synopsis{tmpl: t, dpt: dpt, schema: schema})
 	return nil
 }
 
@@ -232,12 +229,10 @@ func (e *Engine) Checkpoint(w io.Writer) (CheckpointInfo, error) {
 	hdr.StreamRejected = e.streamRejected
 	e.statsMu.Unlock()
 
-	// Deterministic template order: equal engine state encodes to equal
+	// Name order is deterministic: equal engine state encodes to equal
 	// bytes, which the crash-recovery harness leans on.
-	var names []string
-	e.forEachSynUpdLocked(func(s *synopsis) { names = append(names, s.tmpl.Name) })
-	sort.Strings(names)
-	hdr.Templates = len(names)
+	syns := e.snapshotSyns()
+	hdr.Templates = len(syns)
 
 	// The live table rides along (see the file comment): it is what makes
 	// the log prefix below the offsets disposable. Its iteration order is
@@ -252,8 +247,8 @@ func (e *Engine) Checkpoint(w io.Writer) (CheckpointInfo, error) {
 	if err := enc.Encode(&hdr); err != nil {
 		return CheckpointInfo{}, fmt.Errorf("janus: writing checkpoint header: %w", err)
 	}
-	for _, name := range names {
-		s, _ := e.lookup(name)
+	for _, s := range syns {
+		name := s.tmpl.Name
 		var syn bytes.Buffer
 		s.mu.RLock()
 		err := s.dpt.Encode(&syn)
@@ -298,7 +293,7 @@ func (e *Engine) Checkpoint(w io.Writer) (CheckpointInfo, error) {
 		return CheckpointInfo{}, fmt.Errorf("janus: writing archive snapshot: %w", encErr)
 	}
 	return CheckpointInfo{
-		Templates:    len(names),
+		Templates:    len(syns),
 		InsertOffset: hdr.InsertOffset,
 		DeleteOffset: hdr.DeleteOffset,
 		ArchiveRows:  hdr.ArchiveRows,

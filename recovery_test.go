@@ -609,17 +609,26 @@ func TestCompactionCrashDrills(t *testing.T) {
 	for _, tc := range []struct {
 		name, dir string
 		batches   int // acknowledged batches the layout must reflect
-		tail      int // insert records recovery must replay beyond the checkpoint
+		tail      int // batches recovery must replay beyond the checkpoint
+		rotated   bool
 	}{
-		{"A: checkpoint, no rotation", layoutA, half, 0},
-		{"B: both logs rotated", layoutB, half, 0},
-		{"C: between rotations", layoutC, half, 0},
-		{"D: rotated + tmp litter", layoutD, half, 0},
-		{"E: compacted + served tail", layoutE, recoveryBatches, (recoveryBatches - half) * recoveryBatchLen},
+		{"A: checkpoint, no rotation", layoutA, half, 0, false},
+		{"B: both logs rotated", layoutB, half, 0, true},
+		{"C: between rotations", layoutC, half, 0, false},
+		{"D: rotated + tmp litter", layoutD, half, 0, true},
+		{"E: compacted + served tail", layoutE, recoveryBatches, recoveryBatches - half, true},
 	} {
 		e, info, lst := recoverLayout(tc.name, tc.dir)
-		if info.TailInserts != tc.tail {
-			t.Fatalf("%s: replayed %d tail inserts, want %d", tc.name, info.TailInserts, tc.tail)
+		if b := lst.Broker(); tc.rotated && (b.Inserts.BaseOffset() == 0 || b.Deletes.BaseOffset() == 0) {
+			t.Fatalf("%s: rotated logs still start at offsets %d/%d", tc.name, b.Inserts.BaseOffset(), b.Deletes.BaseOffset())
+		}
+		// Exact, both topics: a compacted store replays the bounded
+		// post-checkpoint tail and never the history in front of it.
+		if want := tc.tail * recoveryBatchLen; info.TailInserts != want {
+			t.Fatalf("%s: replayed %d tail inserts, want %d", tc.name, info.TailInserts, want)
+		}
+		if want := tc.tail * len(deletes[0]); info.TailDeletes != want {
+			t.Fatalf("%s: replayed %d tail deletes, want %d", tc.name, info.TailDeletes, want)
 		}
 		// Zero acknowledged-write loss at the layout's stream position.
 		archive := lst.Broker().Archive()
@@ -644,7 +653,20 @@ func TestCompactionCrashDrills(t *testing.T) {
 	}
 
 	// The compacted layouts actually shrank: B's data dir must be smaller
-	// than A's even though both answer identically.
+	// than A's even though both answer identically — and by everything the
+	// checkpoint covers. With no tail behind the checkpoint each rotated log
+	// is a bare segment header, so the directory is O(live data) however
+	// much churned history the logs had accumulated (a reclaim factor that
+	// decays means history is surviving compaction).
+	for _, name := range []string{"inserts.log", "deletes.log"} {
+		fi, err := os.Stat(filepath.Join(layoutB, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() > 64 {
+			t.Fatalf("compacted %s is %d bytes with no post-checkpoint tail, want a bare header", name, fi.Size())
+		}
+	}
 	sum := func(dir string) int64 {
 		var n int64
 		entries, err := os.ReadDir(dir)

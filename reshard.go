@@ -172,16 +172,7 @@ func (t *reshardTarget) mirrorInserts(tuples []Tuple) {
 // tombstones the ids so a copy batch still in flight cannot resurrect
 // them.
 func (t *reshardTarget) mirrorDeletes(ids []int64) {
-	parts := make([][]int64, len(t.shards))
-	if len(t.shards) == 1 {
-		parts[0] = ids
-	} else {
-		for _, id := range ids {
-			j := ShardIndex(id, len(t.shards))
-			parts[j] = append(parts[j], id)
-		}
-	}
-	for j, sub := range parts {
+	for j, sub := range splitIDsByShard(ids, len(t.shards)) {
 		if len(sub) == 0 {
 			continue
 		}
@@ -356,7 +347,6 @@ func (g *ShardGroup) Reshard(ctx context.Context, opts ReshardOptions) (*Reshard
 	note(func(p *ReshardProgress) { p.Phase = "build"; p.DualWrites = tgt.dualWrites.Load() })
 	bsp := g.spans.start()
 	src := oldLy.shards[0]
-	names := src.Templates()
 	for j, ts := range tgt.shards {
 		if err := ctx.Err(); err != nil {
 			return fail(fmt.Errorf("janus: reshard build canceled: %w", err))
@@ -365,7 +355,7 @@ func (g *ShardGroup) Reshard(ctx context.Context, opts ReshardOptions) (*Reshard
 		// quiescent under AddTemplate's sampling; mirrors routed to this
 		// shard wait, the other target shards keep absorbing theirs.
 		ts.mu.Lock()
-		eng, err := buildTargetEngine(opts.Config.WithShardSeed(j), ts.broker, src, names, j)
+		eng, err := BuildReshardTarget(opts.Config.WithShardSeed(j), ts.broker, src, j)
 		if err == nil {
 			ts.eng = eng
 		}
@@ -402,7 +392,7 @@ func (g *ShardGroup) Reshard(ctx context.Context, opts ReshardOptions) (*Reshard
 	for _, e := range target {
 		e.follow.restore(followState)
 	}
-	newLy := &groupLayout{epoch: oldLy.epoch + 1, shards: target}
+	newLy := g.newLayout(oldLy.epoch+1, target)
 	g.layout.Store(newLy)
 	g.dual.Store(nil)
 	pause := time.Since(pauseStart)
@@ -410,7 +400,7 @@ func (g *ShardGroup) Reshard(ctx context.Context, opts ReshardOptions) (*Reshard
 	g.spans.end(SpanReshardCutover, -1, xsp)
 
 	// Instrument the new layout exactly like the old one.
-	if p := g.obs.Load(); p != nil {
+	if p := g.spans.obs.Load(); p != nil {
 		instrumentShards(target, *p)
 	}
 
@@ -426,12 +416,16 @@ func (g *ShardGroup) Reshard(ctx context.Context, opts ReshardOptions) (*Reshard
 	return report, nil
 }
 
-// buildTargetEngine constructs one target shard's engine over its loaded
-// broker, building every source template (and schema) on it.
-func buildTargetEngine(cfg Config, b *Broker, src *Engine, names []string, shard int) (*Engine, error) {
+// BuildReshardTarget constructs target shard number shard's engine over its
+// loaded broker b, building every template (and schema) of src — any
+// engine of the source layout; registrations are identical across its
+// shards — on it. It is the build step of both reshard drivers: the
+// in-process ShardGroup.Reshard and the cluster coordinator's.
+func BuildReshardTarget(cfg Config, b *Broker, src *Engine, shard int) (*Engine, error) {
+	names := src.Templates()
 	if b.Archive().Len() == 0 && len(names) > 0 {
 		// A synopsis cannot initialize from an empty archive; an empty
-		// target shard would refuse every query and poison the group.
+		// target shard would refuse every query and poison the layout.
 		return nil, fmt.Errorf("janus: reshard target shard %d holds no rows; use fewer target shards or ingest more data first", shard)
 	}
 	eng := NewEngine(cfg, b)

@@ -2,33 +2,26 @@ package janus
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"janusaqp/internal/core"
-	"janusaqp/internal/stats"
 )
 
 // ShardGroup is the scale-out form of the engine: K independent Engine
 // shards, each owning a disjoint hash-partition of the data (by tuple id),
 // presented behind the same v2 surface as a single Engine.
 //
-//   - Ingest is hash-partitioned: InsertBatch/DeleteBatch split the batch
-//     per shard and apply the sub-batches in parallel, so K update locks
-//     run concurrently instead of one — the per-process data parallelism
-//     a single engine's update lock caps out.
-//   - Queries scatter-gather: Do fans the request to every shard, each
-//     answers from its own synopsis in mergeable form (core.Partial), and
-//     the group combines per-shard sums, counts, and variances into one
-//     estimate with a valid combined confidence interval (shards are
-//     strata: SUM/COUNT estimates and variances add across disjoint
-//     partitions; AVG pools shard means with population weights; MIN/MAX
-//     take the extreme of extremes).
+// The scatter-gather itself — hash-partitioned parallel ingest, fanned-out
+// queries merged into one estimate with a combined confidence interval,
+// which shard's error reports — is the Router's, shared with the cluster
+// coordinator; the group's shards are its local backends. What the group
+// owns is what only an in-process shard set has: the write gate and the
+// dual-write mirror that keep ingest live through a reshard, the follow
+// watermark Request.MinSyncOffset waits on, template registration, and
+// followed-stream consumption (Sync/Follow).
 //
 // Semantics versus a single Engine, worth knowing when scaling out:
 //
@@ -72,29 +65,38 @@ type ShardGroup struct {
 	// first reshard).
 	progress atomic.Pointer[ReshardProgress]
 
-	// obs remembers the installed SpanObserver so a cutover can instrument
-	// the new layout's engines exactly like the old one's.
-	obs atomic.Pointer[SpanObserver]
-
 	// follow is the group-level followed-stream watermark (the group
 	// routes a followed broker's records to shards itself, so
 	// read-your-writes waits park here, not on any single shard).
 	follow watermark
 
 	// spans receives the group's own span emissions (the merge stage);
-	// per-shard spans go through each shard's wrapped observer.
+	// per-shard spans go through each shard's wrapped observer. It also
+	// remembers the installed observer so a cutover can instrument the new
+	// layout's engines exactly like the old one's.
 	spans spanSink
 }
 
-// groupLayout is one immutable serving layout: a shard set and its epoch.
-// A reshard builds a new one and swaps the pointer; nothing in a published
-// layout is ever mutated.
+// groupLayout is one immutable serving layout: a shard set, the router
+// over it, and its epoch. A reshard builds a new one and swaps the
+// pointer; nothing in a published layout is ever mutated.
 type groupLayout struct {
 	epoch  int64
 	shards []*Engine
+	router *Router
 }
 
-// engines returns the current serving shard set.
+// newLayout builds a layout whose router scatters over shards as local
+// backends, on the group's watermark and span observer.
+func (g *ShardGroup) newLayout(epoch int64, shards []*Engine) *groupLayout {
+	backends := make([]ShardBackend, len(shards))
+	for i, e := range shards {
+		backends[i] = e
+	}
+	return &groupLayout{epoch: epoch, shards: shards,
+		router: &Router{backends: backends, follow: &g.follow, spans: &g.spans}}
+}
+
 func (g *ShardGroup) engines() []*Engine { return g.layout.Load().shards }
 
 // LayoutEpoch reports the serving layout's epoch: 0 at construction,
@@ -107,8 +109,7 @@ func (g *ShardGroup) LayoutEpoch() int64 { return g.layout.Load().epoch }
 // it monotonically. Call before serving; it does not synchronize with a
 // concurrent reshard.
 func (g *ShardGroup) SetLayoutEpoch(epoch int64) {
-	ly := g.layout.Load()
-	g.layout.Store(&groupLayout{epoch: epoch, shards: ly.shards})
+	g.layout.Store(g.newLayout(epoch, g.engines()))
 }
 
 // NewShardGroup groups pre-built engines into one hash-sharded group. The
@@ -125,7 +126,7 @@ func NewShardGroup(shards []*Engine) (*ShardGroup, error) {
 		}
 	}
 	g := &ShardGroup{}
-	g.layout.Store(&groupLayout{shards: shards})
+	g.layout.Store(g.newLayout(0, shards))
 	// Resume the group watermark from the shards' recovered follow
 	// offsets: the group's Sync advances every shard's watermark in step
 	// (each checkpoint persists it), so a group rebuilt over checkpoint-
@@ -135,12 +136,8 @@ func NewShardGroup(shards []*Engine) (*ShardGroup, error) {
 	least := shards[0].FollowOffsets()
 	for _, e := range shards[1:] {
 		st := e.FollowOffsets()
-		if st.InsertOffset < least.InsertOffset {
-			least.InsertOffset = st.InsertOffset
-		}
-		if st.DeleteOffset < least.DeleteOffset {
-			least.DeleteOffset = st.DeleteOffset
-		}
+		least.InsertOffset = min(least.InsertOffset, st.InsertOffset)
+		least.DeleteOffset = min(least.DeleteOffset, st.DeleteOffset)
 	}
 	g.follow.restore(least)
 	return g, nil
@@ -204,118 +201,52 @@ func (g *ShardGroup) ShardFor(id int64) int { return ShardIndex(id, len(g.engine
 // shards. Registration is refused while a reshard is copying — the target
 // layout would silently miss the template.
 func (g *ShardGroup) AddTemplate(t Template) error {
-	g.gate.RLock()
-	defer g.gate.RUnlock()
-	if g.dual.Load() != nil {
-		return fmt.Errorf("janus: cannot register template %q during an active reshard", t.Name)
-	}
-	for i, e := range g.engines() {
-		if err := e.AddTemplate(t); err != nil {
-			return fmt.Errorf("janus: shard %d: %w", i, err)
-		}
-	}
-	return nil
+	return g.register(fmt.Sprintf("template %q", t.Name), func(e *Engine) error { return e.AddTemplate(t) })
 }
 
 // RegisterSchema attaches a SQL schema to the template on every shard.
 // Like AddTemplate, it is refused while a reshard is copying.
 func (g *ShardGroup) RegisterSchema(template string, sc TableSchema) error {
+	return g.register(fmt.Sprintf("schema for %q", template), func(e *Engine) error { return e.RegisterSchema(template, sc) })
+}
+
+// register applies one registration to every shard in order, without
+// rollback (see the type comment).
+func (g *ShardGroup) register(what string, fn func(*Engine) error) error {
 	g.gate.RLock()
 	defer g.gate.RUnlock()
 	if g.dual.Load() != nil {
-		return fmt.Errorf("janus: cannot register schema for %q during an active reshard", template)
+		return fmt.Errorf("janus: cannot register %s during an active reshard", what)
 	}
 	for i, e := range g.engines() {
-		if err := e.RegisterSchema(template, sc); err != nil {
-			return fmt.Errorf("janus: shard %d: %w", i, err)
+		if err := fn(e); err != nil {
+			return shardErr(i, err)
 		}
 	}
 	return nil
 }
 
-// InsertBatch hash-partitions the batch and applies each shard's sub-batch
-// in parallel — K update locks run concurrently. Each sub-batch keeps
-// InsertBatch's atomicity on its shard; on error the failing shards'
-// sub-batches are rejected whole while other shards' land (see the type
-// comment). Duplicate ids — within the batch or against live rows — always
-// collide on their home shard, so validation loses nothing to sharding.
-//
-// While a reshard is copying, every sub-batch the serving layout accepted
-// is also mirrored into the target layout (dual-write), so the copy phase
-// never races acknowledged writes.
+// InsertBatch is Router.InsertBatch over the group's shards — K update
+// locks run concurrently. While a reshard is copying, every sub-batch the
+// serving layout acknowledged is also mirrored into the target layout
+// (dual-write), so the copy phase never races acknowledged writes; a
+// rejected sub-batch was never acked, so the target must not hold it either.
 func (g *ShardGroup) InsertBatch(tuples []Tuple) error {
-	if len(tuples) == 0 {
-		return nil
-	}
 	g.gate.RLock()
 	defer g.gate.RUnlock()
-	shards := g.engines()
-	parts := SplitByShard(tuples, len(shards))
-	errs := make([]error, len(shards))
-	var wg sync.WaitGroup
-	for i, sub := range parts {
-		if len(sub) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, sub []Tuple) {
-			defer wg.Done()
-			errs[i] = shards[i].InsertBatch(sub)
-		}(i, sub)
-	}
-	wg.Wait()
+	var mirror func([]Tuple)
 	if d := g.dual.Load(); d != nil {
-		// Mirror only the sub-batches the serving layout acknowledged: a
-		// rejected sub-batch was never acked, so the target layout must not
-		// hold it either.
-		for i, sub := range parts {
-			if errs[i] == nil && len(sub) > 0 {
-				d.mirrorInserts(sub)
-			}
-		}
+		mirror = d.mirrorInserts
 	}
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("janus: shard %d: %w", i, err)
-		}
-	}
-	return nil
+	return g.layout.Load().router.InsertBatch(tuples, mirror)
 }
 
-// DeleteBatch routes each id to its home shard and applies the per-shard
-// deletions in parallel, returning the total number removed. Ids no shard
-// holds are reported through one combined *BatchIDError (sorted), exactly
-// like a single engine's DeleteBatch.
+// DeleteBatch is Router.DeleteBatch over the group's shards, mirrored into
+// an active reshard's target layout.
 func (g *ShardGroup) DeleteBatch(ids []int64) (int, error) {
-	if len(ids) == 0 {
-		return 0, nil
-	}
 	g.gate.RLock()
 	defer g.gate.RUnlock()
-	shards := g.engines()
-	parts := make([][]int64, len(shards))
-	if len(shards) == 1 {
-		parts[0] = ids
-	} else {
-		for _, id := range ids {
-			i := ShardIndex(id, len(shards))
-			parts[i] = append(parts[i], id)
-		}
-	}
-	counts := make([]int, len(shards))
-	errs := make([]error, len(shards))
-	var wg sync.WaitGroup
-	for i, sub := range parts {
-		if len(sub) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, sub []int64) {
-			defer wg.Done()
-			counts[i], errs[i] = shards[i].DeleteBatch(sub)
-		}(i, sub)
-	}
-	wg.Wait()
+	n, err := g.layout.Load().router.DeleteBatch(ids)
 	if d := g.dual.Load(); d != nil {
 		// Deletions mirror unconditionally: an unknown id is data on a
 		// delete stream, and the tombstone must land even when the serving
@@ -323,150 +254,41 @@ func (g *ShardGroup) DeleteBatch(ids []int64) (int, error) {
 		// target yet — see reshardTarget.mirrorDeletes).
 		d.mirrorDeletes(ids)
 	}
-	// Sum every shard's count before inspecting errors: a failing shard
-	// does not undo the deletions its peers already applied, and the total
-	// must say so even when an error is returned alongside it.
-	total := 0
-	for _, n := range counts {
-		total += n
-	}
-	var missing []int64
-	for i, err := range errs {
-		var b *BatchIDError
-		switch {
-		case err == nil:
-		case errors.As(err, &b):
-			missing = append(missing, b.IDs...)
-		default:
-			return total, fmt.Errorf("janus: shard %d: %w", i, err)
-		}
-	}
-	if len(missing) > 0 {
-		slices.Sort(missing)
-		return total, &BatchIDError{IDs: missing}
-	}
-	return total, nil
+	return n, err
 }
 
 // Do answers one Request by scatter-gather: resolve once (SQL compiles one
-// time, against shard 0's schemas — registration fans out identically), fan
-// the structured form to every shard in parallel, and merge the per-shard
-// partials into one estimate with a combined confidence interval.
-// MinSyncOffset waits on the group's own follow watermark (see SyncContext)
-// before the scatter.
+// time, against shard 0's schemas — registration fans out identically) and
+// hand the structured form to Router.Do, which waits out MinSyncOffset on
+// the group's own follow watermark (see SyncContext) before the scatter.
 func (g *ShardGroup) Do(ctx context.Context, req Request) (Response, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// Trace stamps are contiguous — [t0,resolved] resolve, [resolved,
-	// waited] syncWait, [waited,scattered] scatter, [scattered,·] merge —
-	// so the group-level stage durations sum exactly to Elapsed. None are
-	// taken when tracing is off.
-	var t0 time.Time
+	var began time.Time
 	if req.Trace {
-		t0 = time.Now()
+		began = time.Now()
 	}
 	// One layout snapshot answers the whole request: a cutover concurrent
 	// with this query swaps the pointer for later requests, while this one
 	// scatter-gathers over a consistent shard set.
-	shards := g.engines()
-	name, q, onKeys, err := shards[0].resolveRequest(req)
+	ly := g.layout.Load()
+	name, q, onKeys, err := ly.shards[0].resolveRequest(req)
 	if err != nil {
 		return Response{}, err
-	}
-	var resolved time.Time
-	if req.Trace {
-		resolved = time.Now()
 	}
 	if req.MinSyncOffset > 0 {
 		// Fail fast before parking on the watermark: an unknown template
 		// can only ever fail, and the watermark may never advance. SQL
 		// requests already resolved their table above.
-		if _, ok := shards[0].lookup(name); !ok {
+		if _, ok := ly.shards[0].lookup(name); !ok {
 			return Response{}, fmt.Errorf("janus: %w %q", ErrUnknownTemplate, name)
 		}
-		if err := g.follow.wait(ctx, req.MinSyncOffset); err != nil {
-			return Response{}, err
-		}
 	}
-	start := time.Now()
-	waited := start
-	parts := make([]core.Partial, len(shards))
-	metas := make([]Response, len(shards))
-	errs := make([]error, len(shards))
-	var shardDurs []time.Duration
-	if req.Trace {
-		shardDurs = make([]time.Duration, len(shards))
-	}
-	var wg sync.WaitGroup
-	for i := range shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if req.Trace {
-				t := time.Now()
-				parts[i], metas[i], errs[i] = shards[i].answerPartial(ctx, name, q, onKeys)
-				shardDurs[i] = time.Since(t)
-				return
-			}
-			parts[i], metas[i], errs[i] = shards[i].answerPartial(ctx, name, q, onKeys)
-		}(i)
-	}
-	wg.Wait()
-	var scattered time.Time
-	if req.Trace {
-		scattered = time.Now()
-	}
-	for i, err := range errs {
-		if err != nil {
-			// Deterministic: the lowest failing shard reports. Unknown
-			// templates and malformed queries fail identically everywhere.
-			return Response{}, fmt.Errorf("janus: shard %d: %w", i, err)
-		}
-	}
-	conf := q.Confidence
-	if conf == 0 {
-		conf = 0.95
-	}
-	msp := g.spans.start()
-	res, err := core.MergePartials(parts, stats.ZForConfidence(conf))
-	if err != nil {
-		return Response{}, err
-	}
-	g.spans.end(StageMerge, -1, msp)
-	resp := Response{
-		Result:          res,
-		Template:        name,
-		CatchUpProgress: 1,
-		Elapsed:         time.Since(start),
-	}
-	for _, m := range metas {
-		resp.SampleSize += m.SampleSize
-		resp.Population += m.Population
-		// The merged answer is only as caught up as its least caught-up
-		// shard — the conservative bound a dashboard should see.
-		if m.CatchUpProgress < resp.CatchUpProgress {
-			resp.CatchUpProgress = m.CatchUpProgress
-		}
-	}
-	if req.Trace {
-		resolveDur := resolved.Sub(t0)
-		scatterDur := scattered.Sub(waited)
-		mergeDur := time.Since(scattered)
-		resp.Elapsed = resolveDur + scatterDur + mergeDur
-		trace := make([]TraceStage, 0, len(shards)+4)
-		trace = append(trace, TraceStage{Stage: StageResolve, Shard: -1, Dur: resolveDur})
-		if req.MinSyncOffset > 0 {
-			trace = append(trace, TraceStage{Stage: StageSyncWait, Shard: -1, Dur: waited.Sub(resolved)})
-		}
-		trace = append(trace, TraceStage{Stage: StageScatter, Shard: -1, Dur: scatterDur})
-		for i, d := range shardDurs {
-			trace = append(trace, TraceStage{Stage: StageAnswer, Shard: i, Dur: d})
-		}
-		trace = append(trace, TraceStage{Stage: StageMerge, Shard: -1, Dur: mergeDur})
-		resp.Trace = trace
-	}
-	return resp, nil
+	return ly.router.Do(ctx, Request{
+		Template: name, Query: q, OnKeys: onKeys,
+		MinSyncOffset: req.MinSyncOffset, Trace: req.Trace,
+	}, began)
 }
 
 // PumpCatchUp folds one catch-up batch on every shard in parallel,
@@ -474,53 +296,30 @@ func (g *ShardGroup) Do(ctx context.Context, req Request) (Response, error) {
 func (g *ShardGroup) PumpCatchUp() bool {
 	shards := g.engines()
 	worked := make([]bool, len(shards))
-	var wg sync.WaitGroup
-	for i := range shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			worked[i] = shards[i].PumpCatchUp()
-		}(i)
-	}
-	wg.Wait()
-	for _, w := range worked {
-		if w {
-			return true
-		}
-	}
-	return false
+	fanOut(len(shards), func(i int) { worked[i] = shards[i].PumpCatchUp() })
+	return slices.Contains(worked, true)
 }
 
-// Template returns the declaration of the named template (identical across
-// shards by construction).
+// Template returns the declaration of the named template.
 func (g *ShardGroup) Template(name string) (Template, bool) {
-	return g.engines()[0].Template(name)
+	return g.layout.Load().router.Template(name)
 }
 
 // Templates lists the registered template names.
-func (g *ShardGroup) Templates() []string {
-	return g.engines()[0].Templates()
+func (g *ShardGroup) Templates() []string { return g.layout.Load().router.Templates() }
+
+// StatsFor merges one template's per-shard synopsis stats.
+func (g *ShardGroup) StatsFor(template string) (TemplateStats, error) {
+	return g.layout.Load().router.StatsFor(template)
 }
 
-// StatsFor merges one template's per-shard synopsis stats: sizes and
-// populations add; catch-up progress reports the least caught-up shard.
-func (g *ShardGroup) StatsFor(template string) (TemplateStats, error) {
-	shards := g.engines()
-	parts := make([]TemplateStats, len(shards))
-	for i, e := range shards {
-		st, err := e.StatsFor(template)
-		if err != nil {
-			return TemplateStats{}, err
-		}
-		parts[i] = st
-	}
-	return MergeShardTemplateStats(parts), nil
-}
+// Stats merges the per-shard engine stats into one group-wide snapshot;
+// the synced insert offset reports the group watermark.
+func (g *ShardGroup) Stats() EngineStats { return g.layout.Load().router.Stats() }
 
 // MergeShardTemplateStats merges one template's per-shard synopsis stats
 // into a group-wide view: sizes and populations add; catch-up progress
-// reports the least caught-up shard. It is the merge rule of both the
-// in-process ShardGroup and a cluster coordinator gathering remote stats.
+// reports the least caught-up shard.
 func MergeShardTemplateStats(parts []TemplateStats) TemplateStats {
 	var out TemplateStats
 	for i, st := range parts {
@@ -528,39 +327,26 @@ func MergeShardTemplateStats(parts []TemplateStats) TemplateStats {
 			out = st
 			continue
 		}
-		out.SynopsisBytes += st.SynopsisBytes
-		out.Leaves += st.Leaves
-		out.SampleSize += st.SampleSize
-		out.Population += st.Population
-		if st.CatchUpProgress < out.CatchUpProgress {
-			out.CatchUpProgress = st.CatchUpProgress
-		}
+		out.add(st)
 	}
 	return out
 }
 
-// Stats merges the per-shard engine stats into one group-wide snapshot:
-// counters and rows add, per-template stats merge by name, and the synced
-// insert offset reports the group watermark.
-func (g *ShardGroup) Stats() EngineStats {
-	shards := g.engines()
-	parts := make([]EngineStats, len(shards))
-	for i, e := range shards {
-		parts[i] = e.Stats()
-	}
-	out := MergeShardStats(parts)
-	out.SyncedInsertOffset = g.SyncedInsertOffset()
-	return out
+// add folds another shard's stats for the same template into a.
+func (a *TemplateStats) add(b TemplateStats) {
+	a.SynopsisBytes += b.SynopsisBytes
+	a.Leaves += b.Leaves
+	a.SampleSize += b.SampleSize
+	a.Population += b.Population
+	a.CatchUpProgress = min(a.CatchUpProgress, b.CatchUpProgress)
 }
 
 // MergeShardStats merges per-shard engine stats into one group-wide
 // snapshot: counters and rows add, per-template stats merge by name
 // (sorted), the un-merged snapshots are kept in Shards (the per-shard
 // breakdown is how stragglers and skewed hash placement are diagnosed),
-// and SyncedInsertOffset conservatively reports the least-advanced shard.
-// The merge rule is shared by the in-process ShardGroup (which overrides
-// the synced offset with its own group watermark) and a cluster
-// coordinator merging remote shard stats.
+// and SyncedInsertOffset conservatively reports the least-advanced shard
+// (a router with a follow watermark overrides it).
 func MergeShardStats(parts []EngineStats) EngineStats {
 	var out EngineStats
 	byName := make(map[string]*TemplateStats)
@@ -584,13 +370,7 @@ func MergeShardStats(parts []EngineStats) EngineStats {
 				names = append(names, ts.Name)
 				continue
 			}
-			agg.SynopsisBytes += ts.SynopsisBytes
-			agg.Leaves += ts.Leaves
-			agg.SampleSize += ts.SampleSize
-			agg.Population += ts.Population
-			if ts.CatchUpProgress < agg.CatchUpProgress {
-				agg.CatchUpProgress = ts.CatchUpProgress
-			}
+			agg.add(ts)
 		}
 	}
 	sort.Strings(names)
@@ -641,22 +421,13 @@ func (g *ShardGroup) SyncContext(ctx context.Context, source *Broker, state *Syn
 		shards := g.engines()
 		parts := SplitByShard(tuples, len(shards))
 		goods := make([]int, len(shards))
-		var wg sync.WaitGroup
-		for i, sub := range parts {
-			if len(sub) == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(i int, sub []Tuple) {
-				defer wg.Done()
-				var rejected int
-				goods[i], rejected = shards[i].applyStreamInserts(sub)
-				// Skips count on the owning shard, where the record was
-				// rejected — the merged Stats() sums them group-wide.
-				shards[i].noteStreamRejected(rejected)
-			}(i, sub)
-		}
-		wg.Wait()
+		fanOutParts(parts, func(i int, sub []Tuple) {
+			var rejected int
+			goods[i], rejected = shards[i].applyStreamInserts(sub)
+			// Skips count on the owning shard, where the record was
+			// rejected — the merged Stats() sums them group-wide.
+			shards[i].noteStreamRejected(rejected)
+		})
 		if d := g.dual.Load(); d != nil {
 			// The stream path mirrors the whole polled batch: the target
 			// applies with the same skip-don't-fail admission, so a record

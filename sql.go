@@ -83,9 +83,9 @@ func (e *Engine) compileSQL(sql string) (string, Query, error) {
 	q, table, err := sqlparse.CompileSQL(sql, func(table string) (sqlparse.Schema, bool) {
 		e.reg.RLock()
 		defer e.reg.RUnlock()
-		for n, s := range e.syns {
+		for _, s := range e.ordered {
 			if s.schema != nil && sqlparse.TableEqual(s.schema.Table, table) {
-				name = n
+				name = s.tmpl.Name
 				return *s.schema, true
 			}
 		}

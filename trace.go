@@ -121,15 +121,10 @@ func (e *Engine) SetSpanObserver(fn SpanObserver) { e.spans.set(fn) }
 
 // SetSpanObserver installs fn on every shard, stamping each emission with
 // the shard's index in the group, and keeps a group-level copy for the
-// group's own merge-stage emissions. The observer is remembered so a
-// reshard cutover instruments the new layout's engines identically.
+// group's own merge-stage emissions; a reshard cutover reads it back from
+// there to instrument the new layout's engines identically.
 func (g *ShardGroup) SetSpanObserver(fn SpanObserver) {
 	g.spans.set(fn)
-	if fn == nil {
-		g.obs.Store(nil)
-	} else {
-		g.obs.Store(&fn)
-	}
 	instrumentShards(g.engines(), fn)
 }
 
