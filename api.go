@@ -8,19 +8,20 @@ import (
 	"janusaqp/internal/core"
 )
 
-// Request is the unified v2 query request: one type expresses structured
-// rectangle queries, on-keys (Section 5.5) queries, and SQL statements,
-// together with the per-request options the v1 entry points could not
-// carry. Exactly one of SQL or Template must be set.
+// Request is the one query request: it expresses structured rectangle
+// queries, on-keys (Section 5.5) queries, and SQL statements, together with
+// the per-request options. Exactly one of SQL or Template must be set; see
+// Validate for the full rule set.
 type Request struct {
 	// SQL is a complete statement answered against the registered schemas,
 	// e.g. "SELECT SUM(fare) FROM trips WHERE pickup BETWEEN 0 AND 3600".
-	// When set, Template, Query, and OnKeys must be zero.
+	// When set, Template and OnKeys must be zero.
 	SQL string
 
 	// Template names the synopsis a structured query runs against.
 	Template string
-	// Query is the structured aggregate (ignored when SQL is set).
+	// Query is the structured aggregate (ignored when SQL is set). A Rect
+	// with no bounds means the whole universe.
 	Query Query
 	// OnKeys, when non-nil, answers Query over the given *original* key
 	// attributes instead of the template's own predicate projection, via
@@ -46,8 +47,7 @@ type Request struct {
 	Trace bool
 }
 
-// Response carries a query's Result plus the metadata the v1 entry points
-// silently dropped.
+// Response carries a query's Result plus its metadata.
 type Response struct {
 	// Result is the approximate answer with its confidence interval.
 	Result Result
@@ -70,11 +70,12 @@ type Response struct {
 	Trace []TraceStage
 }
 
-// Do answers one Request — the single v2 read entry point behind which
+// Do answers one Request — the single read entry point behind which
 // structured, on-keys, and SQL queries all run. It honors ctx: cancellation
 // or deadline expiry during the MinSyncOffset wait, or before the synopsis
-// lock is taken, returns ctx.Err(). Malformed requests wrap
-// ErrInvalidRequest; unknown templates and tables wrap ErrUnknownTemplate.
+// lock is taken, returns ctx.Err(). Malformed requests (Request.Validate)
+// wrap ErrInvalidRequest; unknown templates and tables wrap
+// ErrUnknownTemplate.
 //
 // Concurrent Do calls on the same template share its read lock; calls on
 // different templates do not contend at all.
@@ -91,13 +92,9 @@ func (e *Engine) Do(ctx context.Context, req Request) (Response, error) {
 	// Validate and resolve before any MinSyncOffset wait: a request that
 	// can only ever fail must fail fast, not park on a watermark that may
 	// never advance.
-	name, q, onKeys, err := e.resolveRequest(req)
+	s, q, onKeys, err := e.resolveRequest(req)
 	if err != nil {
 		return Response{}, err
-	}
-	s, ok := e.lookup(name)
-	if !ok {
-		return Response{}, fmt.Errorf("janus: %w %q", ErrUnknownTemplate, name)
 	}
 	var resolved, waited time.Time
 	if req.Trace {
@@ -135,7 +132,7 @@ func (e *Engine) Do(ctx context.Context, req Request) (Response, error) {
 	e.spans.end(SpanShardAnswer, 0, sp)
 	resp := Response{
 		Result:          res,
-		Template:        name,
+		Template:        s.tmpl.Name,
 		SampleSize:      s.dpt.SampleSize(),
 		Population:      s.dpt.Population(),
 		CatchUpProgress: s.dpt.CatchUpProgress(),
@@ -154,41 +151,99 @@ func (e *Engine) Do(ctx context.Context, req Request) (Response, error) {
 	return resp, nil
 }
 
-// resolveRequest validates a Request's shape and resolves it to structured
-// form: the answering template's name, the compiled query (with any
-// per-request Confidence override folded in), and the on-keys dims. It is
-// the shared front half of Do, of AnswerPartial, and of a ShardGroup's
-// scatter-gather, which resolves once and fans the structured form out to
-// every shard.
-func (e *Engine) resolveRequest(req Request) (name string, q Query, onKeys []int, err error) {
-	name = req.Template
-	q = req.Query
-	onKeys = req.OnKeys
+// invalidf formats a Validate failure.
+func invalidf(format string, args ...any) error {
+	return fmt.Errorf("janus: %w: "+format, append([]any{ErrInvalidRequest}, args...)...)
+}
+
+// Validate reports whether r is a well-formed request — the one rule set
+// every surface (Do on an engine, a shard group or a cluster coordinator;
+// the JSON and binary codecs in front of them) holds a request to. Every
+// failure wraps ErrInvalidRequest:
+//
+//   - exactly one of SQL and Template is set, and OnKeys only with Template;
+//   - Confidence and Query.Confidence are zero or inside (0,1);
+//   - Query.Func is an aggregate the engine answers;
+//   - Query.Rect is absent (the whole universe) or has sides of equal
+//     length with no NaN and no min above its max — infinite bounds are
+//     legal, Universe(d) is built from them — and, with OnKeys, one bound
+//     per queried key.
+//
+// What needs an engine — the template exists, the rect has the template's
+// arity, the SQL compiles — is checked when the request is answered.
+func (r Request) Validate() error {
 	switch {
-	case req.SQL != "" && req.Template != "":
-		return "", Query{}, nil, fmt.Errorf("janus: %w: set either SQL or Template, not both", ErrInvalidRequest)
-	case req.SQL != "":
-		if req.OnKeys != nil {
-			return "", Query{}, nil, fmt.Errorf("janus: %w: OnKeys does not apply to SQL requests", ErrInvalidRequest)
-		}
-		name, q, err = e.compileSQL(req.SQL)
-		if err != nil {
-			return "", Query{}, nil, err
-		}
-		onKeys = nil
-	case req.Template == "":
-		return "", Query{}, nil, fmt.Errorf("janus: %w: set SQL or Template", ErrInvalidRequest)
+	case r.SQL != "" && r.Template != "":
+		return invalidf("set either sql or template, not both")
+	case r.SQL == "" && r.Template == "":
+		return invalidf("request needs sql or template")
+	case r.SQL != "" && r.OnKeys != nil:
+		return invalidf("OnKeys does not apply to SQL requests")
 	}
-	if req.Confidence != 0 {
+	for _, c := range [...]float64{r.Confidence, r.Query.Confidence} {
 		// Phrased positively so NaN (every comparison false, but != 0) is
 		// rejected along with out-of-range values.
-		if !(req.Confidence > 0 && req.Confidence < 1) {
-			return "", Query{}, nil, fmt.Errorf("janus: %w: confidence must be in (0,1), got %g",
-				ErrInvalidRequest, req.Confidence)
+		if c != 0 && !(c > 0 && c < 1) {
+			return invalidf("confidence must be in (0,1), got %g", c)
 		}
+	}
+	switch r.Query.Func {
+	case FuncSum, FuncCount, FuncAvg, FuncMin, FuncMax, core.FuncVariance, core.FuncStdDev:
+	default:
+		return invalidf("unsupported aggregate function %d", int(r.Query.Func))
+	}
+	min, max := r.Query.Rect.Min, r.Query.Rect.Max
+	if len(min) != len(max) {
+		return invalidf("predicate bounds need equal sides, got min=%d max=%d", len(min), len(max))
+	}
+	if r.OnKeys != nil && len(min) > 0 && len(min) != len(r.OnKeys) {
+		return invalidf("predicate bounds need one value per side for each of %d on-keys dims, got %d", len(r.OnKeys), len(min))
+	}
+	for i, lo := range min {
+		// NaN fails every comparison, so the one test rejects NaN on either
+		// side along with an inverted interval.
+		if !(lo <= max[i]) {
+			return invalidf("NaN or inverted bounds on dimension %d (min=%g max=%g)", i, lo, max[i])
+		}
+	}
+	return nil
+}
+
+// resolveRequest validates req and resolves it against this engine's
+// registrations: the answering synopsis, the compiled query — any
+// per-request Confidence override folded in, an absent rect replaced by the
+// whole universe — and the on-keys dims. It is the shared front half of Do,
+// of AnswerPartial, and of a ShardGroup's scatter-gather, which resolves
+// once and fans the structured form out to every shard.
+func (e *Engine) resolveRequest(req Request) (s *synopsis, q Query, onKeys []int, err error) {
+	if err := req.Validate(); err != nil {
+		return nil, Query{}, nil, err
+	}
+	name, q, onKeys := req.Template, req.Query, req.OnKeys
+	if req.SQL != "" {
+		if name, q, err = e.compileSQL(req.SQL); err != nil {
+			return nil, Query{}, nil, err
+		}
+	}
+	s, ok := e.lookup(name)
+	if !ok {
+		return nil, Query{}, nil, fmt.Errorf("janus: %w %q", ErrUnknownTemplate, name)
+	}
+	if req.Confidence != 0 {
 		q.Confidence = req.Confidence
 	}
-	return name, q, onKeys, nil
+	// The predicate spans the template's own dims, or the queried
+	// original-key dims of an on-keys request.
+	dims := len(s.tmpl.PredicateDims)
+	if onKeys != nil {
+		dims = len(onKeys)
+	}
+	if len(q.Rect.Min) == 0 {
+		q.Rect = Universe(dims)
+	} else if len(q.Rect.Min) != dims {
+		return nil, Query{}, nil, invalidf("predicate bounds need %d values per side, got %d", dims, len(q.Rect.Min))
+	}
+	return s, q, onKeys, nil
 }
 
 // AnswerPartial resolves req and answers it in mergeable form — the
@@ -209,13 +264,9 @@ func (e *Engine) AnswerPartial(ctx context.Context, req Request) (ShardAnswer, e
 	if req.Trace {
 		t0 = time.Now()
 	}
-	name, q, onKeys, err := e.resolveRequest(req)
+	s, q, onKeys, err := e.resolveRequest(req)
 	if err != nil {
 		return ShardAnswer{}, err
-	}
-	s, ok := e.lookup(name)
-	if !ok {
-		return ShardAnswer{}, fmt.Errorf("janus: %w %q", ErrUnknownTemplate, name)
 	}
 	if err := ctx.Err(); err != nil {
 		return ShardAnswer{}, err
@@ -237,7 +288,7 @@ func (e *Engine) AnswerPartial(ctx context.Context, req Request) (ShardAnswer, e
 	e.spans.end(SpanShardAnswer, 0, sp)
 	a := ShardAnswer{
 		Partial:         p,
-		Template:        name,
+		Template:        s.tmpl.Name,
 		Confidence:      q.Confidence,
 		SampleSize:      s.dpt.SampleSize(),
 		Population:      s.dpt.Population(),
@@ -247,26 +298,4 @@ func (e *Engine) AnswerPartial(ctx context.Context, req Request) (ShardAnswer, e
 		a.Stages = []TraceStage{{Stage: StageAnswer, Dur: time.Since(t0)}}
 	}
 	return a, nil
-}
-
-// Query answers q against the named template's synopsis.
-//
-// Deprecated: use Do, which carries per-request options and returns the
-// response metadata this entry point drops.
-func (e *Engine) Query(template string, q Query) (Result, error) {
-	resp, err := e.Do(context.Background(), Request{Template: template, Query: q})
-	return resp.Result, err
-}
-
-// QueryOnKeys answers a query whose predicate ranges over the given
-// *original* key attributes instead of the template's own predicate
-// projection (Section 5.5).
-//
-// Deprecated: use Do with Request.OnKeys.
-func (e *Engine) QueryOnKeys(template string, q Query, dims []int) (Result, error) {
-	if dims == nil {
-		dims = []int{}
-	}
-	resp, err := e.Do(context.Background(), Request{Template: template, Query: q, OnKeys: dims})
-	return resp.Result, err
 }

@@ -7,9 +7,7 @@ package janus
 import (
 	"context"
 	"errors"
-	"fmt"
 	"janusaqp/internal/broker"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -89,30 +87,6 @@ func TestDoUnifiesAllQueryKinds(t *testing.T) {
 	if wide.Result.Interval.HalfWidth <= base.Result.Interval.HalfWidth {
 		t.Errorf("99.9%% interval ±%g not wider than default ±%g",
 			wide.Result.Interval.HalfWidth, base.Result.Interval.HalfWidth)
-	}
-}
-
-func TestDoRequestValidation(t *testing.T) {
-	eng, _ := v2Engine(t)
-	ctx := context.Background()
-	cases := []struct {
-		name string
-		req  Request
-		want error
-	}{
-		{"empty", Request{}, ErrInvalidRequest},
-		{"both", Request{SQL: "SELECT COUNT(*) FROM trips", Template: "trips"}, ErrInvalidRequest},
-		{"onkeys with sql", Request{SQL: "SELECT COUNT(*) FROM trips", OnKeys: []int{0}}, ErrInvalidRequest},
-		{"bad confidence", Request{Template: "trips", Confidence: 1.5}, ErrInvalidRequest},
-		{"unknown template", Request{Template: "nope"}, ErrUnknownTemplate},
-		{"unknown table", Request{SQL: "SELECT COUNT(*) FROM nope"}, ErrUnknownTemplate},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if _, err := eng.Do(ctx, tc.req); !errors.Is(err, tc.want) {
-				t.Errorf("Do(%+v) err = %v, want %v", tc.req, err, tc.want)
-			}
-		})
 	}
 }
 
@@ -408,31 +382,4 @@ func TestConcurrentBatchIngest(t *testing.T) {
 	if rows := eng.Stats().ArchiveRows; float64(rows) != want {
 		t.Errorf("ArchiveRows = %d, want %g", rows, want)
 	}
-}
-
-// TestV1WrappersStillServe pins the deprecation contract: the v1 methods
-// keep working as one-line wrappers, including Insert's panic on a
-// malformed tuple.
-func TestV1WrappersStillServe(t *testing.T) {
-	eng, tuples := v2Engine(t)
-	if _, err := eng.Query("trips", Query{Func: FuncCount, AggIndex: -1, Rect: Universe(1)}); err != nil {
-		t.Fatal(err)
-	}
-	eng.Insert(Tuple{ID: 7_000_000, Key: Point{1, 2, 3}, Vals: []float64{1, 1, 1}})
-	if !eng.Delete(tuples[0].ID) {
-		t.Error("Delete of a live id returned false")
-	}
-	if eng.Delete(99_999_997) {
-		t.Error("Delete of an unknown id returned true")
-	}
-	func() {
-		defer func() {
-			if r := recover(); r == nil {
-				t.Error("v1 Insert of a short-key tuple must panic")
-			} else if !strings.Contains(fmt.Sprint(r), "key attributes") {
-				t.Errorf("panic %v does not name the arity", r)
-			}
-		}()
-		eng.Insert(Tuple{ID: 7_000_001, Key: Point{}, Vals: []float64{1, 1, 1}})
-	}()
 }

@@ -14,6 +14,7 @@ package janus_test
 // iteration, so -v (or the harness) shows the regenerated rows.
 
 import (
+	"context"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -74,7 +75,6 @@ func BenchmarkTable4Samplers(b *testing.B) { runExperiment(b, experiments.RunTab
 func BenchmarkAblationBeta(b *testing.B) { runExperiment(b, experiments.RunAblationBeta) }
 
 // BenchmarkAblationIndexes compares the range-aggregate backends.
-func BenchmarkAblationIndexes(b *testing.B) { runExperiment(b, experiments.RunAblationIndexes) }
 
 // BenchmarkAblationCatchupSeed measures pooled-sample seeding.
 func BenchmarkAblationCatchupSeed(b *testing.B) { runExperiment(b, experiments.RunAblationCatchupSeed) }
@@ -111,6 +111,25 @@ func benchEngine(b *testing.B, rows int) (*janus.Engine, []janus.Tuple) {
 	return eng, tuples
 }
 
+// query, insert1 and delete1 are the one-row forms of Do, InsertBatch and
+// DeleteBatch the single-tuple benchmarks and the recovery tests drive.
+func query(eng *janus.Engine, template string, q janus.Query) (janus.Result, error) {
+	resp, err := eng.Do(context.Background(), janus.Request{Template: template, Query: q})
+	return resp.Result, err
+}
+
+func insert1(t testing.TB, eng *janus.Engine, tp janus.Tuple) {
+	t.Helper()
+	if err := eng.InsertBatch([]janus.Tuple{tp}); err != nil {
+		t.Error(err)
+	}
+}
+
+func delete1(eng *janus.Engine, id int64) bool {
+	n, _ := eng.DeleteBatch([]int64{id})
+	return n == 1
+}
+
 // BenchmarkInsert measures single-tuple synopsis maintenance (the
 // per-request cost behind Figure 5's throughput).
 func BenchmarkInsert(b *testing.B) {
@@ -118,7 +137,7 @@ func BenchmarkInsert(b *testing.B) {
 	fresh, _ := workload.Generate(workload.NYCTaxi, b.N, 10_000_000, 2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.Insert(fresh[i])
+		insert1(b, eng, fresh[i])
 	}
 }
 
@@ -148,11 +167,11 @@ func BenchmarkDelete(b *testing.B) {
 	eng, _ := benchEngine(b, 50000)
 	fresh, _ := workload.Generate(workload.NYCTaxi, b.N, 20_000_000, 3)
 	for _, t := range fresh {
-		eng.Insert(t)
+		insert1(b, eng, t)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.Delete(fresh[i].ID)
+		delete1(eng, fresh[i].ID)
 	}
 }
 
@@ -164,7 +183,7 @@ func BenchmarkQuerySum(b *testing.B) {
 	queries := gen.Workload(256, janus.FuncSum)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Query("main", queries[i%len(queries)]); err != nil {
+		if _, err := query(eng, "main", queries[i%len(queries)]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -177,7 +196,7 @@ func BenchmarkQueryAvg(b *testing.B) {
 	queries := gen.Workload(256, janus.FuncAvg)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Query("main", queries[i%len(queries)]); err != nil {
+		if _, err := query(eng, "main", queries[i%len(queries)]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -266,10 +285,10 @@ func benchmarkConcurrentMixed(b *testing.B, globalLock bool) {
 					inserts++
 					if globalLock {
 						gmu.Lock()
-						eng.Insert(t)
+						insert1(b, eng, t)
 						gmu.Unlock()
 					} else {
-						eng.Insert(t)
+						insert1(b, eng, t)
 					}
 					continue
 				}
@@ -277,10 +296,10 @@ func benchmarkConcurrentMixed(b *testing.B, globalLock bool) {
 				var err error
 				if globalLock {
 					gmu.Lock()
-					_, err = eng.Query(tmpl, q)
+					_, err = query(eng, tmpl, q)
 					gmu.Unlock()
 				} else {
-					_, err = eng.Query(tmpl, q)
+					_, err = query(eng, tmpl, q)
 				}
 				if err != nil {
 					failed.Store(true)
@@ -347,7 +366,7 @@ func benchmarkReadsDuringReinit(b *testing.B, globalLock bool) {
 				if globalLock {
 					gmu.Lock()
 				}
-				_, err := eng.Query("trips", q)
+				_, err := query(eng, "trips", q)
 				if globalLock {
 					gmu.Unlock()
 				}

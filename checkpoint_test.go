@@ -63,11 +63,11 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	q := Query{Func: FuncSum, AggIndex: -1, Rect: Universe(1)}
 	for _, name := range []string{"trips", "fares"} {
-		want, err := eng.Query(name, q)
+		want, err := query(eng, name, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := restored.Query(name, q)
+		got, err := query(restored, name, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +77,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		}
 	}
 	// The SQL schema rode along.
-	if _, err := restored.QuerySQL("SELECT AVG(fare) FROM trips"); err != nil {
+	if _, err := querySQL(restored, "SELECT AVG(fare) FROM trips"); err != nil {
 		t.Fatalf("restored engine lost its schema: %v", err)
 	}
 	// Identical state encodes to identical bytes (template order is sorted).
@@ -178,7 +178,7 @@ func TestOpenCheckpointRejectsMismatchedSchema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := restored.QuerySQL("SELECT SUM(distance) FROM trips"); err != nil {
+	if _, err := querySQL(restored, "SELECT SUM(distance) FROM trips"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -381,7 +381,7 @@ func TestCheckpointUnderLoad(t *testing.T) {
 		if err != nil {
 			t.Fatalf("image %d does not load: %v", i, err)
 		}
-		res, err := restored.Query("trips", Query{Func: FuncCount, AggIndex: -1, Rect: Universe(1)})
+		res, err := query(restored, "trips", Query{Func: FuncCount, AggIndex: -1, Rect: Universe(1)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,7 +9,8 @@
 //	janusbench -list
 //
 // Experiments: table2, fig5, fig6, fig7, fig8, fig9, fig10, table3,
-// table4, ablation-beta, ablation-indexes, ablation-catchup.
+// table4, ablation-beta, ablation-catchup, ablation-partial,
+// ablation-histogram.
 //
 // Serving performance (latency, throughput, restart, per-layer cost) is
 // measured by the repository benchmark instead: see bench/README.md and
@@ -39,7 +40,6 @@ var registry = map[string]runner{
 	"table3":             experiments.RunTable3,
 	"table4":             experiments.RunTable4,
 	"ablation-beta":      experiments.RunAblationBeta,
-	"ablation-indexes":   experiments.RunAblationIndexes,
 	"ablation-catchup":   experiments.RunAblationCatchupSeed,
 	"ablation-partial":   experiments.RunAblationPartialRepartition,
 	"ablation-histogram": experiments.RunAblationHistogram,
@@ -48,7 +48,7 @@ var registry = map[string]runner{
 // order fixes the printing sequence for -exp all.
 var order = []string{
 	"table2", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
-	"table3", "table4", "ablation-beta", "ablation-indexes", "ablation-catchup",
+	"table3", "table4", "ablation-beta", "ablation-catchup",
 	"ablation-partial", "ablation-histogram",
 }
 

@@ -14,7 +14,8 @@
 //	curl -s localhost:8080/v2/query -d '{"sql":"SELECT SUM(tripDistance) FROM trips WHERE pickupTime BETWEEN 0 AND 43200"}'
 //	curl -s localhost:8080/v2/query -d '{"requests":[{"template":"trips","func":"COUNT"},{"sql":"SELECT AVG(fareAmount) FROM trips"}]}'
 //	curl -s localhost:8080/v2/ingest -d '{"tuples":[{"id":900001,"key":[1234],"vals":[3.1,12.5,1]}],"deleteIds":[17]}'
-//	curl -s localhost:8080/v1/stats
+//	curl -s localhost:8080/v2/stats
+//	curl -s localhost:8080/v2/templates
 //	curl -s localhost:8080/metrics
 //
 // With -data DIR the daemon is durable: every ingested record is written
@@ -66,8 +67,7 @@
 //
 //	janusd -addr :8080 -rpc :9101 -dataset taxi -rows 200000
 //
-// The /v1 endpoints remain as thin wrappers over the same paths. See
-// /v1/templates for the registered schema.
+// See /v2/templates for the registered schema.
 package main
 
 import (

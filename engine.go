@@ -18,7 +18,7 @@ import (
 	"janusaqp/internal/partition"
 )
 
-// The v2 error taxonomy. Every failure an Engine method can report wraps
+// The error taxonomy. Every failure an Engine method can report wraps
 // one of these sentinels, so callers branch with errors.Is instead of
 // recovering panics or string-matching; the wrapping error carries the
 // offending name, id, or arity.
@@ -37,7 +37,7 @@ var (
 	// ErrDuplicateID reports an insertion whose id is already live, or
 	// repeated within one batch: stream producers must assign fresh IDs.
 	ErrDuplicateID = errors.New("duplicate tuple id")
-	// ErrInvalidRequest reports a malformed v2 Request (see Engine.Do).
+	// ErrInvalidRequest reports a malformed Request (see Request.Validate).
 	ErrInvalidRequest = errors.New("invalid request")
 	// ErrShardUnavailable reports that a remote shard node could not be
 	// reached (after retry and failover); the wrapping error names the
@@ -143,7 +143,7 @@ type synopsis struct {
 	mu   sync.RWMutex // guards dpt (pointer and contents)
 	tmpl Template
 	dpt  *core.DPT
-	// schema is guarded by the engine's reg lock, not mu: QuerySQL scans
+	// schema is guarded by the engine's reg lock, not mu: compileSQL scans
 	// every synopsis's schema to resolve a table name, and taking each
 	// synopsis lock in turn would park SQL queries behind write-locked
 	// maintenance on unrelated templates.
@@ -309,17 +309,6 @@ func (e *Engine) resampler() func(n int) []data.Tuple {
 	}
 }
 
-// Insert publishes one tuple, panicking on a malformed or duplicate one —
-// the v1 contract kept for existing call sites.
-//
-// Deprecated: use InsertBatch, which returns typed errors instead of
-// panicking and amortizes locking across the batch.
-func (e *Engine) Insert(t Tuple) {
-	if err := e.InsertBatch([]Tuple{t}); err != nil {
-		panic(err.Error())
-	}
-}
-
 // InsertBatch validates, publishes, and applies a batch of tuples as one
 // atomic step: either every tuple is ingested or none is. The whole batch
 // runs under a single acquisition of the update lock, touches each synopsis
@@ -451,16 +440,6 @@ func (s *synopsis) apply(fn func(*core.DPT)) {
 	fn(s.dpt)
 }
 
-// Delete removes the tuple with the given id, reporting false when the
-// archive does not know it.
-//
-// Deprecated: use DeleteBatch, which reports unknown ids as a typed error
-// and amortizes locking across the batch.
-func (e *Engine) Delete(id int64) bool {
-	n, _ := e.DeleteBatch([]int64{id})
-	return n == 1
-}
-
 // DeleteBatch removes the tuples with the given ids, returning how many
 // were live and removed. All removals run under a single acquisition of the
 // update lock with one trigger evaluation. Ids the archive does not hold —
@@ -560,30 +539,6 @@ func (e *Engine) ForceCatchUpBatch(template string, batch int) bool {
 	return worked
 }
 
-// CatchUpProgress returns the named synopsis's catch-up progress in [0,1].
-//
-// Deprecated: an unknown template is indistinguishable from genuine zero
-// progress; use StatsFor, which reports it as ErrUnknownTemplate.
-func (e *Engine) CatchUpProgress(template string) float64 {
-	st, err := e.StatsFor(template)
-	if err != nil {
-		return 0
-	}
-	return st.CatchUpProgress
-}
-
-// SynopsisBytes estimates the named synopsis's in-memory footprint.
-//
-// Deprecated: an unknown template is indistinguishable from an empty
-// synopsis; use StatsFor, which reports it as ErrUnknownTemplate.
-func (e *Engine) SynopsisBytes(template string) int64 {
-	st, err := e.StatsFor(template)
-	if err != nil {
-		return 0
-	}
-	return st.SynopsisBytes
-}
-
 // PartialRepartitions returns the total Appendix E subtree rebuilds across
 // all templates.
 func (e *Engine) PartialRepartitions() int {
@@ -621,9 +576,7 @@ func statsForSynLocked(s *synopsis) TemplateStats {
 }
 
 // StatsFor snapshots one template's synopsis state, reporting
-// ErrUnknownTemplate for a name the engine does not have — the v2 form of
-// CatchUpProgress, SynopsisBytes, and NumVals, whose zero returns cannot be
-// told apart from genuine zeros.
+// ErrUnknownTemplate for a name the engine does not have.
 func (e *Engine) StatsFor(template string) (TemplateStats, error) {
 	s, ok := e.lookup(template)
 	if !ok {
@@ -635,7 +588,7 @@ func (e *Engine) StatsFor(template string) (TemplateStats, error) {
 }
 
 // EngineStats is a point-in-time snapshot of engine-wide counters, safe to
-// collect while concurrent traffic runs (the /v1/stats payload of janusd).
+// collect while concurrent traffic runs (the /v2/stats payload of janusd).
 type EngineStats struct {
 	Reinits             int             `json:"reinits"`
 	TriggersFired       int             `json:"triggersFired"`
@@ -888,21 +841,6 @@ func (e *Engine) Template(name string) (Template, bool) {
 		return Template{}, false
 	}
 	return s.tmpl, true
-}
-
-// NumVals returns how many aggregation attributes the named template's
-// synopsis tracks — the arity ingested tuples' Vals must cover so that no
-// tracked column silently reads as zero.
-//
-// Deprecated: an unknown template is indistinguishable from a synopsis
-// tracking zero attributes; use StatsFor, which reports it as
-// ErrUnknownTemplate.
-func (e *Engine) NumVals(template string) int {
-	st, err := e.StatsFor(template)
-	if err != nil {
-		return 0
-	}
-	return st.NumVals
 }
 
 // SyncedInsertOffset is the read-your-writes watermark: the highest

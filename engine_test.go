@@ -24,6 +24,42 @@ func seedBroker(t *testing.T, dataset string, n int) (*Broker, []Tuple) {
 	return b, tuples
 }
 
+// query answers one structured request through Do, keeping only the Result.
+func query(eng *Engine, template string, q Query) (Result, error) {
+	resp, err := eng.Do(context.Background(), Request{Template: template, Query: q})
+	return resp.Result, err
+}
+
+// querySQL answers one SQL statement through Do.
+func querySQL(eng *Engine, sql string) (Result, error) {
+	resp, err := eng.Do(context.Background(), Request{SQL: sql})
+	return resp.Result, err
+}
+
+// insert1 ingests one tuple; a rejection fails the test.
+func insert1(t testing.TB, eng *Engine, tp Tuple) {
+	t.Helper()
+	if err := eng.InsertBatch([]Tuple{tp}); err != nil {
+		t.Error(err)
+	}
+}
+
+// delete1 removes one id, reporting whether it was live.
+func delete1(eng *Engine, id int64) bool {
+	n, _ := eng.DeleteBatch([]int64{id})
+	return n == 1
+}
+
+// catchUpOf reads one template's catch-up progress.
+func catchUpOf(t testing.TB, eng *Engine, template string) float64 {
+	t.Helper()
+	st, err := eng.StatsFor(template)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.CatchUpProgress
+}
+
 func taxiTemplate() Template {
 	return Template{Name: "trips", PredicateDims: []int{0}, AggIndex: 0, Agg: Sum}
 }
@@ -41,7 +77,7 @@ func TestEngineEndToEnd(t *testing.T) {
 	gen := workload.NewQueryGen(7, tuples, []int{0})
 	var errs []float64
 	for _, q := range gen.Workload(200, FuncSum) {
-		res, err := eng.Query("trips", q)
+		res, err := query(eng, "trips", q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,21 +106,21 @@ func TestEngineStreamingUpdates(t *testing.T) {
 	// Stream new data and deletions.
 	fresh, _ := workload.Generate(workload.NYCTaxi, 5000, 1_000_000, 43)
 	for i, tp := range fresh {
-		eng.Insert(tp)
+		insert1(t, eng, tp)
 		truth.Insert(tp)
 		if i%4 == 0 {
 			victim := tuples[i].ID
-			if eng.Delete(victim) {
+			if delete1(eng, victim) {
 				truth.Delete(victim)
 			}
 		}
 	}
-	if eng.Delete(99_999_999) {
+	if delete1(eng, 99_999_999) {
 		t.Error("delete of unknown id must fail")
 	}
 	// Full catch-up means universe queries stay exact through updates.
 	q := Query{Func: FuncSum, AggIndex: -1, Rect: Universe(1)}
-	res, err := eng.Query("trips", q)
+	res, err := query(eng, "trips", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,14 +145,14 @@ func TestEngineTemplateManagement(t *testing.T) {
 	if err := eng.AddTemplate(taxiTemplate()); err == nil {
 		t.Error("duplicate template must error")
 	}
-	if _, err := eng.Query("nope", Query{Func: FuncSum, Rect: Universe(1)}); err == nil {
+	if _, err := query(eng, "nope", Query{Func: FuncSum, Rect: Universe(1)}); err == nil {
 		t.Error("unknown template must error")
 	}
 	if got := eng.Templates(); len(got) != 1 || got[0] != "trips" {
 		t.Errorf("Templates() = %v", got)
 	}
-	if eng.SynopsisBytes("trips") <= 0 {
-		t.Error("synopsis footprint should be positive")
+	if st, err := eng.StatsFor("trips"); err != nil || st.SynopsisBytes <= 0 {
+		t.Errorf("synopsis footprint should be positive: %+v, %v", st, err)
 	}
 	empty := NewBroker()
 	eng2 := NewEngine(Config{}, empty)
@@ -144,7 +180,7 @@ func TestEngineMultipleTemplates(t *testing.T) {
 	gen.MinFrac, gen.MaxFrac = 0.4, 0.9 // multi-dim queries need volume to hit
 	var errs []float64
 	for _, q := range gen.Workload(300, FuncCount) {
-		res, err := eng.Query("fiveD", q)
+		res, err := query(eng, "fiveD", q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +210,7 @@ func TestEngineReinitialize(t *testing.T) {
 	// Grow the data, then re-initialize; the new synopsis must see it all.
 	fresh, _ := workload.Generate(workload.NYCTaxi, 10000, 2_000_000, 44)
 	for _, tp := range fresh {
-		eng.Insert(tp)
+		insert1(t, eng, tp)
 	}
 	d, err := eng.Reinitialize("trips")
 	if err != nil {
@@ -189,7 +225,7 @@ func TestEngineReinitialize(t *testing.T) {
 	if _, err := eng.Reinitialize("nope"); err == nil {
 		t.Error("unknown template must error")
 	}
-	res, err := eng.Query("trips", Query{Func: FuncCount, AggIndex: -1, Rect: Universe(1)})
+	res, err := query(eng, "trips", Query{Func: FuncCount, AggIndex: -1, Rect: Universe(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,8 +247,8 @@ func TestEngineReinitializeAsyncServesDuringOptimization(t *testing.T) {
 	// Keep inserting and querying while the rebuild happens.
 	fresh, _ := workload.Generate(workload.NYCTaxi, 2000, 3_000_000, 45)
 	for _, tp := range fresh {
-		eng.Insert(tp)
-		if _, err := eng.Query("trips", Query{Func: FuncCount, AggIndex: -1, Rect: Universe(1)}); err != nil {
+		insert1(t, eng, tp)
+		if _, err := query(eng, "trips", Query{Func: FuncCount, AggIndex: -1, Rect: Universe(1)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -239,7 +275,7 @@ func TestEngineAutoRepartitionOnSkew(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	id := int64(5_000_000)
 	for i := 0; i < 30000; i++ {
-		eng.Insert(Tuple{
+		insert1(t, eng, Tuple{
 			ID:   id,
 			Key:  Point{1e6 + rng.Float64()*1000, 1e6 + 2000, 40000},
 			Vals: []float64{rng.Float64() * 500, 1, 1},
@@ -271,12 +307,12 @@ func TestEngineConcurrentAccess(t *testing.T) {
 			base := int64(10_000_000 + worker*100_000)
 			fresh, _ := workload.Generate(workload.NYCTaxi, 500, base, int64(worker))
 			for i, tp := range fresh {
-				eng.Insert(tp)
+				insert1(t, eng, tp)
 				switch i % 3 {
 				case 0:
-					eng.Query("trips", Query{Func: FuncSum, AggIndex: -1, Rect: Universe(1)})
+					query(eng, "trips", Query{Func: FuncSum, AggIndex: -1, Rect: Universe(1)})
 				case 1:
-					eng.Delete(tuples[(worker*500+i)%len(tuples)].ID)
+					delete1(eng, tuples[(worker*500+i)%len(tuples)].ID)
 				case 2:
 					eng.PumpCatchUp()
 				}
@@ -285,7 +321,7 @@ func TestEngineConcurrentAccess(t *testing.T) {
 	}
 	wg.Wait()
 	// The engine must still answer sanely.
-	res, err := eng.Query("trips", Query{Func: FuncCount, AggIndex: -1, Rect: Universe(1)})
+	res, err := query(eng, "trips", Query{Func: FuncCount, AggIndex: -1, Rect: Universe(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +340,7 @@ func TestEnginePumpCatchUp(t *testing.T) {
 	if err := eng.AddTemplate(Template{Name: "light", PredicateDims: []int{0}, AggIndex: 0, Agg: Sum}); err != nil {
 		t.Fatal(err)
 	}
-	start := eng.CatchUpProgress("light")
+	start := catchUpOf(t, eng, "light")
 	if start >= 0.5 {
 		// Initialization already reached the target; that is fine, but then
 		// PumpCatchUp must be a no-op.
@@ -315,7 +351,7 @@ func TestEnginePumpCatchUp(t *testing.T) {
 	}
 	for eng.PumpCatchUp() {
 	}
-	if got := eng.CatchUpProgress("light"); got < 0.5 {
+	if got := catchUpOf(t, eng, "light"); got < 0.5 {
 		t.Errorf("catch-up stalled at %.3f, want >= 0.5", got)
 	}
 }
@@ -336,7 +372,7 @@ func TestHeuristicTemplateReuse(t *testing.T) {
 	var errs []float64
 	for _, q := range gen.Workload(100, FuncAvg) {
 		q.AggIndex = 1 // fare, not the distance the tree was built for
-		res, err := eng.Query("trips", q)
+		res, err := query(eng, "trips", q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -364,7 +400,7 @@ func TestEnginePartialRepartitionMode(t *testing.T) {
 	rng := rand.New(rand.NewSource(82))
 	id := int64(7_000_000)
 	for i := 0; i < 20000; i++ {
-		eng.Insert(Tuple{
+		insert1(t, eng, Tuple{
 			ID:   id,
 			Key:  Point{2e6 + rng.Float64()*500, 2e6 + 1000, 40000},
 			Vals: []float64{rng.Float64() * 1000, 1, 1},
@@ -381,7 +417,7 @@ func TestEnginePartialRepartitionMode(t *testing.T) {
 		t.Errorf("partial mode performed %d full re-inits; expected subtree rebuilds only", eng.Reinits)
 	}
 	// The engine still answers sanely afterwards.
-	res, err := eng.Query("trips", Query{Func: FuncCount, AggIndex: -1, Rect: Universe(1)})
+	res, err := query(eng, "trips", Query{Func: FuncCount, AggIndex: -1, Rect: Universe(1)})
 	if err != nil {
 		t.Fatal(err)
 	}

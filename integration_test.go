@@ -39,7 +39,7 @@ func TestIntegrationFullLifecycle(t *testing.T) {
 		t.Helper()
 		var errs []float64
 		for _, q := range gen.Workload(120, FuncSum) {
-			res, err := eng.Query("trips", q)
+			res, err := query(eng, "trips", q)
 			if err != nil {
 				t.Fatalf("%s: %v", stage, err)
 			}
@@ -57,7 +57,7 @@ func TestIntegrationFullLifecycle(t *testing.T) {
 
 	// Phase 2: streaming growth with background catch-up.
 	for _, tp := range tuples[10000:30000] {
-		eng.Insert(tp)
+		insert1(t, eng, tp)
 		truth.Insert(tp)
 	}
 	eng.PumpCatchUp()
@@ -73,7 +73,7 @@ func TestIntegrationFullLifecycle(t *testing.T) {
 	deleted := 0
 	for _, tp := range tuples[:30000] {
 		if tp.ID%5 < 2 {
-			if eng.Delete(tp.ID) {
+			if delete1(eng, tp.ID) {
 				truth.Delete(tp.ID)
 				deleted++
 			}
@@ -95,12 +95,12 @@ func TestIntegrationFullLifecycle(t *testing.T) {
 	}
 	// Continue streaming on the restored engine.
 	for _, tp := range tuples[30000:] {
-		eng2.Insert(tp)
+		insert1(t, eng2, tp)
 		truth.Insert(tp)
 	}
 	var errs []float64
 	for _, q := range gen.Workload(120, FuncSum) {
-		res, err := eng2.Query("trips", q)
+		res, err := query(eng2, "trips", q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +137,7 @@ func TestQueriesDuringPartialCatchup(t *testing.T) {
 	measure := func() float64 {
 		var errs []float64
 		for _, q := range queries {
-			res, err := eng.Query("light", q)
+			res, err := query(eng, "light", q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -153,7 +153,7 @@ func TestQueriesDuringPartialCatchup(t *testing.T) {
 	if early > 2.0 {
 		t.Errorf("queries at minimal catch-up unusable: P95 %.3f", early)
 	}
-	for eng.CatchUpProgress("light") < 0.5 {
+	for catchUpOf(t, eng, "light") < 0.5 {
 		if !eng.ForceCatchUpBatch("light", 4096) {
 			break
 		}

@@ -6,28 +6,135 @@ import (
 	"math"
 	"net"
 	"testing"
+	"time"
 
 	janus "janusaqp"
 	"janusaqp/client"
+	"janusaqp/internal/routertest"
 	"janusaqp/internal/server"
 	"janusaqp/internal/transport"
 	"janusaqp/internal/workload"
 )
 
-// serveEdge exposes any server.Engine behind a ClientEdge on loopback and
-// returns a binary client dialed at it, both torn down with the test.
-func serveEdge(t *testing.T, eng server.Engine) *client.Client {
+// serveClient exposes a frame handler on loopback and returns a binary
+// client dialed at it, both torn down with the test.
+func serveClient(t *testing.T, h transport.Handler) *client.Client {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := transport.NewServer(NewClientEdge(eng, nil))
+	srv := transport.NewServer(h)
 	go func() { _ = srv.Serve(ln) }()
 	t.Cleanup(srv.Close)
 	cl := client.Dial(ln.Addr().String())
 	t.Cleanup(cl.Close)
 	return cl
+}
+
+// serveEdge is serveClient over a ClientEdge in front of any server.Engine.
+func serveEdge(t *testing.T, eng server.Engine) *client.Client {
+	return serveClient(t, NewClientEdge(eng, nil))
+}
+
+// clientDo adapts a binary client to the validation table's surface.
+func clientDo(cl *client.Client) func(context.Context, janus.Request) (janus.Response, error) {
+	return func(ctx context.Context, req janus.Request) (janus.Response, error) {
+		a, err := cl.Query(ctx, req)
+		return routertest.Answer(a.Estimate, a.HalfWidth), err
+	}
+}
+
+// TestRequestValidationClientWire runs the one validation table through
+// the binary client protocol at each place it is served — an engine's
+// client edge, a coordinator's, and a shard node's own client-query
+// listener: the error body must decode to the sentinel
+// janus.Request.Validate gave the request in process.
+func TestRequestValidationClientWire(t *testing.T) {
+	cfg := clusterConfig()
+	boot, parts := bootRows(t, 2000, 2)
+	single := buildGroup(t, boot, 1, cfg).Shard(0)
+	coord, err := NewCoordinator([]string{bootEphemeralShard(t, parts[0], 0, cfg), bootEphemeralShard(t, parts[1], 1, cfg)}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	for _, s := range []struct {
+		name   string
+		cl     *client.Client
+		direct server.Engine
+	}{
+		{"engine-edge", serveEdge(t, single), single},
+		{"coordinator-edge", serveEdge(t, coord), coord},
+		{"shard-node", serveClient(t, NewNode(single, nil)), single},
+	} {
+		t.Run(s.name, func(t *testing.T) {
+			routertest.RunValidation(t, routertest.QuerySurface{Template: "trips", Do: clientDo(s.cl), Reference: s.direct.Do})
+		})
+	}
+}
+
+// TestIngestTableClientWire runs the one ingest table through the two RPC
+// ingest surfaces: a client edge gated on a write-health hook, and a
+// durable shard node gated on its own store (severed by closing it).
+func TestIngestTableClientWire(t *testing.T) {
+	cfg := clusterConfig()
+	fresh, err := workload.Generate(workload.NYCTaxi, 8, 5_000_000, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	surface := func(cl *client.Client, eng *janus.Engine, live janus.Tuple, breakLog func()) routertest.IngestSurface {
+		return routertest.IngestSurface{
+			Ingest: func(tuples []janus.Tuple, ids []int64) (int, int, []int64, error) {
+				ack, err := cl.Ingest(context.Background(), tuples, ids)
+				return ack.Inserted, ack.Deleted, ack.Missing, err
+			},
+			BreakLog: breakLog,
+			Rows:     func() int64 { return eng.Stats().ArchiveRows },
+			Live:     live,
+			Fresh:    fresh,
+		}
+	}
+	t.Run("client-edge", func(t *testing.T) {
+		boot, _ := bootRows(t, 1000, 1)
+		eng := buildGroup(t, boot, 1, cfg).Shard(0)
+		health, breakLog := routertest.BreakableHealth()
+		cl := serveClient(t, NewClientEdge(eng, health))
+		routertest.RunIngest(t, surface(cl, eng, boot[0], breakLog))
+	})
+	t.Run("shard-node", func(t *testing.T) {
+		boot, _ := bootRows(t, 1000, 1)
+		ds := bootDurableShard(t, boot, 0, cfg)
+		cl := client.Dial(ds.addr)
+		defer cl.Close()
+		routertest.RunIngest(t, surface(cl, ds.eng, boot[0], func() {
+			if err := ds.store.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	})
+}
+
+// TestCoordinatorRejectsMalformedLocally: a coordinator none of whose
+// peers can be reached still knows a malformed request when it sees one —
+// validation runs before the fan-out, not on shard 0.
+func TestCoordinatorRejectsMalformedLocally(t *testing.T) {
+	coord, err := NewCoordinator([]string{"127.0.0.1:1", "127.0.0.1:1"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	count := janus.Query{Func: janus.FuncCount, AggIndex: -1, Rect: janus.Rect{Min: janus.Point{math.NaN()}, Max: janus.Point{1}}}
+	_, err = coord.Do(ctx, janus.Request{Template: "trips", Query: count})
+	if !errors.Is(err, janus.ErrInvalidRequest) || errors.Is(err, janus.ErrShardUnavailable) {
+		t.Fatalf("NaN bound with every peer down = %v, want ErrInvalidRequest alone", err)
+	}
+	count.Rect = janus.Universe(1)
+	if _, err = coord.Do(ctx, janus.Request{Template: "trips", Query: count}); !errors.Is(err, janus.ErrShardUnavailable) {
+		t.Fatalf("well-formed request with every peer down = %v, want ErrShardUnavailable", err)
+	}
 }
 
 // sameAnswer requires a binary client answer to match a direct engine

@@ -44,6 +44,20 @@ var replyBufPool = sync.Pool{
 // giant reply (a huge Missing list) must not pin its memory in the pool.
 const maxPooledReplyBytes = 1 << 20
 
+// sendPooled writes the outcome of a handler that appended its reply into
+// the pooled buffer bp — the reply, or err — and returns the buffer.
+func sendPooled(w *transport.ResponseWriter, bp *[]byte, reply []byte, err error) {
+	if err != nil {
+		w.Error(err)
+	} else {
+		w.Reply(reply)
+	}
+	if cap(reply) <= maxPooledReplyBytes {
+		*bp = reply[:0]
+		replyBufPool.Put(bp)
+	}
+}
+
 // ServeFrame dispatches one client frame (transport.Handler).
 func (e *ClientEdge) ServeFrame(f transport.Frame, w *transport.ResponseWriter) {
 	switch f.Type {
@@ -55,28 +69,12 @@ func (e *ClientEdge) ServeFrame(f transport.Frame, w *transport.ResponseWriter) 
 	case transport.MsgClientQuery:
 		bp := replyBufPool.Get().(*[]byte)
 		reply, err := server.AnswerBinary(context.Background(), e.eng, f.Body, (*bp)[:0])
-		if err != nil {
-			w.Error(err)
-		} else {
-			w.Reply(reply)
-		}
-		if cap(reply) <= maxPooledReplyBytes {
-			*bp = reply[:0]
-			replyBufPool.Put(bp)
-		}
+		sendPooled(w, bp, reply, err)
 
 	case transport.MsgIngest:
 		bp := replyBufPool.Get().(*[]byte)
 		reply, _, err := server.IngestBinary(e.eng, e.writeHealth, f.Body, (*bp)[:0])
-		if err != nil {
-			w.Error(err)
-		} else {
-			w.Reply(reply)
-		}
-		if cap(reply) <= maxPooledReplyBytes {
-			*bp = reply[:0]
-			replyBufPool.Put(bp)
-		}
+		sendPooled(w, bp, reply, err)
 
 	case transport.MsgStats:
 		replyJSON(w, e.eng.Stats())

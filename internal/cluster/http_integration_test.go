@@ -204,13 +204,13 @@ func TestClusterHTTPIntegration(t *testing.T) {
 	}
 
 	// --- admin surface ---------------------------------------------------
-	code, out = get("/v1/templates")
+	code, out = get("/v2/templates")
 	if code != http.StatusOK || !strings.Contains(string(out), "trips") {
-		t.Fatalf("/v1/templates: %d: %s", code, out)
+		t.Fatalf("/v2/templates: %d: %s", code, out)
 	}
-	code, out = get("/v1/stats")
+	code, out = get("/v2/stats")
 	if code != http.StatusOK {
-		t.Fatalf("/v1/stats: %d: %s", code, out)
+		t.Fatalf("/v2/stats: %d: %s", code, out)
 	}
 	var st struct {
 		ArchiveRows int64 `json:"archiveRows"`

@@ -12,7 +12,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"sync"
@@ -214,13 +213,7 @@ func (n *Node) serveQuery(f transport.Frame, w *transport.ResponseWriter) {
 	start := time.Now()
 	a, err := eng.AnswerPartial(context.Background(), req)
 	elapsed := time.Since(start)
-	kind := "structured"
-	source := req.Template
-	if req.SQL != "" {
-		kind, source = "sql", req.SQL
-	} else if req.OnKeys != nil {
-		kind = "onkeys"
-	}
+	kind, source := server.QueryKind(req)
 	n.Slow.Note(f.RequestID, kind, source, elapsed)
 	if err != nil {
 		w.Error(err)
@@ -248,23 +241,14 @@ func (n *Node) serveClientQuery(f transport.Frame, w *transport.ResponseWriter) 
 	}
 	bp := replyBufPool.Get().(*[]byte)
 	reply, err := server.AnswerBinary(context.Background(), eng, f.Body, (*bp)[:0])
-	if err != nil {
-		w.Error(err)
-	} else {
-		w.Reply(reply)
-	}
-	if cap(reply) <= maxPooledReplyBytes {
-		*bp = reply[:0]
-		replyBufPool.Put(bp)
-	}
+	sendPooled(w, bp, reply, err)
 }
 
-// serveIngest applies one hash-routed sub-batch. Inserts apply first,
-// then deletions, mirroring the HTTP ingest path; unknown delete ids are
-// data, not an RPC failure — they return in the reply so the router can
-// merge them across shards (see slot.DeleteBatch).
-// On a durable node the ack is checked against the store's write health:
-// a sub-batch the log failed to persist must not be acknowledged.
+// serveIngest applies one hash-routed sub-batch (server.ApplyIngest — the
+// same apply every client surface runs, so a client dialed straight at a
+// shard daemon is held to the same rules; on a durable node the ack is
+// gated on the store's write health) and adds the node's post-batch log
+// lengths, the acknowledged-write watermark failover refuses to lose.
 func (n *Node) serveIngest(f transport.Frame, w *transport.ResponseWriter) {
 	n.mu.RLock()
 	eng, store := n.eng, n.store
@@ -278,42 +262,14 @@ func (n *Node) serveIngest(f transport.Frame, w *transport.ResponseWriter) {
 		w.Error(fmt.Errorf("cluster: %w: %v", janus.ErrInvalidRequest, err))
 		return
 	}
-	if len(tuples) == 0 && len(deleteIDs) == 0 {
-		// A client dialed straight at a shard daemon gets the same
-		// validation every other client surface applies; the coordinator
-		// never fans out an empty sub-batch, so no internal path hits this.
-		w.Error(fmt.Errorf("cluster: %w: ingest batch is empty", janus.ErrInvalidRequest))
-		return
-	}
-	rep := transport.IngestReply{}
-	if len(tuples) > 0 {
-		if err := eng.InsertBatch(tuples); err != nil {
-			w.Error(err)
-			return
-		}
-		rep.Inserted = len(tuples)
-	}
-	if len(deleteIDs) > 0 {
-		count, err := eng.DeleteBatch(deleteIDs)
-		rep.Deleted = count
-		var bid *janus.BatchIDError
-		switch {
-		case err == nil:
-		case errors.As(err, &bid):
-			rep.Missing = bid.IDs
-		default:
-			w.Error(err)
-			return
-		}
-	}
+	var writeHealth func() error
 	if store != nil {
-		if werr := store.WriteErr(); werr != nil {
-			// The publish landed in memory but not on disk: refuse the ack
-			// (503 on the HTTP surface) — the zero-acknowledged-write-loss
-			// contract is only as good as this check.
-			w.Error(fmt.Errorf("cluster: %w: segment log write failed: %v", janus.ErrShardUnavailable, werr))
-			return
-		}
+		writeHealth = store.WriteErr
+	}
+	rep, err := server.ApplyIngest(eng, writeHealth, tuples, deleteIDs)
+	if err != nil {
+		w.Error(err)
+		return
 	}
 	b := eng.Broker()
 	rep.InsLen, rep.DelLen = b.Inserts.Len(), b.Deletes.Len()

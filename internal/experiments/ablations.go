@@ -2,14 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"janusaqp/internal/baselines"
 	"janusaqp/internal/core"
-	"janusaqp/internal/geom"
-	"janusaqp/internal/kdindex"
-	"janusaqp/internal/rangetree"
 	"janusaqp/internal/workload"
 
 	janus "janusaqp"
@@ -47,11 +43,9 @@ func RunAblationBeta(opts Options) (*Table, error) {
 			return nil, err
 		}
 		for _, tp := range tuples[tenth:] {
-			eng.Insert(tp)
+			mustInsert(eng, tp)
 		}
-		res := evaluate(func(q core.Query) (core.Result, error) {
-			return eng.Query("main", q)
-		}, queries, truth)
+		res := evaluate(engineAnswerer(eng, "main", nil), queries, truth)
 		tbl.AddRow(
 			fmt.Sprintf("%g", beta),
 			fmt.Sprintf("%d", eng.Reinits),
@@ -62,67 +56,6 @@ func RunAblationBeta(opts Options) (*Table, error) {
 	}
 	tbl.Notes = append(tbl.Notes,
 		"shape check: small beta re-partitions more and keeps error lower; very large beta degenerates toward the static DPT")
-	return tbl, nil
-}
-
-// RunAblationIndexes compares the two dynamic range-aggregate backends on
-// identical 2-D data: the k-d index used in production versus the faithful
-// nested range tree. It reports build time, update time, and query time —
-// the trade the DESIGN.md substitution note documents.
-func RunAblationIndexes(opts Options) (*Table, error) {
-	opts = opts.withDefaults()
-	n := opts.Rows / 4
-	rng := newRng(opts.Seed)
-	type pt struct{ x, y, v float64 }
-	pts := make([]pt, n)
-	for i := range pts {
-		pts[i] = pt{rng.Float64() * 1000, rng.Float64() * 1000, rng.NormFloat64() * 10}
-	}
-	rects := make([]geom.Rect, 512)
-	for i := range rects {
-		x, y := rng.Float64()*900, rng.Float64()*900
-		rects[i] = geom.NewRect(geom.Point{x, y}, geom.Point{x + 100, y + 100})
-	}
-
-	kd := kdindex.New(2)
-	kdBuild := timeIt(func() {
-		for i, p := range pts {
-			kd.Insert(kdindex.Entry{Point: geom.Point{p.x, p.y}, Val: p.v, ID: int64(i)})
-		}
-	})
-	rt := rangetree.New()
-	rtBuild := timeIt(func() {
-		for i, p := range pts {
-			rt.Insert(rangetree.Point{X: p.x, Y: p.y, Val: p.v, ID: int64(i)})
-		}
-	})
-	kdQuery := timeIt(func() {
-		for _, r := range rects {
-			kd.RangeMoments(r)
-		}
-	})
-	rtQuery := timeIt(func() {
-		for _, r := range rects {
-			rt.RangeMoments(r)
-		}
-	})
-	// Cross-check correctness while we are here.
-	mismatches := 0
-	for _, r := range rects {
-		a := kd.RangeMoments(r)
-		b := rt.RangeMoments(r)
-		if a.N != b.N || math.Abs(a.Sum-b.Sum) > 1e-6*(1+math.Abs(b.Sum)) {
-			mismatches++
-		}
-	}
-	tbl := &Table{
-		Title:  "Ablation: k-d aggregate index vs nested range tree (2-D)",
-		Header: []string{"backend", "build", "512 queries", "mismatches"},
-	}
-	tbl.AddRow("kdindex", secs(kdBuild), secs(kdQuery), "-")
-	tbl.AddRow("rangetree", secs(rtBuild), secs(rtQuery), fmt.Sprintf("%d", mismatches))
-	tbl.Notes = append(tbl.Notes,
-		"both backends must agree exactly; the range tree trades slower incremental builds (Bentley-Saxe merges) for asymptotically better query bounds")
 	return tbl, nil
 }
 
@@ -150,27 +83,17 @@ func RunAblationCatchupSeed(opts Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	at0 := evaluate(func(q core.Query) (core.Result, error) {
-		return eng.Query("main", q)
-	}, queries, truth)
-	for eng.CatchUpProgress("main") < 0.10 {
+	at0 := evaluate(engineAnswerer(eng, "main", nil), queries, truth)
+	for catchUpProgress(eng, "main") < 0.10 {
 		if !eng.ForceCatchUpBatch("main", 4096) {
 			break
 		}
 	}
-	at10 := evaluate(func(q core.Query) (core.Result, error) {
-		return eng.Query("main", q)
-	}, queries, truth)
+	at10 := evaluate(engineAnswerer(eng, "main", nil), queries, truth)
 	tbl.AddRow("pooled seed (JanusAQP)", pct(at0.P95RE), pct(at10.P95RE))
 	tbl.Notes = append(tbl.Notes,
 		"queries issued the moment a synopsis swaps in are already usable because the pooled sample doubles as the first catch-up batch; catch-up then sharpens them")
 	return tbl, nil
-}
-
-func timeIt(fn func()) time.Duration {
-	start := time.Now()
-	fn()
-	return time.Since(start)
 }
 
 // RunAblationPartialRepartition compares the Appendix E strategies under
@@ -199,12 +122,10 @@ func RunAblationPartialRepartition(opts Options) (*Table, error) {
 		}
 		start := time.Now()
 		for _, tp := range tuples[tenth:] {
-			eng.Insert(tp)
+			mustInsert(eng, tp)
 		}
 		elapsed := time.Since(start)
-		res := evaluate(func(q core.Query) (core.Result, error) {
-			return eng.Query("main", q)
-		}, queries, truth)
+		res := evaluate(engineAnswerer(eng, "main", nil), queries, truth)
 		tbl.AddRow(label,
 			fmt.Sprintf("%d", eng.Reinits),
 			fmt.Sprintf("%d", eng.PartialRepartitions()),
@@ -265,16 +186,14 @@ func RunAblationHistogram(opts Options) (*Table, error) {
 			pt := tp.Clone()
 			pt.Key = pt.Project(spec.predDims)
 			hist.Insert(pt)
-			eng.Insert(tp)
+			mustInsert(eng, tp)
 		}
 		if _, err := eng.Reinitialize("main"); err != nil {
 			return nil, err
 		}
 		truth := newTruth(spec, tuples, upto)
 		hres := evaluate(hist.Answer, queries, truth)
-		jres := evaluate(func(q core.Query) (core.Result, error) {
-			return eng.Query("main", q)
-		}, queries, truth)
+		jres := evaluate(engineAnswerer(eng, "main", nil), queries, truth)
 		tbl.AddRow(fmt.Sprintf("%.1f", p), pct(hres.MedianRE), pct(jres.MedianRE),
 			fmt.Sprintf("%.0f", hist.OutlierCount()))
 	}

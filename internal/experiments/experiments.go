@@ -11,6 +11,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -142,6 +143,40 @@ func specFor(name string) dsSpec {
 // answerer is anything that can answer a query: the Janus engine or any
 // baseline.
 type answerer func(core.Query) (core.Result, error)
+
+// engineAnswerer adapts one engine template to an answerer; a non-nil
+// onKeys answers over those original key attributes (Section 5.5).
+func engineAnswerer(eng *janus.Engine, template string, onKeys []int) answerer {
+	return func(q core.Query) (core.Result, error) {
+		resp, err := eng.Do(context.Background(), janus.Request{Template: template, Query: q, OnKeys: onKeys})
+		return resp.Result, err
+	}
+}
+
+// mustInsert streams one tuple: the per-update maintenance cost is what the
+// experiments time, so they do not batch. The harness generates its own
+// rows with fresh ids, so a rejection is a harness bug.
+func mustInsert(eng *janus.Engine, tp data.Tuple) {
+	if err := eng.InsertBatch([]data.Tuple{tp}); err != nil {
+		panic(err)
+	}
+}
+
+// mustDelete removes one row the harness knows to be live.
+func mustDelete(eng *janus.Engine, id int64) {
+	if _, err := eng.DeleteBatch([]int64{id}); err != nil {
+		panic(err)
+	}
+}
+
+// catchUpProgress reads one template's catch-up progress in [0,1].
+func catchUpProgress(eng *janus.Engine, template string) float64 {
+	st, err := eng.StatsFor(template)
+	if err != nil {
+		panic(err)
+	}
+	return st.CatchUpProgress
+}
 
 // evalResult summarizes a workload evaluation.
 type evalResult struct {

@@ -239,17 +239,6 @@ func TestAblationBeta(t *testing.T) {
 	}
 }
 
-func TestAblationIndexes(t *testing.T) {
-	tbl, err := RunAblationIndexes(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + render(t, tbl))
-	if tbl.Rows[1][3] != "0" {
-		t.Errorf("backends disagreed on %s queries", tbl.Rows[1][3])
-	}
-}
-
 func TestAblationCatchupSeed(t *testing.T) {
 	tbl, err := RunAblationCatchupSeed(quick())
 	if err != nil {

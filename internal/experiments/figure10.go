@@ -90,8 +90,8 @@ func RunFigure10(opts Options) (*Table, error) {
 	for _, tp := range tuples[:half] {
 		tod := tp.Key[todDim]
 		if tod >= window[0] && tod <= window[1] && rng.Float64() < 0.8 {
-			dptTod.Delete(tp.ID)
-			janusTod.Delete(tp.ID)
+			mustDelete(dptTod, tp.ID)
+			mustDelete(janusTod, tp.ID)
 			deletedTod[tp.ID] = true
 		}
 	}
@@ -104,24 +104,20 @@ func RunFigure10(opts Options) (*Table, error) {
 		upto := int(p * float64(len(tuples)))
 		// Advance the skewed-insert scenario.
 		for ; inserted < upto; inserted++ {
-			dptEng.Insert(tuples[inserted])
-			janusEng.Insert(tuples[inserted])
+			mustInsert(dptEng, tuples[inserted])
+			mustInsert(janusEng, tuples[inserted])
 		}
 		if _, err := janusEng.Reinitialize("main"); err != nil {
 			return nil, err
 		}
 		truth := newTruth(spec, tuples, upto)
-		dptRes := evaluate(func(q core.Query) (core.Result, error) {
-			return dptEng.Query("main", q)
-		}, queries, truth)
-		janusRes := evaluate(func(q core.Query) (core.Result, error) {
-			return janusEng.Query("main", q)
-		}, queries, truth)
+		dptRes := evaluate(engineAnswerer(dptEng, "main", nil), queries, truth)
+		janusRes := evaluate(engineAnswerer(janusEng, "main", nil), queries, truth)
 
 		// Advance the deletion scenario with fresh arrivals.
 		for ; insertedTod < upto; insertedTod++ {
-			dptTod.Insert(tuples[insertedTod])
-			janusTod.Insert(tuples[insertedTod])
+			mustInsert(dptTod, tuples[insertedTod])
+			mustInsert(janusTod, tuples[insertedTod])
 		}
 		truthTod := workload.NewTruth(spec.keyDims, []int{todDim}, spec.aggVal)
 		for _, tp := range tuples[:upto] {
@@ -129,12 +125,8 @@ func RunFigure10(opts Options) (*Table, error) {
 				truthTod.Insert(tp)
 			}
 		}
-		dptTodRes := evaluate(func(q core.Query) (core.Result, error) {
-			return dptTod.Query("main", q)
-		}, todQueries, truthTod)
-		janusTodRes := evaluate(func(q core.Query) (core.Result, error) {
-			return janusTod.Query("main", q)
-		}, todQueries, truthTod)
+		dptTodRes := evaluate(engineAnswerer(dptTod, "main", nil), todQueries, truthTod)
+		janusTodRes := evaluate(engineAnswerer(janusTod, "main", nil), todQueries, truthTod)
 
 		tbl.AddRow(
 			fmt.Sprintf("%.1f", p),

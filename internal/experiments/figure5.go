@@ -46,9 +46,9 @@ func RunFigure5(opts Options) (*Table, error) {
 		}
 		// Fresh tuples for the insertion burst.
 		fresh, _ := workload.Generate(spec.name, batch, int64(len(tuples)+1_000_000), opts.Seed+int64(r*100))
-		insRate := timedParallel(workers, fresh, func(t workloadTuple) { eng.Insert(t) })
+		insRate := timedParallel(workers, fresh, func(t workloadTuple) { mustInsert(eng, t) })
 		// Delete the tuples just inserted (guaranteed to exist).
-		delRate := timedParallel(workers, fresh, func(t workloadTuple) { eng.Delete(t.ID) })
+		delRate := timedParallel(workers, fresh, func(t workloadTuple) { mustDelete(eng, t.ID) })
 
 		// Re-optimization cost at this progress point.
 		reopt, err := eng.Reinitialize("main")

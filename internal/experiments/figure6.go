@@ -44,13 +44,11 @@ func RunFigure6(opts Options) (*Table, error) {
 			target := int(p * float64(half))
 			for deleted < target {
 				id := tuples[half-1-deleted].ID
-				eng.Delete(id)
+				mustDelete(eng, id)
 				truth.Delete(id)
 				deleted++
 			}
-			res := evaluate(func(q core.Query) (core.Result, error) {
-				return eng.Query("main", q)
-			}, queries, truth)
+			res := evaluate(engineAnswerer(eng, "main", nil), queries, truth)
 			row = append(row, fmt.Sprintf("%.2f%%", res.MedianRE*100))
 		}
 		tbl.AddRow(row...)

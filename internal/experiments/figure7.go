@@ -67,15 +67,13 @@ func RunFigure7(opts Options) (*Table, error) {
 		}
 		// Processing cost: folding the samples into node statistics.
 		start := time.Now()
-		for eng.CatchUpProgress("main") < c {
+		for catchUpProgress(eng, "main") < c {
 			if !pump(eng) {
 				break
 			}
 		}
 		processing := time.Since(start)
-		res := evaluate(func(q core.Query) (core.Result, error) {
-			return eng.Query("main", q)
-		}, queries, truth)
+		res := evaluate(engineAnswerer(eng, "main", nil), queries, truth)
 		tbl.AddRow(
 			fmt.Sprintf("%.0f%%", c*100),
 			pct(res.P95RE), pct(rsRes.P95RE),

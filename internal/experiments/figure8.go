@@ -75,15 +75,9 @@ func RunFigure8(opts Options) (*Table, error) {
 			truthFare.Insert(tp)
 		}
 
-		pickOverPick := evaluate(func(q core.Query) (core.Result, error) {
-			return engPick.Query("main", q)
-		}, pickQs, truthPick)
-		dropOverPick := evaluate(func(q core.Query) (core.Result, error) {
-			return engPick.QueryOnKeys("main", q, []int{dropoffDim})
-		}, dropQs, truthDrop)
-		dropOverDrop := evaluate(func(q core.Query) (core.Result, error) {
-			return engDrop.Query("main", q)
-		}, dropQs, truthDrop)
+		pickOverPick := evaluate(engineAnswerer(engPick, "main", nil), pickQs, truthPick)
+		dropOverPick := evaluate(engineAnswerer(engPick, "main", []int{dropoffDim}), dropQs, truthDrop)
+		dropOverDrop := evaluate(engineAnswerer(engDrop, "main", nil), dropQs, truthDrop)
 
 		// Middle plot: aggregation attribute same (tripDistance) vs
 		// different (fare, Vals[1]) on the pickup synopsis.
@@ -93,19 +87,13 @@ func RunFigure8(opts Options) (*Table, error) {
 			fareQs[i] = q
 		}
 		aggSame := pickOverPick
-		aggDiff := evaluate(func(q core.Query) (core.Result, error) {
-			return engPick.Query("main", q)
-		}, fareQs, truthFare)
+		aggDiff := evaluate(engineAnswerer(engPick, "main", nil), fareQs, truthFare)
 
 		// Right plot: aggregate functions on the same synopsis.
 		cntQs := genPick.Workload(opts.Queries/2, core.FuncCount)
 		avgQs := genPick.Workload(opts.Queries/2, core.FuncAvg)
-		cntRes := evaluate(func(q core.Query) (core.Result, error) {
-			return engPick.Query("main", q)
-		}, cntQs, truthPick)
-		avgRes := evaluate(func(q core.Query) (core.Result, error) {
-			return engPick.Query("main", q)
-		}, avgQs, truthPick)
+		cntRes := evaluate(engineAnswerer(engPick, "main", nil), cntQs, truthPick)
+		avgRes := evaluate(engineAnswerer(engPick, "main", nil), avgQs, truthPick)
 
 		tbl.AddRow(
 			fmt.Sprintf("%.1f", p),

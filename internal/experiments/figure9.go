@@ -62,9 +62,7 @@ func RunFigure9(opts Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		jres := evaluate(func(q core.Query) (core.Result, error) {
-			return eng.Query("fiveD", q)
-		}, queries, truth)
+		jres := evaluate(engineAnswerer(eng, "fiveD", nil), queries, truth)
 
 		learned := baselines.NewLearned(5, aggVal)
 		train := projectSample(tuples[:upto], dsSpec{name: workload.ETFPrices, keyDims: 6, predDims: predDims, aggVal: aggVal}, opts.Seed+2, upto/10)

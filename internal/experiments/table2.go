@@ -48,14 +48,12 @@ func RunTable2(opts Options) (*Table, error) {
 				return nil, err
 			}
 			for _, tp := range tuples[len(tuples)/10 : upto] {
-				eng.Insert(tp)
+				mustInsert(eng, tp)
 			}
 			if _, err := eng.Reinitialize("main"); err != nil {
 				return nil, err
 			}
-			res["janus"] = evaluate(func(q core.Query) (core.Result, error) {
-				return eng.Query("main", q)
-			}, queries, truth)
+			res["janus"] = evaluate(engineAnswerer(eng, "main", nil), queries, truth)
 
 			// Learned: re-train on a fresh 10% sample of the current data.
 			learned := baselines.NewLearned(1, spec.aggVal)

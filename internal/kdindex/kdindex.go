@@ -17,9 +17,6 @@
 //     rectangle), used by the AVG max-variance oracle,
 //   - point reporting inside a rectangle (used to materialize per-leaf
 //     strata from the single pooled sample in multi-template mode, §5.5).
-//
-// The companion package internal/rangetree provides a faithful nested range
-// tree for d = 2 that cross-checks this index in tests.
 package kdindex
 
 import (

@@ -7,7 +7,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"time"
 
 	janus "janusaqp"
 	"janusaqp/internal/transport"
@@ -21,99 +20,30 @@ import (
 // already provides.
 const BinaryMediaType = "application/x-janus-binary"
 
-// PrepareClientRequest validates and completes one binary client query
-// request in place: the client edge's equivalent of compileStructured plus
-// buildRequest. Explicit rect bounds must be finite and non-inverted and
-// match the template's dimensionality (the same rules the JSON codec
-// enforces, so the two surfaces agree); an absent rect resolves to the
-// full universe. Validation failures wrap janus.ErrInvalidRequest, an
-// unresolvable template janus.ErrUnknownTemplate — the sentinels the wire
-// error codec and statusForEngineErr both classify.
-//
-// The shard-internal MsgQuery path deliberately skips this: a coordinator
-// fans out already-resolved rects whose universe bounds are ±Inf, which a
-// client may not send but a peer must.
-func PrepareClientRequest(eng Engine, req *janus.Request) error {
-	if req.Confidence != 0 && !(req.Confidence > 0 && req.Confidence < 1) {
-		return fmt.Errorf("%w: confidence must be in (0,1), got %g", janus.ErrInvalidRequest, req.Confidence)
-	}
-	// The binary wire carries the query-level confidence too, a field the
-	// JSON codec can only reach through compileStructured's validation; held
-	// to the same bar here so NaN cannot reach ZForConfidence.
-	if c := req.Query.Confidence; c != 0 && !(c > 0 && c < 1) {
-		return fmt.Errorf("%w: confidence must be in (0,1), got %g", janus.ErrInvalidRequest, c)
-	}
-	if req.SQL != "" {
-		// SQL requests carry no structured rect; Engine.Do compiles and
-		// validates the statement itself.
-		return nil
-	}
-	if req.Template == "" {
-		return fmt.Errorf("%w: request needs sql or template", janus.ErrInvalidRequest)
-	}
-	min, max := req.Query.Rect.Min, req.Query.Rect.Max
-	if len(min) == 0 && len(max) == 0 {
-		// No explicit bounds: resolve the template's dimensionality and
-		// query the full universe, exactly like the JSON path.
-		dims := len(req.OnKeys)
-		if dims == 0 {
-			tmpl, ok := eng.Template(req.Template)
-			if !ok {
-				return fmt.Errorf("%w %q", janus.ErrUnknownTemplate, req.Template)
-			}
-			dims = len(tmpl.PredicateDims)
-		}
-		req.Query.Rect = janus.Universe(dims)
-		return nil
-	}
-	if len(min) != len(max) {
-		return fmt.Errorf("%w: predicate bounds need equal sides, got min=%d max=%d",
-			janus.ErrInvalidRequest, len(min), len(max))
-	}
-	if dims := len(req.OnKeys); dims > 0 && len(min) != dims {
-		return fmt.Errorf("%w: predicate bounds need %d values per side for %d on-keys dims, got %d",
-			janus.ErrInvalidRequest, dims, dims, len(min))
-	} else if dims == 0 {
-		if tmpl, ok := eng.Template(req.Template); ok && len(min) != len(tmpl.PredicateDims) {
-			return fmt.Errorf("%w: predicate bounds need %d values per side, got min=%d max=%d",
-				janus.ErrInvalidRequest, len(tmpl.PredicateDims), len(min), len(max))
-		}
-	}
-	for i := range min {
-		lo, hi := min[i], max[i]
-		// NaN slips past the inverted check (every NaN comparison is
-		// false) and ±Inf is only legal on the server-resolved universe
-		// rect, so explicit bounds must be finite — the same rule
-		// compileStructured enforces on the JSON codec.
-		if math.IsNaN(lo) || math.IsNaN(hi) || math.IsInf(lo, 0) || math.IsInf(hi, 0) {
-			return fmt.Errorf("%w: non-finite bound on dimension %d (min=%g max=%g); omit bounds for an unbounded predicate",
-				janus.ErrInvalidRequest, i, lo, hi)
-		}
-		if lo > hi {
-			return fmt.Errorf("%w: inverted bounds on dimension %d (%g > %g)", janus.ErrInvalidRequest, i, lo, hi)
-		}
-	}
-	return nil
-}
-
-// AnswerBinary serves one binary client query: decode the transport
-// request body, validate and complete it, answer through Engine.Do, and
-// append the binary QueryResult to buf. It is the body-bytes-in,
-// reply-bytes-out core shared by the -rpc client endpoint and the HTTP
-// binary content type, and the surface the allocation regression tests
-// pin.
-func AnswerBinary(ctx context.Context, eng Engine, body, buf []byte) ([]byte, error) {
+// decodeClientQuery decodes one binary client query body. The one rule that
+// belongs to this wire and not to janus.Request.Validate lives here: a
+// client may not send explicit ±Inf bounds — it omits the rect to query the
+// whole universe. A cluster peer must be able to (a coordinator forwards
+// rects a caller resolved to janus.Universe), which is why the
+// shard-internal MsgQuery path decodes without this check.
+func decodeClientQuery(body []byte) (janus.Request, error) {
 	req, err := transport.DecodeQueryRequest(body)
 	if err != nil {
-		return buf, fmt.Errorf("%w: %v", janus.ErrInvalidRequest, err)
+		return janus.Request{}, fmt.Errorf("%w: %v", janus.ErrInvalidRequest, err)
 	}
-	if err := PrepareClientRequest(eng, &req); err != nil {
-		return buf, err
+	for _, side := range [...]janus.Point{req.Query.Rect.Min, req.Query.Rect.Max} {
+		for i, v := range side {
+			if math.IsInf(v, 0) {
+				return janus.Request{}, fmt.Errorf("%w: infinite bound on dimension %d; omit bounds for an unbounded predicate",
+					janus.ErrInvalidRequest, i)
+			}
+		}
 	}
-	resp, err := eng.Do(ctx, req)
-	if err != nil {
-		return buf, err
-	}
+	return req, nil
+}
+
+// appendQueryResult appends the binary QueryResult encoding of resp to buf.
+func appendQueryResult(buf []byte, resp janus.Response) []byte {
 	return transport.AppendQueryResult(buf, transport.QueryResult{
 		Estimate:        resp.Result.Estimate,
 		Lo:              resp.Result.Interval.Lo(),
@@ -127,30 +57,49 @@ func AnswerBinary(ctx context.Context, eng Engine, body, buf []byte) ([]byte, er
 		Population:      resp.Population,
 		CatchUpProgress: resp.CatchUpProgress,
 		ElapsedMicros:   resp.Elapsed.Microseconds(),
-	}), nil
+	})
 }
 
-// IngestBinary serves one binary ingest batch: decode the segment-log
-// tuple chunk and delete ids, apply them with the same semantics as the
-// JSON /v2/ingest path (atomic insert batch; unknown delete ids reported
-// as Missing, not failed; durability checked after the apply), and append
-// the binary IngestReply to buf. The decoded reply is also returned so
-// callers can feed their row counters without re-decoding their own bytes.
-func IngestBinary(eng Engine, writeHealth func() error, body, buf []byte) ([]byte, transport.IngestReply, error) {
-	tuples, deleteIDs, err := transport.DecodeIngestRequest(body)
+// AnswerBinary serves one binary client query: decode the transport
+// request body, answer through Engine.Do, and append the binary
+// QueryResult to buf. It is the body-bytes-in, reply-bytes-out core of the
+// -rpc client endpoint, and the surface the allocation regression tests
+// pin.
+func AnswerBinary(ctx context.Context, eng Engine, body, buf []byte) ([]byte, error) {
+	req, err := decodeClientQuery(body)
 	if err != nil {
-		return buf, transport.IngestReply{}, fmt.Errorf("%w: %v", janus.ErrInvalidRequest, err)
+		return buf, err
 	}
+	resp, err := eng.Do(ctx, req)
+	if err != nil {
+		return buf, err
+	}
+	return appendQueryResult(buf, resp), nil
+}
+
+// ApplyIngest applies one client ingest batch — the single definition every
+// ingest surface (JSON and binary /v2/ingest, the -rpc client edge, a shard
+// node) shares. Inserts apply first, atomically per engine shard, then
+// deletions; delete ids the engine does not hold are data, reported in
+// Missing, not a failure. An empty batch is invalid. The reply reports what
+// was applied even beside an error: a failed deletion does not undo the
+// inserts.
+//
+// writeHealth, when non-nil, reports the durable store's latched log
+// failure (Store.WriteErr). It is consulted after the apply — a topic
+// latches its first write-through failure during the publish itself — so
+// the very batch that hit the failed write, and every one after it, is
+// refused with ErrShardUnavailable instead of acknowledging durability the
+// disk no longer provides.
+func ApplyIngest(eng Engine, writeHealth func() error, tuples []janus.Tuple, deleteIDs []int64) (transport.IngestReply, error) {
+	var rep transport.IngestReply
 	if len(tuples) == 0 && len(deleteIDs) == 0 {
-		return buf, transport.IngestReply{}, fmt.Errorf("%w: ingest batch is empty", janus.ErrInvalidRequest)
+		return rep, fmt.Errorf("%w: ingest batch is empty", janus.ErrInvalidRequest)
 	}
-	rep := transport.IngestReply{}
-	if len(tuples) > 0 {
-		if err := eng.InsertBatch(tuples); err != nil {
-			return buf, transport.IngestReply{}, err
-		}
-		rep.Inserted = len(tuples)
+	if err := eng.InsertBatch(tuples); err != nil {
+		return rep, err
 	}
+	rep.Inserted = len(tuples)
 	if len(deleteIDs) > 0 {
 		n, err := eng.DeleteBatch(deleteIDs)
 		rep.Deleted = n
@@ -158,14 +107,30 @@ func IngestBinary(eng Engine, writeHealth func() error, body, buf []byte) ([]byt
 		if errors.As(err, &missing) {
 			rep.Missing = missing.IDs
 		} else if err != nil {
-			return buf, rep, err
+			return rep, err
 		}
 	}
 	if writeHealth != nil {
 		if err := writeHealth(); err != nil {
-			return buf, rep, fmt.Errorf("%w: durable log write failed; batch applied in memory only, restart will lose it: %v",
+			return rep, fmt.Errorf("%w: durable log write failed; batch applied in memory only, restart will lose it: %v",
 				janus.ErrShardUnavailable, err)
 		}
+	}
+	return rep, nil
+}
+
+// IngestBinary serves one binary ingest batch: decode the segment-log
+// tuple chunk and delete ids, apply them (ApplyIngest), and append the
+// binary IngestReply to buf. The reply is also returned decoded — what was
+// applied, even beside an error — so callers can feed their row counters.
+func IngestBinary(eng Engine, writeHealth func() error, body, buf []byte) ([]byte, transport.IngestReply, error) {
+	tuples, deleteIDs, err := transport.DecodeIngestRequest(body)
+	if err != nil {
+		return buf, transport.IngestReply{}, fmt.Errorf("%w: %v", janus.ErrInvalidRequest, err)
+	}
+	rep, err := ApplyIngest(eng, writeHealth, tuples, deleteIDs)
+	if err != nil {
+		return buf, rep, err
 	}
 	return transport.AppendIngestReply(buf, rep), rep, nil
 }
@@ -208,15 +173,18 @@ func (s *Server) serveBinaryQuery(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	start := time.Now()
-	reply, err := AnswerBinary(r.Context(), s.eng, body, nil)
-	s.kindStructured.Observe(time.Since(start).Seconds())
+	req, err := decodeClientQuery(body)
+	if err != nil {
+		s.writeBinaryError(w, statusForEngineErr(err), err)
+		return
+	}
+	resp, err := s.answer(r.Context(), req, 0)
 	if err != nil {
 		s.writeBinaryError(w, statusForEngineErr(err), err)
 		return
 	}
 	w.Header().Set("Content-Type", BinaryMediaType)
-	_, _ = w.Write(reply)
+	_, _ = w.Write(appendQueryResult(nil, resp))
 }
 
 // serveBinaryIngest serves a /v2/ingest body in the binary codec.
@@ -226,12 +194,12 @@ func (s *Server) serveBinaryIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	reply, rep, err := IngestBinary(s.eng, s.writeHealth, body, nil)
+	s.rowsInserted.Add(uint64(rep.Inserted))
+	s.rowsDeleted.Add(uint64(rep.Deleted))
 	if err != nil {
 		s.writeBinaryError(w, statusForEngineErr(err), err)
 		return
 	}
-	s.rowsInserted.Add(uint64(rep.Inserted))
-	s.rowsDeleted.Add(uint64(rep.Deleted))
 	w.Header().Set("Content-Type", BinaryMediaType)
 	_, _ = w.Write(reply)
 }

@@ -4,14 +4,17 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
 	janus "janusaqp"
+	"janusaqp/internal/routertest"
 	"janusaqp/internal/transport"
 	"janusaqp/internal/workload"
 )
@@ -65,10 +68,8 @@ func TestBinaryQueryMatchesJSON(t *testing.T) {
 		{"everything", 0, math.MaxFloat64 / 4, 0.5},
 	}
 	for _, tc := range cases {
-		resp, raw := postJSON(t, ts.URL+"/v2/query", QueryRequestV2{QueryRequest: QueryRequest{
-			Template: "trips", Func: "SUM",
-			Min: []float64{tc.min}, Max: []float64{tc.max}, Confidence: tc.conf,
-		}})
+		resp, raw := postJSON(t, ts.URL+"/v2/query", QueryRequestV2{Template: "trips", Func: "SUM",
+			Min: []float64{tc.min}, Max: []float64{tc.max}, Confidence: tc.conf})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: json status %d: %s", tc.name, resp.StatusCode, raw)
 		}
@@ -182,97 +183,145 @@ func TestBinaryIngestMatchesJSON(t *testing.T) {
 	}
 }
 
-// TestBinaryRequestValidation holds the binary codec to the JSON codec's
-// validation bar: NaN/±Inf bounds and out-of-range confidence — which the
-// binary wire can carry even though JSON literals cannot — must be
-// rejected with 400 and the invalid-request sentinel, never reach the
-// engine as a degenerate rect.
-func TestBinaryRequestValidation(t *testing.T) {
+// sentinelForStatus is the JSON client's view of an error: the body is
+// text, so the status is what says which sentinel it was.
+func sentinelForStatus(status int, msg string) error {
+	for _, sentinel := range []error{janus.ErrInvalidRequest, janus.ErrUnknownTemplate, janus.ErrDuplicateID, janus.ErrShardUnavailable} {
+		if statusForEngineErr(sentinel) == status {
+			return fmt.Errorf("%w: HTTP %d: %s", sentinel, status, msg)
+		}
+	}
+	return fmt.Errorf("HTTP %d: %s", status, msg)
+}
+
+// jsonQuery answers req through the JSON /v2/query codec.
+func jsonQuery(t testing.TB, url string) func(context.Context, janus.Request) (janus.Response, error) {
+	return func(_ context.Context, req janus.Request) (janus.Response, error) {
+		wire := QueryRequestV2{
+			SQL: req.SQL, Template: req.Template, Func: req.Query.Func.String(),
+			Min: req.Query.Rect.Min, Max: req.Query.Rect.Max,
+			Confidence: req.Confidence, OnKeys: req.OnKeys,
+		}
+		// JSON numbers are finite, and the query-level confidence is not a
+		// wire field.
+		for _, v := range slices.Concat(wire.Min, wire.Max, []float64{wire.Confidence}) {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return janus.Response{}, routertest.ErrInexpressible
+			}
+		}
+		if req.Query.Confidence != 0 {
+			return janus.Response{}, routertest.ErrInexpressible
+		}
+		resp, raw := postJSON(t, url+"/v2/query", wire)
+		if resp.StatusCode != http.StatusOK {
+			var er ErrorResponse
+			decodeInto(t, raw, &er)
+			return janus.Response{}, sentinelForStatus(resp.StatusCode, er.Error)
+		}
+		var res QueryResultV2
+		decodeInto(t, raw, &res)
+		return routertest.Answer(res.Estimate, res.HalfWidth), nil
+	}
+}
+
+// binaryQuery answers req through the binary /v2/query codec, requiring
+// the HTTP status to agree with the sentinel the error body decodes to.
+func binaryQuery(t testing.TB, url string) func(context.Context, janus.Request) (janus.Response, error) {
+	return func(_ context.Context, req janus.Request) (janus.Response, error) {
+		resp, out := postBinary(t, url+"/v2/query", transport.EncodeQueryRequest(req))
+		if resp.StatusCode != http.StatusOK {
+			err := transport.DecodeErrorBody(out)
+			return janus.Response{}, binaryErr(t, resp, out, statusForEngineErr(err))
+		}
+		res, err := transport.DecodeQueryResult(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return routertest.Answer(res.Estimate, res.HalfWidth), nil
+	}
+}
+
+// TestRequestValidationHTTP runs the one validation table through both
+// /v2/query codecs: neither has rules of its own, so each must answer what
+// janus.Request.Validate says (400, or 404 for an unknown template), and
+// the binary codec — which can carry NaN and ±Inf where JSON literals
+// cannot — must stop them before the engine.
+func TestRequestValidationHTTP(t *testing.T) {
 	eng, _ := newTestEngine(t, 4000)
 	srv := New(eng, Options{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	structured := func(min, max janus.Point, conf float64) []byte {
-		return transport.EncodeQueryRequest(janus.Request{
-			Template: "trips",
-			Query:    janus.Query{Func: janus.FuncSum, AggIndex: -1, Rect: janus.Rect{Min: min, Max: max}, Confidence: conf},
-		})
-	}
-	cases := []struct {
-		name string
-		body []byte
-	}{
-		{"nan-lo", structured(janus.Point{math.NaN()}, janus.Point{10}, 0)},
-		{"nan-hi", structured(janus.Point{0}, janus.Point{math.NaN()}, 0)},
-		{"pos-inf", structured(janus.Point{0}, janus.Point{math.Inf(1)}, 0)},
-		{"neg-inf", structured(janus.Point{math.Inf(-1)}, janus.Point{0}, 0)},
-		{"inverted", structured(janus.Point{10}, janus.Point{5}, 0)},
-		{"lopsided", structured(janus.Point{1, 2}, janus.Point{3}, 0)},
-		{"extra-dim", structured(janus.Point{1, 2}, janus.Point{3, 4}, 0)},
-		{"nan-confidence", structured(janus.Point{0}, janus.Point{10}, math.NaN())},
-		{"confidence-over-1", structured(janus.Point{0}, janus.Point{10}, 1.5)},
-		{"no-template", transport.EncodeQueryRequest(janus.Request{})},
-		{"garbage", []byte{0xFF, 0xFF, 0xFF}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			resp, out := postBinary(t, ts.URL+"/v2/query", tc.body)
-			err := binaryErr(t, resp, out, http.StatusBadRequest)
-			if !errors.Is(err, janus.ErrInvalidRequest) {
-				t.Fatalf("error lost the sentinel: %v", err)
-			}
-		})
-	}
+	t.Run("json", func(t *testing.T) {
+		routertest.RunValidation(t, routertest.QuerySurface{Template: "trips", Do: jsonQuery(t, ts.URL), Reference: eng.Do})
+	})
+	t.Run("binary", func(t *testing.T) {
+		routertest.RunValidation(t, routertest.QuerySurface{Template: "trips", Do: binaryQuery(t, ts.URL), Reference: eng.Do})
+	})
 
-	// Unknown template maps to 404 with its own sentinel.
-	resp, out := postBinary(t, ts.URL+"/v2/query",
-		transport.EncodeQueryRequest(janus.Request{Template: "nope"}))
-	if err := binaryErr(t, resp, out, http.StatusNotFound); !errors.Is(err, janus.ErrUnknownTemplate) {
-		t.Fatalf("unknown template: %v", err)
-	}
-
-	// An empty ingest batch is invalid on both codecs.
-	resp, out = postBinary(t, ts.URL+"/v2/ingest", transport.EncodeIngestRequest(nil, nil))
+	// A body the transport codec cannot decode is the client's fault too.
+	resp, out := postBinary(t, ts.URL+"/v2/query", []byte{0xFF, 0xFF, 0xFF})
 	if err := binaryErr(t, resp, out, http.StatusBadRequest); !errors.Is(err, janus.ErrInvalidRequest) {
-		t.Fatalf("empty ingest: %v", err)
-	}
-
-	// No explicit bounds means the full universe — ±Inf is only legal when
-	// the server resolves it itself.
-	resp, out = postBinary(t, ts.URL+"/v2/query",
-		transport.EncodeQueryRequest(janus.Request{Template: "trips", Query: janus.Query{Func: janus.FuncCount, AggIndex: -1}}))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("unbounded query status %d: %v", resp.StatusCode, transport.DecodeErrorBody(out))
+		t.Fatalf("garbage body: %v", err)
 	}
 }
 
-// TestCompileStructuredRejectsNonFinite is the unit regression for the
-// codec bugfix: NaN slipped past the inverted-bounds check (every NaN
-// comparison is false) and ±Inf reached the engine as a degenerate rect.
-func TestCompileStructuredRejectsNonFinite(t *testing.T) {
-	bad := []QueryRequest{
-		{Func: "SUM", Min: []float64{math.NaN()}, Max: []float64{1}},
-		{Func: "SUM", Min: []float64{0}, Max: []float64{math.NaN()}},
-		{Func: "SUM", Min: []float64{math.Inf(-1)}, Max: []float64{1}},
-		{Func: "SUM", Min: []float64{0}, Max: []float64{math.Inf(1)}},
-		{Func: "SUM", Min: []float64{2}, Max: []float64{1}},
-		{Func: "SUM", Confidence: math.NaN()},
-		{Func: "SUM", Confidence: 1},
+// TestIngestTableHTTP runs the one ingest table through both /v2/ingest
+// codecs, each over its own engine and a write-health hook the table trips.
+func TestIngestTableHTTP(t *testing.T) {
+	fresh, err := workload.Generate(workload.NYCTaxi, 8, 5_000_000, 11)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, req := range bad {
-		if _, err := compileStructured(req, 1); err == nil {
-			t.Fatalf("case %d (%+v) compiled successfully", i, req)
+	surface := func(t *testing.T, ingest func(url string, tuples []janus.Tuple, ids []int64) (int, int, []int64, error)) routertest.IngestSurface {
+		eng, tuples := newTestEngine(t, 4000)
+		health, breakLog := routertest.BreakableHealth()
+		srv := New(eng, Options{WriteHealth: health})
+		t.Cleanup(srv.Close)
+		ts := httptest.NewServer(srv.Handler())
+		t.Cleanup(ts.Close)
+		return routertest.IngestSurface{
+			Ingest: func(tuples []janus.Tuple, ids []int64) (int, int, []int64, error) {
+				return ingest(ts.URL, tuples, ids)
+			},
+			BreakLog: breakLog,
+			Rows:     func() int64 { return eng.Stats().ArchiveRows },
+			Live:     tuples[0],
+			Fresh:    fresh,
 		}
 	}
-	// NaN confidence must also be rejected at the engine API boundary,
-	// where binary requests land without the JSON codec in front.
-	eng, _ := newTestEngine(t, 2000)
-	_, err := eng.Do(context.Background(), janus.Request{Template: "trips", Confidence: math.NaN()})
-	if !errors.Is(err, janus.ErrInvalidRequest) {
-		t.Fatalf("engine accepted NaN confidence: %v", err)
-	}
+	t.Run("json", func(t *testing.T) {
+		routertest.RunIngest(t, surface(t, func(url string, tuples []janus.Tuple, ids []int64) (int, int, []int64, error) {
+			wire := IngestRequest{DeleteIDs: ids}
+			for _, tp := range tuples {
+				wire.Tuples = append(wire.Tuples, WireTuple{ID: tp.ID, Key: tp.Key, Vals: tp.Vals})
+			}
+			resp, raw := postJSON(t, url+"/v2/ingest", wire)
+			if resp.StatusCode != http.StatusOK {
+				var er ErrorResponse
+				decodeInto(t, raw, &er)
+				return 0, 0, nil, sentinelForStatus(resp.StatusCode, er.Error)
+			}
+			var ack IngestResponse
+			decodeInto(t, raw, &ack)
+			return ack.Inserted, ack.Deleted, ack.Missing, nil
+		}))
+	})
+	t.Run("binary", func(t *testing.T) {
+		routertest.RunIngest(t, surface(t, func(url string, tuples []janus.Tuple, ids []int64) (int, int, []int64, error) {
+			resp, out := postBinary(t, url+"/v2/ingest", transport.EncodeIngestRequest(tuples, ids))
+			if resp.StatusCode != http.StatusOK {
+				err := transport.DecodeErrorBody(out)
+				return 0, 0, nil, binaryErr(t, resp, out, statusForEngineErr(err))
+			}
+			ack, err := transport.DecodeIngestReply(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ack.Inserted, ack.Deleted, ack.Missing, nil
+		}))
+	})
 }
 
 // TestAnswerBinaryAllocs pins the binary query hot path's allocation

@@ -2,16 +2,16 @@ package server
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	janus "janusaqp"
 )
 
-// QueryRequest is the POST /v1/query payload. Set SQL for the approximate
-// SQL interface, or Template + Func (+ Min/Max bounds) for a structured
-// query against one synopsis.
-type QueryRequest struct {
+// QueryRequestV2 is one request item of the POST /v2/query payload. Set SQL
+// for the approximate SQL interface, or Template + Func (+ Min/Max bounds)
+// for a structured query against one synopsis. It only carries the request:
+// what a well-formed one is, is janus.Request.Validate's to say.
+type QueryRequestV2 struct {
 	// SQL is a full statement, e.g.
 	// "SELECT SUM(fareAmount) FROM trips WHERE pickupTime BETWEEN 0 AND 3600".
 	SQL string `json:"sql,omitempty"`
@@ -29,23 +29,6 @@ type QueryRequest struct {
 	Max []float64 `json:"max,omitempty"`
 	// Confidence is the CI level in (0,1); 0 selects the 0.95 default.
 	Confidence float64 `json:"confidence,omitempty"`
-}
-
-// QueryResponse carries an approximate answer and its confidence interval.
-type QueryResponse struct {
-	Estimate  float64 `json:"estimate"`
-	Lo        float64 `json:"lo"`
-	Hi        float64 `json:"hi"`
-	HalfWidth float64 `json:"halfWidth"`
-	Covered   int     `json:"covered"`
-	Partial   int     `json:"partial"`
-	Outer     bool    `json:"outer,omitempty"`
-}
-
-// QueryRequestV2 is one request item of the POST /v2/query payload: the v1
-// fields plus the per-request options the unified engine Request carries.
-type QueryRequestV2 struct {
-	QueryRequest
 	// OnKeys answers the structured query over the given original key
 	// attributes instead of the template's predicate projection (Section
 	// 5.5); Min/Max then bound one value per OnKeys entry.
@@ -69,11 +52,18 @@ type queryV2Payload struct {
 	Requests []QueryRequestV2 `json:"requests,omitempty"`
 }
 
-// QueryResultV2 is one /v2/query result: the v1 answer plus the response
-// metadata v1 dropped. In a batched response a failed item carries Error
-// and zero metadata instead of failing the whole batch.
+// QueryResultV2 is one /v2/query result: the approximate answer, its
+// confidence interval, and the response metadata. In a batched response a
+// failed item carries Error and zero metadata instead of failing the whole
+// batch.
 type QueryResultV2 struct {
-	QueryResponse
+	Estimate        float64 `json:"estimate"`
+	Lo              float64 `json:"lo"`
+	Hi              float64 `json:"hi"`
+	HalfWidth       float64 `json:"halfWidth"`
+	Covered         int     `json:"covered"`
+	Partial         int     `json:"partial"`
+	Outer           bool    `json:"outer,omitempty"`
 	Template        string  `json:"template,omitempty"`
 	SampleSize      int     `json:"sampleSize,omitempty"`
 	Population      int64   `json:"population,omitempty"`
@@ -129,28 +119,6 @@ type WireTuple struct {
 	Vals []float64 `json:"vals"`
 }
 
-// InsertRequest is the POST /v1/insert payload: a batch of new rows.
-type InsertRequest struct {
-	Tuples []WireTuple `json:"tuples"`
-}
-
-// InsertResponse reports how many rows were applied.
-type InsertResponse struct {
-	Inserted int `json:"inserted"`
-}
-
-// DeleteRequest is the POST /v1/delete payload: a batch of row IDs.
-type DeleteRequest struct {
-	IDs []int64 `json:"ids"`
-}
-
-// DeleteResponse reports the applied deletions; Missing lists IDs the
-// archive did not know.
-type DeleteResponse struct {
-	Deleted int     `json:"deleted"`
-	Missing []int64 `json:"missing,omitempty"`
-}
-
 // TemplateInfo describes one registered template.
 type TemplateInfo struct {
 	Name          string `json:"name"`
@@ -158,7 +126,7 @@ type TemplateInfo struct {
 	AggIndex      int    `json:"aggIndex"`
 }
 
-// TemplatesResponse is the GET /v1/templates payload.
+// TemplatesResponse is the GET /v2/templates payload.
 type TemplatesResponse struct {
 	Templates []TemplateInfo `json:"templates"`
 }
@@ -229,21 +197,15 @@ type DebugResponse struct {
 	Stats         janus.EngineStats `json:"stats"`
 }
 
-func toResponse(r janus.Result) QueryResponse {
-	return QueryResponse{
-		Estimate:  r.Estimate,
-		Lo:        r.Interval.Lo(),
-		Hi:        r.Interval.Hi(),
-		HalfWidth: r.Interval.HalfWidth,
-		Covered:   r.Covered,
-		Partial:   r.Partial,
-		Outer:     r.Outer,
-	}
-}
-
 func toResultV2(r janus.Response) QueryResultV2 {
 	out := QueryResultV2{
-		QueryResponse:   toResponse(r.Result),
+		Estimate:        r.Result.Estimate,
+		Lo:              r.Result.Interval.Lo(),
+		Hi:              r.Result.Interval.Hi(),
+		HalfWidth:       r.Result.Interval.HalfWidth,
+		Covered:         r.Result.Covered,
+		Partial:         r.Result.Partial,
+		Outer:           r.Result.Outer,
 		Template:        r.Template,
 		SampleSize:      r.SampleSize,
 		Population:      r.Population,
@@ -274,45 +236,34 @@ func parseFunc(name string) (janus.Func, error) {
 	case "MAX":
 		return janus.FuncMax, nil
 	}
-	return 0, fmt.Errorf("unknown aggregate function %q (want SUM, COUNT, AVG, MIN, or MAX)", name)
+	return 0, fmt.Errorf("%w: unknown aggregate function %q (want SUM, COUNT, AVG, MIN, or MAX)", janus.ErrInvalidRequest, name)
 }
 
-// compileStructured turns a structured QueryRequest into an engine query
-// for a template with the given number of predicate dimensions.
-func compileStructured(req QueryRequest, dims int) (janus.Query, error) {
+// toRequest decodes one wire request into the engine's Request. The
+// structured fields are decoded only for a structured request (a template
+// and no SQL — any other shape is Validate's to judge); the one thing the
+// decode itself can reject is an aggregate name it cannot parse.
+func (req QueryRequestV2) toRequest() (janus.Request, error) {
+	out := janus.Request{
+		SQL:           req.SQL,
+		Template:      req.Template,
+		Confidence:    req.Confidence,
+		MinSyncOffset: req.MinSyncOffset,
+		Trace:         req.Trace,
+	}
+	if len(req.OnKeys) > 0 {
+		out.OnKeys = req.OnKeys
+	}
+	if req.SQL != "" || req.Template == "" {
+		return out, nil
+	}
 	fn, err := parseFunc(req.Func)
 	if err != nil {
-		return janus.Query{}, err
+		return janus.Request{}, err
 	}
-	// NaN makes every comparison false, so a plain range check would wave
-	// it through; test NaN explicitly.
-	if math.IsNaN(req.Confidence) || req.Confidence < 0 || req.Confidence >= 1 {
-		return janus.Query{}, fmt.Errorf("confidence must be in (0,1), got %g", req.Confidence)
-	}
-	rect := janus.Universe(dims)
-	if len(req.Min) > 0 || len(req.Max) > 0 {
-		if len(req.Min) != dims || len(req.Max) != dims {
-			return janus.Query{}, fmt.Errorf("predicate bounds need %d values per side, got min=%d max=%d",
-				dims, len(req.Min), len(req.Max))
-		}
-		for i := range req.Min {
-			lo, hi := req.Min[i], req.Max[i]
-			// Explicit bounds must be finite: NaN slips past the inverted
-			// check below (NaN comparisons are false) and ±Inf "bounds"
-			// reach the engine as a degenerate rect. Omit min/max entirely
-			// to query the full universe.
-			if math.IsNaN(lo) || math.IsNaN(hi) || math.IsInf(lo, 0) || math.IsInf(hi, 0) {
-				return janus.Query{}, fmt.Errorf("non-finite bound on dimension %d (min=%g max=%g); omit min/max for an unbounded predicate", i, lo, hi)
-			}
-			if lo > hi {
-				return janus.Query{}, fmt.Errorf("inverted bounds on dimension %d (%g > %g)", i, lo, hi)
-			}
-		}
-		rect = janus.NewRect(append(janus.Point(nil), req.Min...), append(janus.Point(nil), req.Max...))
-	}
-	aggIdx := -1
+	out.Query = janus.Query{Func: fn, AggIndex: -1, Rect: janus.Rect{Min: req.Min, Max: req.Max}}
 	if req.AggIndex != nil {
-		aggIdx = *req.AggIndex
+		out.Query.AggIndex = *req.AggIndex
 	}
-	return janus.Query{Func: fn, AggIndex: aggIdx, Rect: rect, Confidence: req.Confidence}, nil
+	return out, nil
 }

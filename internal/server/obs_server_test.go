@@ -12,6 +12,7 @@ import (
 
 	janus "janusaqp"
 	"janusaqp/internal/obs"
+	"janusaqp/internal/transport"
 )
 
 // syncBuffer is a mutex-guarded log sink: the handler goroutine writes
@@ -175,30 +176,40 @@ func TestSlowQueryLogEmission(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	resp, raw := postJSON(t, ts.URL+"/v2/query", map[string]any{
-		"sql": "SELECT SUM(tripDistance) FROM trips",
-	})
+	// One JSON query, then a SQL and an on-keys query in the binary codec:
+	// both codecs answer through the same Server.answer, so each is logged
+	// under its own kind.
+	const sql = "SELECT SUM(tripDistance) FROM trips"
+	resp, raw := postJSON(t, ts.URL+"/v2/query", map[string]any{"sql": sql})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, raw)
 	}
-	logged := buf.String()
-	if !strings.Contains(logged, "slow query") {
-		t.Fatalf("no slow-query record in log: %q", logged)
+	for _, req := range []janus.Request{
+		{SQL: sql},
+		{Template: "trips", Query: janus.Query{Func: janus.FuncCount, AggIndex: -1}, OnKeys: []int{0}},
+	} {
+		if resp, out := postBinary(t, ts.URL+"/v2/query", transport.EncodeQueryRequest(req)); resp.StatusCode != http.StatusOK {
+			t.Fatalf("binary %+v: status %d: %v", req, resp.StatusCode, transport.DecodeErrorBody(out))
+		}
 	}
-	var rec map[string]any
-	decodeInto(t, []byte(strings.SplitN(logged, "\n", 2)[0]), &rec)
-	if rec["requestId"] == "" || rec["requestId"] == nil {
-		t.Fatalf("slow-query record carries no requestId: %v", rec)
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	want := []struct{ kind, source string }{{"sql", sql}, {"sql", sql}, {"onKeys", "trips"}}
+	if len(lines) != len(want) {
+		t.Fatalf("%d slow-query records, want %d: %q", len(lines), len(want), buf.String())
 	}
-	if rec["kind"] != "sql" {
-		t.Fatalf("slow-query kind %v, want sql", rec["kind"])
-	}
-	if rec["query"] != "SELECT SUM(tripDistance) FROM trips" {
-		t.Fatalf("slow-query source %v", rec["query"])
+	for i, line := range lines {
+		var rec map[string]any
+		decodeInto(t, []byte(line), &rec)
+		if rec["msg"] != "slow query" || rec["requestId"] == "" || rec["requestId"] == nil {
+			t.Fatalf("record %d is not a slow-query record with a requestId: %v", i, rec)
+		}
+		if rec["kind"] != want[i].kind || rec["query"] != want[i].source {
+			t.Fatalf("record %d is %v %q, want %s %q", i, rec["kind"], rec["query"], want[i].kind, want[i].source)
+		}
 	}
 	_, metricsRaw := getBody(t, ts.URL+"/metrics")
-	if !strings.Contains(string(metricsRaw), "janusd_slow_queries_total 1") {
-		t.Fatalf("janusd_slow_queries_total not incremented:\n%s", metricsRaw)
+	if !strings.Contains(string(metricsRaw), "janusd_slow_queries_total 3") {
+		t.Fatalf("janusd_slow_queries_total did not count all three:\n%s", metricsRaw)
 	}
 
 	// Same query under an unreachable threshold: silence.
@@ -250,7 +261,7 @@ func TestRequestIDPropagation(t *testing.T) {
 	}
 
 	// Inbound ID is honored, not replaced.
-	req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/stats", nil)
+	req, err := http.NewRequest(http.MethodGet, ts.URL+"/v2/stats", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,6 +296,15 @@ func TestObservabilityMetricSeries(t *testing.T) {
 			t.Fatalf("query %v: status %d: %s", body, resp.StatusCode, raw)
 		}
 	}
+	// The binary codec feeds the same per-kind series.
+	for _, req := range []janus.Request{
+		{SQL: "SELECT SUM(tripDistance) FROM trips"},
+		{Template: "trips", Query: janus.Query{Func: janus.FuncCount, AggIndex: -1}, OnKeys: []int{0}},
+	} {
+		if resp, out := postBinary(t, ts.URL+"/v2/query", transport.EncodeQueryRequest(req)); resp.StatusCode != http.StatusOK {
+			t.Fatalf("binary %+v: status %d: %v", req, resp.StatusCode, transport.DecodeErrorBody(out))
+		}
+	}
 	resp, raw := postJSON(t, ts.URL+"/v2/ingest", map[string]any{
 		"tuples": []map[string]any{{"id": 9_000_001, "key": []float64{1234}, "vals": []float64{3.1, 12.5, 1}}},
 	})
@@ -295,11 +315,11 @@ func TestObservabilityMetricSeries(t *testing.T) {
 	_, metricsRaw := getBody(t, ts.URL+"/metrics")
 	out := string(metricsRaw)
 	for _, want := range []string{
-		"janusd_v2_query_requests_total 3",
+		"janusd_v2_query_requests_total 5",
 		"janusd_v2_ingest_requests_total 1",
-		`janusd_query_kind_seconds_count{kind="sql"} 1`,
+		`janusd_query_kind_seconds_count{kind="sql"} 2`,
 		`janusd_query_kind_seconds_count{kind="structured"} 1`,
-		`janusd_query_kind_seconds_count{kind="onKeys"} 1`,
+		`janusd_query_kind_seconds_count{kind="onKeys"} 2`,
 		`janusd_shard_answer_seconds_count{shard="0"}`,
 		`janusd_engine_span_seconds_count{span="insert_batch"} 1`,
 		"janusd_archive_rows 8001",
@@ -355,7 +375,7 @@ func TestAdminEndpointsGated(t *testing.T) {
 	}
 }
 
-// TestStatsPerShardBreakdown checks that /v1/stats over a ShardGroup
+// TestStatsPerShardBreakdown checks that /v2/stats over a ShardGroup
 // carries the per-shard breakdown and that the shard rows sum to the
 // merged totals — the straggler/skew diagnosis view.
 func TestStatsPerShardBreakdown(t *testing.T) {
@@ -366,7 +386,7 @@ func TestStatsPerShardBreakdown(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	resp, raw := getBody(t, ts.URL+"/v1/stats")
+	resp, raw := getBody(t, ts.URL+"/v2/stats")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, raw)
 	}
@@ -395,7 +415,7 @@ func TestStatsPerShardBreakdown(t *testing.T) {
 	defer srv2.Close()
 	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()
-	_, raw = getBody(t, ts2.URL+"/v1/stats")
+	_, raw = getBody(t, ts2.URL+"/v2/stats")
 	var one janus.EngineStats
 	decodeInto(t, raw, &one)
 	if len(one.Shards) != 0 {

@@ -22,11 +22,8 @@
 //	                   (requires a configured resharder; see Options)
 //	GET  /v2/admin/reshard
 //	                   progress of the in-flight (or last) reshard
-//	POST /v1/query     v1 single query (thin wrapper over the v2 path)
-//	POST /v1/insert    v1 row ingestion (now atomic, via InsertBatch)
-//	POST /v1/delete    v1 row deletion
-//	GET  /v1/templates registered query templates
-//	GET  /v1/stats     engine counters and per-template synopsis state
+//	GET  /v2/templates registered query templates
+//	GET  /v2/stats     engine counters and per-template synopsis state
 //	                   (with a per-shard breakdown on a sharded daemon)
 //	GET  /metrics      Prometheus text exposition
 //	GET  /v2/admin/debug
@@ -65,12 +62,12 @@ import (
 	"janusaqp/internal/obs"
 )
 
-// Engine is the v2 surface the server routes to. Both *janus.Engine (one
+// Engine is the surface the server routes to. Both *janus.Engine (one
 // process-local engine) and *janus.ShardGroup (a hash-sharded engine group
 // answering by scatter-gather) implement it, so the same daemon scales from
 // one engine to K data-parallel shards behind one flag.
 type Engine interface {
-	// Do answers one unified v2 query request.
+	// Do answers one query request.
 	Do(ctx context.Context, req janus.Request) (janus.Response, error)
 	// InsertBatch ingests one batch atomically (per shard, for a group).
 	InsertBatch(tuples []janus.Tuple) error
@@ -175,30 +172,18 @@ type Server struct {
 	mux *http.ServeMux
 	reg *metrics.Registry
 
-	queryLatency  *metrics.Histogram
-	insertLatency *metrics.Histogram
-	deleteLatency *metrics.Histogram
+	rowsInserted *metrics.Counter
+	rowsDeleted  *metrics.Counter
+	errors       *metrics.Counter
 
-	queryRequests  *metrics.Counter
-	insertRequests *metrics.Counter
-	deleteRequests *metrics.Counter
-	rowsInserted   *metrics.Counter
-	rowsDeleted    *metrics.Counter
-	errors         *metrics.Counter
-
-	// v2 handlers get their own consistently named series; they used to
-	// share the v1 counters, which made the two surfaces indistinguishable
-	// on a dashboard.
 	queryV2Requests  *metrics.Counter
 	queryV2Latency   *metrics.Histogram
 	ingestV2Requests *metrics.Counter
 	ingestV2Latency  *metrics.Histogram
 
-	// kindLatency series are resolved once (the vec lookup is a sync.Map
-	// load, but the three kinds are known up front).
-	kindSQL        *metrics.Histogram
-	kindStructured *metrics.Histogram
-	kindOnKeys     *metrics.Histogram
+	// kindLatency holds the per-kind series, resolved once: the kinds
+	// (QueryKind) are known up front.
+	kindLatency map[string]*metrics.Histogram
 
 	spanSeconds *metrics.HistogramVec // engine-internal spans, by span name
 	shardAnswer *metrics.HistogramVec // per-shard answer latency, by shard
@@ -260,22 +245,13 @@ func New(eng Engine, opts Options) *Server {
 		mux:     http.NewServeMux(),
 		reg:     reg,
 		maxBody: opts.MaxBodyBytes,
-		queryLatency: reg.Histogram("janusd_query_latency_seconds",
-			"End-to-end /v1/query handling latency."),
-		insertLatency: reg.Histogram("janusd_insert_latency_seconds",
-			"End-to-end /v1/insert handling latency."),
-		deleteLatency: reg.Histogram("janusd_delete_latency_seconds",
-			"End-to-end /v1/delete handling latency."),
 		// Counters are resolved once here: the hot path must only touch
 		// lock-free atomics, never the registry mutex.
-		queryRequests:  reg.Counter("janusd_query_requests_total", "Total /v1/query requests."),
-		insertRequests: reg.Counter("janusd_insert_requests_total", "Total /v1/insert requests."),
-		deleteRequests: reg.Counter("janusd_delete_requests_total", "Total /v1/delete requests."),
-		rowsInserted:   reg.Counter("janusd_rows_inserted_total", "Total rows applied via /v1/insert."),
-		rowsDeleted:    reg.Counter("janusd_rows_deleted_total", "Total rows removed via /v1/delete."),
-		errors:         reg.Counter("janusd_errors_total", "Total requests answered with a non-2xx status."),
-		checkpoint:     opts.Checkpoint,
-		writeHealth:    opts.WriteHealth,
+		rowsInserted: reg.Counter("janusd_rows_inserted_total", "Total rows applied via /v2/ingest."),
+		rowsDeleted:  reg.Counter("janusd_rows_deleted_total", "Total rows removed via /v2/ingest."),
+		errors:       reg.Counter("janusd_errors_total", "Total requests answered with a non-2xx status."),
+		checkpoint:   opts.Checkpoint,
+		writeHealth:  opts.WriteHealth,
 		checkpointLatency: reg.Histogram("janusd_checkpoint_seconds",
 			"Durable checkpoint write latency."),
 		checkpoints:      reg.Counter("janusd_checkpoints_total", "Checkpoints written successfully."),
@@ -314,9 +290,10 @@ func New(eng Engine, opts Options) *Server {
 	}
 	kindLatency := reg.HistogramVec("janusd_query_kind_seconds", "kind",
 		"Engine-side query latency by request kind (sql, structured, onKeys).")
-	s.kindSQL = kindLatency.With("sql")
-	s.kindStructured = kindLatency.With("structured")
-	s.kindOnKeys = kindLatency.With("onKeys")
+	s.kindLatency = make(map[string]*metrics.Histogram)
+	for _, kind := range []string{"sql", "structured", "onKeys"} {
+		s.kindLatency[kind] = kindLatency.With(kind)
+	}
 	if opts.SlowQuery > 0 && opts.Logger != nil {
 		s.slowLog = &obs.SlowQueryLog{Threshold: opts.SlowQuery, Logger: opts.Logger}
 	}
@@ -333,11 +310,8 @@ func New(eng Engine, opts Options) *Server {
 	s.mux.HandleFunc("POST /v2/admin/compact", s.handleCompact)
 	s.mux.HandleFunc("POST /v2/admin/reshard", s.handleReshard)
 	s.mux.HandleFunc("GET /v2/admin/reshard", s.handleReshardStatus)
-	s.mux.HandleFunc("POST /v1/query", s.handleQuery)
-	s.mux.HandleFunc("POST /v1/insert", s.handleInsert)
-	s.mux.HandleFunc("POST /v1/delete", s.handleDelete)
-	s.mux.HandleFunc("GET /v1/templates", s.handleTemplates)
-	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
+	s.mux.HandleFunc("GET /v2/templates", s.handleTemplates)
+	s.mux.HandleFunc("GET /v2/stats", s.handleStats)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	if opts.EnableAdmin {
 		s.mux.HandleFunc("GET /v2/admin/debug", s.handleDebug)
@@ -825,44 +799,17 @@ func statusForEngineErr(err error) int {
 
 // --- query path -------------------------------------------------------------
 
-// buildRequest compiles one wire request into the engine's unified v2
-// Request. Request-shape rules (SQL xor Template, OnKeys with SQL, the
-// confidence range) are Engine.Do's to enforce — statusForEngineErr maps
-// its ErrInvalidRequest onto 400 — so only the wire-level concerns live
-// here: rejecting an empty request with the v1 wording, and resolving the
-// template's dimensionality to compile Min/Max into a rectangle. On
-// failure it returns the HTTP status to answer with.
-func (s *Server) buildRequest(req QueryRequestV2) (janus.Request, int, error) {
-	jreq := janus.Request{
-		SQL:           req.SQL,
-		Template:      req.Template,
-		Confidence:    req.Confidence,
-		MinSyncOffset: req.MinSyncOffset,
+// QueryKind classifies a request — sql, onKeys, or structured — and names
+// its source (the statement, or the template) for the per-kind latency
+// series and the slow-query logs.
+func QueryKind(req janus.Request) (kind, source string) {
+	switch {
+	case req.SQL != "":
+		return "sql", req.SQL
+	case req.OnKeys != nil:
+		return "onKeys", req.Template
 	}
-	if len(req.OnKeys) > 0 {
-		jreq.OnKeys = req.OnKeys
-	}
-	if req.SQL == "" {
-		if req.Template == "" {
-			return janus.Request{}, http.StatusBadRequest, fmt.Errorf("request needs sql or template")
-		}
-		// The predicate rectangle spans the template's own dims, or the
-		// queried original-key dims for an on-keys request.
-		dims := len(req.OnKeys)
-		if dims == 0 {
-			tmpl, ok := s.eng.Template(req.Template)
-			if !ok {
-				return janus.Request{}, http.StatusNotFound, fmt.Errorf("unknown template %q", req.Template)
-			}
-			dims = len(tmpl.PredicateDims)
-		}
-		q, err := compileStructured(req.QueryRequest, dims)
-		if err != nil {
-			return janus.Request{}, http.StatusBadRequest, err
-		}
-		jreq.Query = q
-	}
-	return jreq, 0, nil
+	return "structured", req.Template
 }
 
 // maxSyncWait caps a minSyncOffset wait when the request carries no
@@ -870,17 +817,11 @@ func (s *Server) buildRequest(req QueryRequestV2) (janus.Request, int, error) {
 // handler goroutine until the client disconnects.
 const maxSyncWait = 30 * time.Second
 
-// answerV2 runs one wire request through Engine.Do. The returned status is
-// http.StatusOK on success; otherwise the result carries Error. It feeds
-// the per-kind latency series and the slow-query log; the request ID for
-// the latter rides the context, put there by the middleware.
-func (s *Server) answerV2(ctx context.Context, req QueryRequestV2) (QueryResultV2, int) {
-	jreq, status, err := s.buildRequest(req)
-	if err != nil {
-		return QueryResultV2{Error: err.Error()}, status
-	}
-	jreq.Trace = req.Trace
-	timeout := time.Duration(req.TimeoutMillis) * time.Millisecond
+// answer runs one decoded request through Engine.Do — the one serving path
+// behind both /v2/query codecs. It owns the request's time budget, the
+// per-kind latency series, and the slow-query log; the request ID for the
+// latter rides the context, put there by the middleware.
+func (s *Server) answer(ctx context.Context, req janus.Request, timeout time.Duration) (janus.Response, error) {
 	if timeout <= 0 && req.MinSyncOffset > 0 {
 		timeout = maxSyncWait
 	}
@@ -889,28 +830,26 @@ func (s *Server) answerV2(ctx context.Context, req QueryRequestV2) (QueryResultV
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	var kind string
-	var kindHist *metrics.Histogram
-	switch {
-	case req.SQL != "":
-		kind, kindHist = "sql", s.kindSQL
-	case len(req.OnKeys) > 0:
-		kind, kindHist = "onKeys", s.kindOnKeys
-	default:
-		kind, kindHist = "structured", s.kindStructured
-	}
+	kind, source := QueryKind(req)
 	start := time.Now()
-	resp, err := s.eng.Do(ctx, jreq)
+	resp, err := s.eng.Do(ctx, req)
 	elapsed := time.Since(start)
-	kindHist.Observe(elapsed.Seconds())
+	s.kindLatency[kind].Observe(elapsed.Seconds())
 	if s.slowLog != nil && elapsed >= s.slowLog.Threshold {
 		s.slowQueries.Inc()
-		source := req.SQL
-		if source == "" {
-			source = req.Template
-		}
 		s.slowLog.Note(obs.RequestIDFrom(ctx), kind, source, elapsed)
 	}
+	return resp, err
+}
+
+// answerV2 decodes and answers one JSON wire request. The returned status
+// is http.StatusOK on success; otherwise the result carries Error.
+func (s *Server) answerV2(ctx context.Context, req QueryRequestV2) (QueryResultV2, int) {
+	jreq, err := req.toRequest()
+	if err != nil {
+		return QueryResultV2{Error: err.Error()}, statusForEngineErr(err)
+	}
+	resp, err := s.answer(ctx, jreq, time.Duration(req.TimeoutMillis)*time.Millisecond)
 	if err != nil {
 		return QueryResultV2{Error: err.Error()}, statusForEngineErr(err)
 	}
@@ -971,78 +910,9 @@ func (s *Server) handleQueryV2(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, res)
 }
 
-// handleQuery serves POST /v1/query as a thin wrapper over the v2 path,
-// answering with the v1 response shape.
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	defer s.queryLatency.ObserveSince(start)
-	s.queryRequests.Inc()
-
-	var req QueryRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	res, status := s.answerV2(r.Context(), QueryRequestV2{QueryRequest: req})
-	if status != http.StatusOK {
-		s.writeError(w, status, "%s", res.Error)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, res.QueryResponse)
-}
-
 // --- ingest path ------------------------------------------------------------
 
-// ingest applies one insert batch and one delete batch through the v2
-// engine entry points. The insert batch is atomic per engine: a
-// schema-mismatch or duplicate-id tuple rejects the whole batch with
-// nothing applied on a single engine, and rejects the offending shard's
-// whole sub-batch on a ShardGroup (other shards' sub-batches land — see
-// the ShardGroup type comment; the 4xx answer still reports the error).
-func (s *Server) ingest(req IngestRequest) (IngestResponse, int, error) {
-	tuples := make([]janus.Tuple, len(req.Tuples))
-	for i, t := range req.Tuples {
-		tuples[i] = janus.Tuple{ID: t.ID, Key: janus.Point(t.Key), Vals: t.Vals}
-	}
-	if err := s.eng.InsertBatch(tuples); err != nil {
-		return IngestResponse{}, statusForEngineErr(err), err
-	}
-	s.rowsInserted.Add(uint64(len(tuples)))
-	resp := IngestResponse{Inserted: len(tuples)}
-	if len(req.DeleteIDs) > 0 {
-		n, err := s.eng.DeleteBatch(req.DeleteIDs)
-		resp.Deleted = n
-		s.rowsDeleted.Add(uint64(n))
-		var missing *janus.BatchIDError
-		if errors.As(err, &missing) {
-			// Unknown ids are reported, not failed: the rows the caller
-			// wanted gone are gone either way.
-			resp.Missing = missing.IDs
-		} else if err != nil {
-			return resp, statusForEngineErr(err), err
-		}
-	}
-	if err := s.durableAckErr(); err != nil {
-		return resp, http.StatusServiceUnavailable, err
-	}
-	return resp, http.StatusOK, nil
-}
-
-// durableAckErr refuses to acknowledge a batch the durable log did not
-// persist. The check runs after the apply: a topic latches its first
-// write-through failure during the publish itself, so the very batch that
-// hit the failed write — and every one after it — answers 503 instead of
-// promising durability the disk no longer provides.
-func (s *Server) durableAckErr() error {
-	if s.writeHealth == nil {
-		return nil
-	}
-	if err := s.writeHealth(); err != nil {
-		return fmt.Errorf("durable log write failed; batch applied in memory only, restart will lose it: %w", err)
-	}
-	return nil
-}
-
-// handleIngest serves POST /v2/ingest.
+// handleIngest serves POST /v2/ingest (see ApplyIngest for the semantics).
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer s.ingestV2Latency.ObserveSince(start)
@@ -1056,105 +926,18 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	if len(req.Tuples) == 0 && len(req.DeleteIDs) == 0 {
-		s.writeError(w, http.StatusBadRequest, "ingest batch is empty")
-		return
+	tuples := make([]janus.Tuple, len(req.Tuples))
+	for i, t := range req.Tuples {
+		tuples[i] = janus.Tuple{ID: t.ID, Key: janus.Point(t.Key), Vals: t.Vals}
 	}
-	resp, status, err := s.ingest(req)
+	rep, err := ApplyIngest(s.eng, s.writeHealth, tuples, req.DeleteIDs)
+	s.rowsInserted.Add(uint64(rep.Inserted))
+	s.rowsDeleted.Add(uint64(rep.Deleted))
 	if err != nil {
-		s.writeError(w, status, "%v", err)
+		s.writeError(w, statusForEngineErr(err), "%v", err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, resp)
-}
-
-// handleInsert serves POST /v1/insert as a wrapper over the batch ingest
-// path. Unlike v1's tuple-at-a-time loop, the batch is now atomic — a
-// rejected tuple no longer leaves earlier tuples of its batch applied.
-func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	defer s.insertLatency.ObserveSince(start)
-	s.insertRequests.Inc()
-
-	var req InsertRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	if len(req.Tuples) == 0 {
-		s.writeError(w, http.StatusBadRequest, "insert batch is empty")
-		return
-	}
-	// Pre-check arities against every registered template so the error
-	// names what the daemon's schema needs; the engine would reject these
-	// too (ErrSchemaMismatch), but per-template rather than per-daemon.
-	minKeyDims, minVals := 0, 0
-	for _, name := range s.eng.Templates() {
-		if t, ok := s.eng.Template(name); ok {
-			for _, d := range t.PredicateDims {
-				if d+1 > minKeyDims {
-					minKeyDims = d + 1
-				}
-			}
-		}
-		// The synopsis tracks NumVals aggregation columns (not just the
-		// template's focus AggIndex) — SQL can aggregate any of them.
-		if st, err := s.eng.StatsFor(name); err == nil && st.NumVals > minVals {
-			minVals = st.NumVals
-		}
-	}
-	for _, t := range req.Tuples {
-		if len(t.Key) == 0 {
-			s.writeError(w, http.StatusBadRequest, "tuple %d has no key attributes", t.ID)
-			return
-		}
-		if len(t.Key) < minKeyDims {
-			s.writeError(w, http.StatusBadRequest,
-				"tuple %d has %d key attributes; registered templates need %d", t.ID, len(t.Key), minKeyDims)
-			return
-		}
-		if len(t.Vals) < minVals {
-			s.writeError(w, http.StatusBadRequest,
-				"tuple %d has %d aggregation attributes; registered templates need %d", t.ID, len(t.Vals), minVals)
-			return
-		}
-	}
-	resp, status, err := s.ingest(IngestRequest{Tuples: req.Tuples})
-	if err != nil {
-		// A duplicate live ID violates the stream contract (producers must
-		// assign fresh IDs); the batch is rejected atomically.
-		s.writeError(w, status, "%v (applied 0 of %d)", err, len(req.Tuples))
-		return
-	}
-	s.writeJSON(w, http.StatusOK, InsertResponse{Inserted: resp.Inserted})
-}
-
-// handleDelete serves POST /v1/delete as a wrapper over DeleteBatch.
-func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	defer s.deleteLatency.ObserveSince(start)
-	s.deleteRequests.Inc()
-
-	var req DeleteRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	if len(req.IDs) == 0 {
-		s.writeError(w, http.StatusBadRequest, "delete batch is empty")
-		return
-	}
-	resp := DeleteResponse{}
-	n, err := s.eng.DeleteBatch(req.IDs)
-	resp.Deleted = n
-	var missing *janus.BatchIDError
-	if errors.As(err, &missing) {
-		resp.Missing = missing.IDs
-	}
-	s.rowsDeleted.Add(uint64(resp.Deleted))
-	if err := s.durableAckErr(); err != nil {
-		s.writeError(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, http.StatusOK, IngestResponse{Inserted: rep.Inserted, Deleted: rep.Deleted, Missing: rep.Missing})
 }
 
 func (s *Server) handleTemplates(w http.ResponseWriter, r *http.Request) {

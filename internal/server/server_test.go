@@ -86,7 +86,10 @@ func TestIntegrationSQLOverHTTP(t *testing.T) {
 	// Let the background pump finish catch-up so covered-node estimates
 	// tighten, as a long-running daemon's would.
 	deadline := time.Now().Add(5 * time.Second)
-	for eng.CatchUpProgress("trips") < 0.10 && time.Now().Before(deadline) {
+	for time.Now().Before(deadline) {
+		if st, err := eng.StatsFor("trips"); err != nil || st.CatchUpProgress >= 0.10 {
+			break
+		}
 		time.Sleep(2 * time.Millisecond)
 	}
 
@@ -101,11 +104,11 @@ func TestIntegrationSQLOverHTTP(t *testing.T) {
 	sql := fmt.Sprintf(
 		"SELECT SUM(tripDistance) FROM trips WHERE pickupTime BETWEEN %g AND %g WITH CONFIDENCE 0.999",
 		lo, hi)
-	resp, raw := postJSON(t, ts.URL+"/v1/query", QueryRequest{SQL: sql})
+	resp, raw := postJSON(t, ts.URL+"/v2/query", QueryRequestV2{SQL: sql})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, raw)
 	}
-	var qr QueryResponse
+	var qr QueryResultV2
 	decodeInto(t, raw, &qr)
 	if qr.Lo > truth || truth > qr.Hi {
 		t.Fatalf("interval [%g, %g] does not cover exact answer %g (estimate %g)",
@@ -124,12 +127,12 @@ func TestStructuredQueryInsertDelete(t *testing.T) {
 	defer ts.Close()
 
 	// Baseline COUNT(*) over the whole universe.
-	count := func() QueryResponse {
-		resp, raw := postJSON(t, ts.URL+"/v1/query", QueryRequest{Template: "trips", Func: "count"})
+	count := func() QueryResultV2 {
+		resp, raw := postJSON(t, ts.URL+"/v2/query", QueryRequestV2{Template: "trips", Func: "count"})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("count status %d: %s", resp.StatusCode, raw)
 		}
-		var qr QueryResponse
+		var qr QueryResultV2
 		decodeInto(t, raw, &qr)
 		return qr
 	}
@@ -139,7 +142,7 @@ func TestStructuredQueryInsertDelete(t *testing.T) {
 	}
 
 	// Batched insert of 500 fresh rows.
-	batch := InsertRequest{}
+	batch := IngestRequest{}
 	fresh, err := workload.Generate(workload.NYCTaxi, 500, 5_000_000, 11)
 	if err != nil {
 		t.Fatal(err)
@@ -147,11 +150,11 @@ func TestStructuredQueryInsertDelete(t *testing.T) {
 	for _, tp := range fresh {
 		batch.Tuples = append(batch.Tuples, WireTuple{ID: tp.ID, Key: tp.Key, Vals: tp.Vals})
 	}
-	resp, raw := postJSON(t, ts.URL+"/v1/insert", batch)
+	resp, raw := postJSON(t, ts.URL+"/v2/ingest", batch)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("insert status %d: %s", resp.StatusCode, raw)
 	}
-	var ir InsertResponse
+	var ir IngestResponse
 	decodeInto(t, raw, &ir)
 	if ir.Inserted != 500 {
 		t.Fatalf("Inserted = %d, want 500", ir.Inserted)
@@ -164,11 +167,11 @@ func TestStructuredQueryInsertDelete(t *testing.T) {
 	}
 
 	// Batched delete: 2 live IDs and one unknown.
-	resp, raw = postJSON(t, ts.URL+"/v1/delete", DeleteRequest{IDs: []int64{fresh[0].ID, fresh[1].ID, 99_999_999}})
+	resp, raw = postJSON(t, ts.URL+"/v2/ingest", IngestRequest{DeleteIDs: []int64{fresh[0].ID, fresh[1].ID, 99_999_999}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("delete status %d: %s", resp.StatusCode, raw)
 	}
-	var dr DeleteResponse
+	var dr IngestResponse
 	decodeInto(t, raw, &dr)
 	if dr.Deleted != 2 || len(dr.Missing) != 1 || dr.Missing[0] != 99_999_999 {
 		t.Fatalf("delete response = %+v, want 2 deleted, missing [99999999]", dr)
@@ -183,9 +186,9 @@ func TestTemplatesStatsMetricsEndpoints(t *testing.T) {
 	defer ts.Close()
 
 	// A query so the latency histogram has at least one observation.
-	postJSON(t, ts.URL+"/v1/query", QueryRequest{Template: "trips", Func: "SUM"})
+	postJSON(t, ts.URL+"/v2/query", QueryRequestV2{Template: "trips", Func: "SUM"})
 
-	resp, err := http.Get(ts.URL + "/v1/templates")
+	resp, err := http.Get(ts.URL + "/v2/templates")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +200,7 @@ func TestTemplatesStatsMetricsEndpoints(t *testing.T) {
 		t.Fatalf("templates = %+v, want [trips]", tr)
 	}
 
-	resp, err = http.Get(ts.URL + "/v1/stats")
+	resp, err = http.Get(ts.URL + "/v2/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,13 +216,13 @@ func TestTemplatesStatsMetricsEndpoints(t *testing.T) {
 	}
 
 	// Regression: stats must not leak a synopsis read lock — a write
-	// immediately after /v1/stats has to succeed (it wedged forever when
+	// immediately after /v2/stats has to succeed (it wedged forever when
 	// Stats forgot to RUnlock).
 	insDone := make(chan struct{})
 	go func() {
 		defer close(insDone)
-		resp, raw := postJSON(t, ts.URL+"/v1/insert",
-			InsertRequest{Tuples: []WireTuple{{ID: 7_000_001, Key: []float64{1, 2, 3}, Vals: []float64{1, 1, 1}}}})
+		resp, raw := postJSON(t, ts.URL+"/v2/ingest",
+			IngestRequest{Tuples: []WireTuple{{ID: 7_000_001, Key: []float64{1, 2, 3}, Vals: []float64{1, 1, 1}}}})
 		if resp.StatusCode != http.StatusOK {
 			t.Errorf("insert after stats: status %d: %s", resp.StatusCode, raw)
 		}
@@ -227,7 +230,7 @@ func TestTemplatesStatsMetricsEndpoints(t *testing.T) {
 	select {
 	case <-insDone:
 	case <-time.After(10 * time.Second):
-		t.Fatal("insert after /v1/stats wedged: leaked synopsis lock")
+		t.Fatal("insert after /v2/stats wedged: leaked synopsis lock")
 	}
 
 	resp, err = http.Get(ts.URL + "/metrics")
@@ -238,9 +241,9 @@ func TestTemplatesStatsMetricsEndpoints(t *testing.T) {
 	resp.Body.Close()
 	body := string(raw)
 	for _, want := range []string{
-		"janusd_query_requests_total 1",
-		"# TYPE janusd_query_latency_seconds histogram",
-		"janusd_query_latency_seconds_count 1",
+		"janusd_v2_query_requests_total 1",
+		"# TYPE janusd_v2_query_latency_seconds histogram",
+		"janusd_v2_query_latency_seconds_count 1",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, body)
@@ -270,23 +273,23 @@ func TestErrorPaths(t *testing.T) {
 		wantStatus       int
 		wantErr          string
 	}{
-		{"malformed json", "/v1/query", `{"sql":`, http.StatusBadRequest, "malformed request body"},
-		{"unknown field", "/v1/query", `{"quack":1}`, http.StatusBadRequest, "malformed request body"},
-		{"neither sql nor template", "/v1/query", `{}`, http.StatusBadRequest, "needs sql or template"},
-		{"both sql and template", "/v1/query", `{"sql":"SELECT COUNT(*) FROM trips","template":"trips"}`, http.StatusBadRequest, "not both"},
-		{"unknown template", "/v1/query", `{"template":"nope","func":"SUM"}`, http.StatusNotFound, "unknown template"},
-		{"unknown table", "/v1/query", `{"sql":"SELECT COUNT(*) FROM nope"}`, http.StatusNotFound, "no template registered"},
-		{"malformed sql", "/v1/query", `{"sql":"SELEC COUNT(*) FROM trips"}`, http.StatusBadRequest, "sqlparse"},
-		{"bad aggregate", "/v1/query", `{"template":"trips","func":"MEDIAN"}`, http.StatusBadRequest, "unknown aggregate function"},
-		{"bad bounds arity", "/v1/query", `{"template":"trips","func":"SUM","min":[0,1],"max":[2,3]}`, http.StatusBadRequest, "predicate bounds"},
-		{"inverted bounds", "/v1/query", `{"template":"trips","func":"SUM","min":[5],"max":[1]}`, http.StatusBadRequest, "inverted bounds"},
-		{"bad confidence", "/v1/query", `{"template":"trips","func":"SUM","confidence":2}`, http.StatusBadRequest, "confidence"},
-		{"non-predicate column", "/v1/query", `{"sql":"SELECT SUM(tripDistance) FROM trips WHERE nope < 5"}`, http.StatusBadRequest, "not a predicate column"},
-		{"empty insert", "/v1/insert", `{"tuples":[]}`, http.StatusBadRequest, "empty"},
-		{"keyless tuple", "/v1/insert", `{"tuples":[{"id":1,"vals":[1]}]}`, http.StatusBadRequest, "no key attributes"},
-		{"short vals", "/v1/insert", `{"tuples":[{"id":1000001,"key":[1,2,3],"vals":[1]}]}`, http.StatusBadRequest, "aggregation attributes"},
-		{"duplicate id", "/v1/insert", `{"tuples":[{"id":3,"key":[1,2,3],"vals":[1,1,1]}]}`, http.StatusConflict, "duplicate"},
-		{"empty delete", "/v1/delete", `{"ids":[]}`, http.StatusBadRequest, "empty"},
+		{"malformed json", "/v2/query", `{"sql":`, http.StatusBadRequest, "malformed request body"},
+		{"unknown field", "/v2/query", `{"quack":1}`, http.StatusBadRequest, "malformed request body"},
+		{"neither sql nor template", "/v2/query", `{}`, http.StatusBadRequest, "needs sql or template"},
+		{"both sql and template", "/v2/query", `{"sql":"SELECT COUNT(*) FROM trips","template":"trips"}`, http.StatusBadRequest, "not both"},
+		{"unknown template", "/v2/query", `{"template":"nope","func":"SUM"}`, http.StatusNotFound, "unknown template"},
+		{"unknown table", "/v2/query", `{"sql":"SELECT COUNT(*) FROM nope"}`, http.StatusNotFound, "no template registered"},
+		{"malformed sql", "/v2/query", `{"sql":"SELEC COUNT(*) FROM trips"}`, http.StatusBadRequest, "sqlparse"},
+		{"bad aggregate", "/v2/query", `{"template":"trips","func":"MEDIAN"}`, http.StatusBadRequest, "unknown aggregate function"},
+		{"bad bounds arity", "/v2/query", `{"template":"trips","func":"SUM","min":[0,1],"max":[2,3]}`, http.StatusBadRequest, "predicate bounds"},
+		{"inverted bounds", "/v2/query", `{"template":"trips","func":"SUM","min":[5],"max":[1]}`, http.StatusBadRequest, "inverted bounds"},
+		{"bad confidence", "/v2/query", `{"template":"trips","func":"SUM","confidence":2}`, http.StatusBadRequest, "confidence"},
+		{"non-predicate column", "/v2/query", `{"sql":"SELECT SUM(tripDistance) FROM trips WHERE nope < 5"}`, http.StatusBadRequest, "not a predicate column"},
+		{"empty insert", "/v2/ingest", `{"tuples":[]}`, http.StatusBadRequest, "empty"},
+		{"keyless tuple", "/v2/ingest", `{"tuples":[{"id":1000002,"vals":[1]}]}`, http.StatusBadRequest, "key attributes"},
+		{"short vals", "/v2/ingest", `{"tuples":[{"id":1000001,"key":[1,2,3],"vals":[1]}]}`, http.StatusBadRequest, "aggregation attributes"},
+		{"duplicate id", "/v2/ingest", `{"tuples":[{"id":3,"key":[1,2,3],"vals":[1,1,1]}]}`, http.StatusConflict, "duplicate"},
+		{"empty delete", "/v2/ingest", `{"deleteIds":[]}`, http.StatusBadRequest, "empty"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -303,18 +306,18 @@ func TestErrorPaths(t *testing.T) {
 	}
 
 	// Method mismatches are rejected by the mux.
-	resp, err := http.Get(ts.URL + "/v1/query")
+	resp, err := http.Get(ts.URL + "/v2/query")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /v1/query status = %d, want 405", resp.StatusCode)
+		t.Fatalf("GET /v2/query status = %d, want 405", resp.StatusCode)
 	}
 }
 
 // TestV2QuerySingleWithMetadata: a single /v2/query request answers with
-// the v1 fields plus the metadata v1 dropped.
+// the estimate, its interval, and the response metadata.
 func TestV2QuerySingleWithMetadata(t *testing.T) {
 	eng, tuples := newTestEngine(t, 10000)
 	srv := New(eng, Options{})
@@ -322,9 +325,7 @@ func TestV2QuerySingleWithMetadata(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	resp, raw := postJSON(t, ts.URL+"/v2/query", QueryRequestV2{
-		QueryRequest: QueryRequest{Template: "trips", Func: "COUNT"},
-	})
+	resp, raw := postJSON(t, ts.URL+"/v2/query", QueryRequestV2{Template: "trips", Func: "COUNT"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, raw)
 	}
@@ -339,10 +340,8 @@ func TestV2QuerySingleWithMetadata(t *testing.T) {
 
 	// On-keys: predicate over dropoffTime (key dim 1), which the trips
 	// template does not index.
-	resp, raw = postJSON(t, ts.URL+"/v2/query", QueryRequestV2{
-		QueryRequest: QueryRequest{Template: "trips", Func: "COUNT",
-			Min: []float64{0}, Max: []float64{1e12}},
-		OnKeys: []int{1},
+	resp, raw = postJSON(t, ts.URL+"/v2/query", QueryRequestV2{Template: "trips", Func: "COUNT",
+		Min: []float64{0}, Max: []float64{1e12}, OnKeys: []int{1},
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("on-keys status %d: %s", resp.StatusCode, raw)
@@ -402,9 +401,7 @@ func TestV2IngestAtomicity(t *testing.T) {
 	defer ts.Close()
 
 	count := func() float64 {
-		_, raw := postJSON(t, ts.URL+"/v2/query", QueryRequestV2{
-			QueryRequest: QueryRequest{Template: "trips", Func: "COUNT"},
-		})
+		_, raw := postJSON(t, ts.URL+"/v2/query", QueryRequestV2{Template: "trips", Func: "COUNT"})
 		var qr QueryResultV2
 		decodeInto(t, raw, &qr)
 		return qr.Estimate
@@ -472,9 +469,7 @@ func TestV2QueryTimeout(t *testing.T) {
 	defer ts.Close()
 
 	start := time.Now()
-	resp, raw := postJSON(t, ts.URL+"/v2/query", QueryRequestV2{
-		QueryRequest:  QueryRequest{Template: "trips", Func: "COUNT"},
-		MinSyncOffset: 1_000_000,
+	resp, raw := postJSON(t, ts.URL+"/v2/query", QueryRequestV2{Template: "trips", Func: "COUNT", MinSyncOffset: 1_000_000,
 		TimeoutMillis: 50,
 	})
 	if resp.StatusCode != http.StatusGatewayTimeout {
@@ -501,8 +496,8 @@ func TestInsertShortKeyRejected(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	resp, raw := postJSON(t, ts.URL+"/v1/insert",
-		InsertRequest{Tuples: []WireTuple{{ID: 42_000_000, Key: []float64{1}, Vals: []float64{1, 1, 1}}}})
+	resp, raw := postJSON(t, ts.URL+"/v2/ingest",
+		IngestRequest{Tuples: []WireTuple{{ID: 42_000_000, Key: []float64{1}, Vals: []float64{1, 1, 1}}}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("short-key insert status = %d, want 400 (body %s)", resp.StatusCode, raw)
 	}
@@ -510,14 +505,14 @@ func TestInsertShortKeyRejected(t *testing.T) {
 		t.Fatalf("error does not mention key arity: %s", raw)
 	}
 	// The engine must still accept well-formed traffic afterwards.
-	resp, raw = postJSON(t, ts.URL+"/v1/insert",
-		InsertRequest{Tuples: []WireTuple{{ID: 42_000_001, Key: []float64{1, 2, 3}, Vals: []float64{1, 1, 1}}}})
+	resp, raw = postJSON(t, ts.URL+"/v2/ingest",
+		IngestRequest{Tuples: []WireTuple{{ID: 42_000_001, Key: []float64{1, 2, 3}, Vals: []float64{1, 1, 1}}}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("well-formed insert after rejection: status %d: %s", resp.StatusCode, raw)
 	}
 }
 
-// TestConcurrentQueryInsert drives mixed /v1/query and /v1/insert traffic
+// TestConcurrentQueryInsert drives mixed /v2/query and /v2/ingest traffic
 // against a live server across two templates. Run under -race it checks
 // the sharded engine locking end to end.
 func TestConcurrentQueryInsert(t *testing.T) {
@@ -551,7 +546,7 @@ func TestConcurrentQueryInsert(t *testing.T) {
 				tmpl = "fares"
 			}
 			for i := 0; i < opsPerReader; i++ {
-				resp, raw := postJSON(t, ts.URL+"/v1/query", QueryRequest{Template: tmpl, Func: "SUM"})
+				resp, raw := postJSON(t, ts.URL+"/v2/query", QueryRequestV2{Template: tmpl, Func: "SUM"})
 				if resp.StatusCode != http.StatusOK {
 					errc <- fmt.Errorf("reader %d: status %d: %s", r, resp.StatusCode, raw)
 					return
@@ -569,11 +564,11 @@ func TestConcurrentQueryInsert(t *testing.T) {
 				return
 			}
 			for i := 0; i < len(fresh); i += writeBatchSize {
-				batch := InsertRequest{}
+				batch := IngestRequest{}
 				for _, tp := range fresh[i : i+writeBatchSize] {
 					batch.Tuples = append(batch.Tuples, WireTuple{ID: tp.ID, Key: tp.Key, Vals: tp.Vals})
 				}
-				resp, raw := postJSON(t, ts.URL+"/v1/insert", batch)
+				resp, raw := postJSON(t, ts.URL+"/v2/ingest", batch)
 				if resp.StatusCode != http.StatusOK {
 					errc <- fmt.Errorf("writer %d: status %d: %s", w, resp.StatusCode, raw)
 					return
@@ -688,9 +683,7 @@ func TestAdminCompactEndpoint(t *testing.T) {
 	}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("ingest after compaction: status %d: %s", resp.StatusCode, raw)
 	}
-	if resp, raw := postJSON(t, ts.URL+"/v2/query", QueryRequestV2{
-		QueryRequest: QueryRequest{Template: "trips", Func: "COUNT"},
-	}); resp.StatusCode != http.StatusOK {
+	if resp, raw := postJSON(t, ts.URL+"/v2/query", QueryRequestV2{Template: "trips", Func: "COUNT"}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("query after compaction: status %d: %s", resp.StatusCode, raw)
 	}
 	// A second pass against the new checkpoint reclaims the fresh row.
@@ -874,7 +867,7 @@ func TestServerOverShardGroup(t *testing.T) {
 	}
 
 	// Merged stats: archive rows across shards, one template entry.
-	st, err := http.Get(ts.URL + "/v1/stats")
+	st, err := http.Get(ts.URL + "/v2/stats")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	janus "janusaqp"
@@ -17,7 +19,9 @@ import (
 // an error or a valid request, never panic, and never allocate attribute
 // vectors beyond what the body's own length can justify. A successful
 // decode must normalize: re-encoding it and decoding again is a fixed
-// point (byte-identical the second time around).
+// point (byte-identical the second time around). Every decoded request
+// then meets janus.Request.Validate, the gate between this codec and the
+// engine: it must never panic, and what it passes carries no NaN.
 func FuzzDecodeQueryRequest(f *testing.F) {
 	f.Add(EncodeQueryRequest(janus.Request{SQL: "SELECT COUNT(*) FROM t", Confidence: 0.95}))
 	f.Add(EncodeQueryRequest(janus.Request{Template: "trips"}))
@@ -32,6 +36,10 @@ func FuzzDecodeQueryRequest(f *testing.F) {
 	f.Add(EncodeQueryRequest(janus.Request{
 		Template: "trips", OnKeys: []int{0, 2},
 		Query: janus.Query{Rect: geom.Rect{Min: geom.Point{1, 2}, Max: geom.Point{3, 4}}},
+	}))
+	f.Add(EncodeQueryRequest(janus.Request{
+		Template: "trips", Confidence: math.NaN(),
+		Query: janus.Query{Rect: geom.Rect{Min: geom.Point{math.NaN()}, Max: geom.Point{1}}},
 	}))
 	// Adversarial seeds: truncated mid-string, a rect length word claiming
 	// more floats than the body holds, trailing garbage.
@@ -58,6 +66,14 @@ func FuzzDecodeQueryRequest(f *testing.F) {
 		}
 		if re2 := EncodeQueryRequest(req2); !bytes.Equal(re, re2) {
 			t.Fatalf("re-encoding is not a fixed point:\n1st %x\n2nd %x", re, re2)
+		}
+		if req.Validate() != nil {
+			return
+		}
+		for _, v := range slices.Concat(req.Query.Rect.Min, req.Query.Rect.Max, []float64{req.Confidence, req.Query.Confidence}) {
+			if math.IsNaN(v) {
+				t.Fatalf("Validate passed a NaN: %+v", req)
+			}
 		}
 	})
 }

@@ -452,13 +452,7 @@ func AppendIngestReply(buf []byte, rep IngestReply) []byte {
 
 // EncodeIngestReply encodes rep.
 func EncodeIngestReply(rep IngestReply) []byte {
-	buf := make([]byte, 0, 40+8*len(rep.Missing))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(rep.Inserted))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(rep.Deleted))
-	buf = appendI64s(buf, rep.Missing)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(rep.InsLen))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(rep.DelLen))
-	return buf
+	return AppendIngestReply(make([]byte, 0, 40+8*len(rep.Missing)), rep)
 }
 
 // DecodeIngestReply inverts EncodeIngestReply.

@@ -10,8 +10,8 @@
 // leaf partitions, answers queries from the synopsis alone, and
 // continuously monitors its own error to trigger re-partitioning.
 //
-// Basic usage (the v2 API: batched typed-error ingest, one context-aware
-// read entry point):
+// Basic usage (batched typed-error ingest, one context-aware read entry
+// point):
 //
 //	b := janus.NewBroker()
 //	// ... publish historical data to b ...
@@ -37,8 +37,6 @@
 // RegisterSchema), on-keys queries (Request.OnKeys, Section 5.5), and
 // per-request options: confidence level, a deadline via ctx, and
 // read-your-writes against a followed broker (Request.MinSyncOffset).
-// The v1 entry points (Query, QuerySQL, Insert, Delete, ...) remain as
-// deprecated one-line wrappers.
 package janus
 
 import (

@@ -32,11 +32,11 @@ func TestEngineSaveLoadTemplate(t *testing.T) {
 		t.Error("duplicate load must error")
 	}
 	q := Query{Func: FuncSum, AggIndex: -1, Rect: Universe(1)}
-	a, err := eng.Query("trips", q)
+	a, err := query(eng, "trips", q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, err := eng2.Query("trips", q)
+	b2, err := query(eng2, "trips", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,9 +46,9 @@ func TestEngineSaveLoadTemplate(t *testing.T) {
 	// The restored engine keeps maintaining the synopsis.
 	fresh, _ := workload.Generate(workload.NYCTaxi, 1000, 5_000_000, 42)
 	for _, tp := range fresh {
-		eng2.Insert(tp)
+		insert1(t, eng2, tp)
 	}
-	after, err := eng2.Query("trips", q)
+	after, err := query(eng2, "trips", q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,24 +83,24 @@ func TestQuerySQL(t *testing.T) {
 		t.Fatal(err)
 	}
 	span := tuples[len(tuples)-1].Key[0]
-	res, err := eng.QuerySQL("SELECT COUNT(*) FROM trips WHERE pickup >= 0")
+	res, err := querySQL(eng, "SELECT COUNT(*) FROM trips WHERE pickup >= 0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(res.Estimate-20000) > 20000*0.02 {
 		t.Errorf("SQL COUNT(*) = %g, want ~20000", res.Estimate)
 	}
-	res, err = eng.QuerySQL("SELECT AVG(fare) FROM trips WITH CONFIDENCE 0.99")
+	res, err = querySQL(eng, "SELECT AVG(fare) FROM trips WITH CONFIDENCE 0.99")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Estimate <= 0 {
 		t.Errorf("SQL AVG(fare) = %g", res.Estimate)
 	}
-	if _, err := eng.QuerySQL("SELECT SUM(distance) FROM unknown"); err == nil {
+	if _, err := querySQL(eng, "SELECT SUM(distance) FROM unknown"); err == nil {
 		t.Error("unknown table must error")
 	}
-	if _, err := eng.QuerySQL("SELECT NOPE(x) FROM trips"); err == nil {
+	if _, err := querySQL(eng, "SELECT NOPE(x) FROM trips"); err == nil {
 		t.Error("bad SQL must error")
 	}
 	// Schema validation.

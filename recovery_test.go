@@ -25,6 +25,7 @@ package janus_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -223,8 +224,8 @@ func TestCrashRecoveryThroughServer(t *testing.T) {
 	gen := workload.NewQueryGen(3, boot, []int{0})
 	for _, fn := range []janus.Func{janus.FuncSum, janus.FuncCount, janus.FuncAvg, janus.FuncMin, janus.FuncMax} {
 		for _, q := range gen.Workload(40, fn) {
-			want, errW := ref.Query("trips", q)
-			got, errG := recovered.Query("trips", q)
+			want, errW := query(ref, "trips", q)
+			got, errG := query(recovered, "trips", q)
 			if (errW == nil) != (errG == nil) {
 				t.Fatalf("func %v over %v: error mismatch %v vs %v", fn, q.Rect, errW, errG)
 			}
@@ -241,7 +242,7 @@ func TestCrashRecoveryThroughServer(t *testing.T) {
 		}
 	}
 	// SQL keeps working on the recovered engine (the schema was restored).
-	if _, err := recovered.QuerySQL("SELECT AVG(fare) FROM trips"); err != nil {
+	if _, err := recovered.Do(context.Background(), janus.Request{SQL: "SELECT AVG(fare) FROM trips"}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -287,7 +288,7 @@ func TestRecoverWithoutCheckpointBootsColdOffLog(t *testing.T) {
 	}
 	// Cold boot over the recovered archive works.
 	eng2 := bootRecoveryEngine(t, st2.Broker())
-	res, err := eng2.Query("trips", janus.Query{Func: janus.FuncCount, AggIndex: -1, Rect: janus.Universe(1)})
+	res, err := query(eng2, "trips", janus.Query{Func: janus.FuncCount, AggIndex: -1, Rect: janus.Universe(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,8 +465,8 @@ func assertSameAnswers(t *testing.T, layout string, ref, got *janus.Engine, seed
 	gen := workload.NewQueryGen(3, seedTuples, []int{0})
 	for _, fn := range []janus.Func{janus.FuncSum, janus.FuncCount, janus.FuncAvg, janus.FuncMin, janus.FuncMax} {
 		for _, q := range gen.Workload(25, fn) {
-			want, errW := ref.Query("trips", q)
-			have, errG := got.Query("trips", q)
+			want, errW := query(ref, "trips", q)
+			have, errG := query(got, "trips", q)
 			if (errW == nil) != (errG == nil) {
 				t.Fatalf("%s: func %v over %v: error mismatch %v vs %v", layout, fn, q.Rect, errW, errG)
 			}

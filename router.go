@@ -145,6 +145,11 @@ func splitIDsByShard(ids []int64, shards int) [][]int64 {
 // combined confidence interval. began is when the caller started preparing
 // the request; a traced request reports the time since as StageResolve.
 func (r *Router) Do(ctx context.Context, req Request, began time.Time) (Response, error) {
+	// Reject a malformed request here, not after K round trips under a
+	// "shard 0:" prefix.
+	if err := req.Validate(); err != nil {
+		return Response{}, err
+	}
 	// Trace stamps are contiguous — [began,resolved] resolve, [resolved,
 	// start] syncWait, [start,scattered] scatter, [scattered,·] merge — so
 	// the group-level stage durations sum exactly to Elapsed. None are

@@ -12,7 +12,7 @@ import (
 
 // ShardGroup is the scale-out form of the engine: K independent Engine
 // shards, each owning a disjoint hash-partition of the data (by tuple id),
-// presented behind the same v2 surface as a single Engine.
+// presented behind the same surface as a single Engine.
 //
 // The scatter-gather itself — hash-partitioned parallel ingest, fanned-out
 // queries merged into one estimate with a combined confidence interval,
@@ -273,20 +273,20 @@ func (g *ShardGroup) Do(ctx context.Context, req Request) (Response, error) {
 	// with this query swaps the pointer for later requests, while this one
 	// scatter-gathers over a consistent shard set.
 	ly := g.layout.Load()
-	name, q, onKeys, err := ly.shards[0].resolveRequest(req)
-	if err != nil {
+	// Validating and resolving before the router parks on the watermark
+	// also fails fast: a malformed request or an unknown template can only
+	// ever fail, and the watermark may never advance.
+	if err := req.Validate(); err != nil {
 		return Response{}, err
 	}
-	if req.MinSyncOffset > 0 {
-		// Fail fast before parking on the watermark: an unknown template
-		// can only ever fail, and the watermark may never advance. SQL
-		// requests already resolved their table above.
-		if _, ok := ly.shards[0].lookup(name); !ok {
-			return Response{}, fmt.Errorf("janus: %w %q", ErrUnknownTemplate, name)
-		}
+	// Registrations are identical on every shard, so what shard 0 cannot
+	// resolve no shard can — the lowest failing shard reports.
+	s, q, onKeys, err := ly.shards[0].resolveRequest(req)
+	if err != nil {
+		return Response{}, shardErr(0, err)
 	}
 	return ly.router.Do(ctx, Request{
-		Template: name, Query: q, OnKeys: onKeys,
+		Template: s.tmpl.Name, Query: q, OnKeys: onKeys,
 		MinSyncOffset: req.MinSyncOffset, Trace: req.Trace,
 	}, began)
 }

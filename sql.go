@@ -1,7 +1,6 @@
 package janus
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -98,16 +97,4 @@ func (e *Engine) compileSQL(sql string) (string, Query, error) {
 		return "", Query{}, err
 	}
 	return name, q, nil
-}
-
-// QuerySQL parses and answers one SQL statement against the registered
-// schemas:
-//
-//	res, err := eng.QuerySQL("SELECT SUM(distance) FROM trips WHERE pickup BETWEEN 0 AND 3600")
-//
-// Deprecated: use Do with Request.SQL, which adds per-request options and
-// response metadata.
-func (e *Engine) QuerySQL(sql string) (Result, error) {
-	resp, err := e.Do(context.Background(), Request{SQL: sql})
-	return resp.Result, err
 }

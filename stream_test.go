@@ -37,7 +37,7 @@ func TestSyncFollowsExternalStream(t *testing.T) {
 	if n := eng.Sync(producer, &st); n != 0 {
 		t.Fatalf("drained Sync applied %d, want 0", n)
 	}
-	res, err := eng.Query("trips", Query{Func: FuncCount, AggIndex: -1, Rect: Universe(1)})
+	res, err := query(eng, "trips", Query{Func: FuncCount, AggIndex: -1, Rect: Universe(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
