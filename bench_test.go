@@ -74,8 +74,6 @@ func BenchmarkTable4Samplers(b *testing.B) { runExperiment(b, experiments.RunTab
 // BenchmarkAblationBeta sweeps the re-partitioning threshold.
 func BenchmarkAblationBeta(b *testing.B) { runExperiment(b, experiments.RunAblationBeta) }
 
-// BenchmarkAblationIndexes compares the range-aggregate backends.
-
 // BenchmarkAblationCatchupSeed measures pooled-sample seeding.
 func BenchmarkAblationCatchupSeed(b *testing.B) { runExperiment(b, experiments.RunAblationCatchupSeed) }
 

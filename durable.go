@@ -340,6 +340,9 @@ func (st *Store) logBytes() int64 {
 func (st *Store) WriteCheckpoint(e *Engine) (CheckpointInfo, error) {
 	st.ckptMu.Lock()
 	defer st.ckptMu.Unlock()
+	if st.closed {
+		return CheckpointInfo{}, ErrStoreClosed
+	}
 	tmp := filepath.Join(st.dir, checkpointName+".tmp")
 	f, err := os.Create(tmp)
 	if err != nil {

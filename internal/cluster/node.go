@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 	"time"
 
@@ -36,6 +37,9 @@ type Node struct {
 	eng     *janus.Engine
 	store   *janus.Store // nil on an ephemeral node
 	standby *Standby     // non-nil while in the standby role
+	// observe is re-installed on every engine and store the node comes to
+	// serve, so an install or promotion keeps feeding the same metrics.
+	observe janus.SpanObserver
 
 	// Slow is the node's slow-query sink; the frame's request ID (minted
 	// coordinator-side) is stamped on each record, so coordinator and
@@ -62,6 +66,34 @@ func (n *Node) Engine() *janus.Engine {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	return n.eng
+}
+
+// Store returns the node's current durable store (nil on an ephemeral
+// node). An install swaps engine and store together; a caller pairing the
+// two must read Store first — the worst a racing install then leaves it
+// with is the retired, closed store, which refuses every publish.
+func (n *Node) Store() *janus.Store {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	return n.store
+}
+
+// SetSpanObserver installs fn on the serving engine and store, and on
+// every pair a later install or promotion swaps in.
+func (n *Node) SetSpanObserver(fn janus.SpanObserver) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.observe = fn
+	n.instrumentLocked()
+}
+
+func (n *Node) instrumentLocked() {
+	if n.eng != nil {
+		n.eng.SetSpanObserver(n.observe)
+	}
+	if n.store != nil {
+		n.store.SetSpanObserver(n.observe)
+	}
 }
 
 // broker returns the node's broker regardless of role: the serving
@@ -99,6 +131,7 @@ func (n *Node) Promote() error {
 	n.eng = eng
 	n.store = n.standby.Store()
 	n.standby = nil
+	n.instrumentLocked()
 	return nil
 }
 
@@ -310,6 +343,7 @@ func (n *Node) serveInstall(f transport.Frame, w *transport.ResponseWriter) {
 		}
 		n.eng = eng
 	}
+	n.instrumentLocked()
 	w.Reply(transport.EncodeStatus(n.status()))
 }
 
@@ -336,6 +370,14 @@ func (n *Node) installDurableLocked(req transport.InstallRequest) error {
 	}
 	if err := os.Rename(staging, dir); err != nil {
 		return fmt.Errorf("cluster: install: swapping in new state: %w", err)
+	}
+	parent, err := os.Open(filepath.Dir(dir))
+	if err == nil {
+		err = parent.Sync()
+		_ = parent.Close()
+	}
+	if err != nil {
+		return fmt.Errorf("cluster: install: syncing the swap: %w", err)
 	}
 	st, err := janus.OpenStore(dir)
 	if err != nil {

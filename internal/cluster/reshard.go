@@ -30,10 +30,10 @@ import (
 //     cross-topic merge rule crash recovery uses. A source whose own
 //     background checkpoint+compaction moves under the fetch is simply
 //     refetched.
-//  3. Route + build — the union of live rows re-routes by
-//     ShardIndex(id, K′) into K′ fresh brokers; a target engine carrying
-//     every source template and schema is built over each and
-//     checkpointed to bytes.
+//  3. Route + build — the reconstructed sources form an in-memory
+//     ShardGroup and ShardGroup.Reshard moves it to K′ shards (rows
+//     re-route by ShardIndex(id, K′), every source template and schema is
+//     built on each target); each target engine is checkpointed to bytes.
 //  4. Install + swap — each image ships to its target node (MsgInstall),
 //     which replaces that node's entire local state (durably staged via
 //     DIR.install). Queries pause only for this window; then the slot set
@@ -51,8 +51,6 @@ const (
 	// reshardFetchAttempts bounds the refetch loop a source node's
 	// concurrent checkpoint+compaction can force.
 	reshardFetchAttempts = 3
-	// reshardRouteBatch bounds one re-routed publish into a target broker.
-	reshardRouteBatch = 4096
 )
 
 // errCompacted reports a tail poll that found the source compacted past
@@ -105,29 +103,25 @@ func (c *Coordinator) Reshard(ctx context.Context, newPeers []string, newStandby
 		sources[i] = eng
 	}
 
-	// Phase 3: route the union of live rows into K′ fresh brokers, build
-	// a complete engine over each, and checkpoint it to an install image.
-	targets := make([]*janus.Broker, kNew)
-	for j := range targets {
-		targets[j] = janus.NewBroker()
+	// Phase 3: route + build is the in-memory reshard of the reconstructed
+	// sources; each target shard is then checkpointed to an install image.
+	group, err := janus.NewShardGroup(sources)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: reshard: %w", err)
 	}
-	var copied int64
-	for i, src := range sources {
-		n, err := routeArchive(src.Broker().Archive(), targets)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: reshard: routing source shard %d: %w", i, err)
-		}
-		copied += n
+	live := group.Stats().ArchiveRows
+	rep, err := group.Reshard(ctx, janus.ReshardOptions{TargetShards: kNew, Config: cfg})
+	if err != nil {
+		return nil, fmt.Errorf("cluster: reshard: %w", err)
+	}
+	if rep.RowsCopied != live {
+		// The copy skips an id already live in its target: a shortfall means
+		// two source shards held the same id (corrupt cluster state).
+		return nil, fmt.Errorf("cluster: reshard: routed %d rows but the sources hold %d live: an id is live on more than one source shard", rep.RowsCopied, live)
 	}
 	images := make([][]byte, kNew)
-	for j, b := range targets {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("cluster: reshard canceled: %w", err)
-		}
-		eng, err := janus.BuildReshardTarget(cfg.WithShardSeed(j), b, sources[0], j)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: reshard: %w", err)
-		}
+	for j := range images {
+		eng := group.Shard(j)
 		// Drain catch-up so the checkpointed install image is fully caught up.
 		for eng.PumpCatchUp() {
 		}
@@ -164,19 +158,11 @@ func (c *Coordinator) Reshard(ctx context.Context, newPeers []string, newStandby
 		}
 	}
 	c.layout.Store(next)
-	epoch := c.epoch.Add(1)
-	pause := time.Since(pauseStart)
+	rep.Epoch = c.epoch.Add(1)
+	rep.CopyDuration, rep.CutoverPause = copyDur, time.Since(pauseStart)
 	c.swapMu.Unlock()
 	closeSlots(old)
-
-	return &janus.ReshardReport{
-		FromShards:   len(old),
-		ToShards:     kNew,
-		Epoch:        epoch,
-		RowsCopied:   copied,
-		CopyDuration: copyDur,
-		CutoverPause: pause,
-	}, nil
+	return rep, nil
 }
 
 // fetchShardState rebuilds one source shard's exact live state in memory:
@@ -271,39 +257,6 @@ func replayTail(a *broker.Archive, ins, del []broker.Record) (err error) {
 		}
 	}
 	return nil
-}
-
-// routeArchive re-routes one source archive's live rows into the target
-// brokers by ShardIndex(id, K′), publishing in bounded batches, and
-// returns how many rows moved. A cross-shard duplicate id (corrupt
-// cluster state) errors rather than panicking.
-func routeArchive(a *broker.Archive, targets []*janus.Broker) (moved int64, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("%v", r)
-		}
-	}()
-	k := len(targets)
-	batches := make([][]janus.Tuple, k)
-	flush := func(j int) {
-		targets[j].PublishInsertBatch(batches[j])
-		moved += int64(len(batches[j]))
-		batches[j] = batches[j][:0]
-	}
-	a.ForEach(func(t janus.Tuple) bool {
-		j := janus.ShardIndex(t.ID, k)
-		batches[j] = append(batches[j], t)
-		if len(batches[j]) == reshardRouteBatch {
-			flush(j)
-		}
-		return true
-	})
-	for j := range batches {
-		if len(batches[j]) > 0 {
-			flush(j)
-		}
-	}
-	return moved, nil
 }
 
 // closeSlots discards a retired slot set's pooled connections.

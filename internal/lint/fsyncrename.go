@@ -14,11 +14,13 @@ import (
 // crash publish a rename pointing at unwritten bytes; skipping the
 // directory fsync lets the rename itself vanish. The check is scoped to
 // the files that own that protocol — durable.go, persist.go, layout.go,
-// and internal/broker — where every os.Rename is a publication.
+// internal/broker, and internal/cluster/node.go (the install swap) —
+// where every os.Rename is a publication.
 var FsyncRename = &Analyzer{
 	Name: "fsyncrename",
 	Doc: "a rename publishing a durable artifact needs tmp-file fsync before and directory fsync after\n\n" +
-		"In durable.go, persist.go, layout.go, and internal/broker: any\n" +
+		"In durable.go, persist.go, layout.go, internal/broker, and\n" +
+		"internal/cluster/node.go: any\n" +
 		"function calling os.Rename must fsync what it wrote beforehand\n" +
 		"(when the function itself created the file) and must fsync the\n" +
 		"containing directory afterwards (a .Sync() call or syncDir helper\n" +
@@ -26,27 +28,31 @@ var FsyncRename = &Analyzer{
 	Run: runFsyncRename,
 }
 
-// fsyncScopeFiles are the base names of root-package files that implement
-// the durable-write protocol.
+// fsyncScopeFiles are the base names of files that implement the
+// durable-write protocol in any package fsyncScopePkgs does not name.
 var fsyncScopeFiles = map[string]bool{
 	"durable.go": true,
 	"persist.go": true,
 	"layout.go":  true,
 }
 
-// fsyncScopePkgSuffixes scope whole packages into the check.
-var fsyncScopePkgSuffixes = []string{"internal/broker"}
+// fsyncScopePkgs scope packages (by import-path suffix) into the check:
+// a nil file set takes the whole package, otherwise only the named files.
+var fsyncScopePkgs = map[string]map[string]bool{
+	"internal/broker":  nil,
+	"internal/cluster": {"node.go": true},
+}
 
 func runFsyncRename(pass *Pass) error {
-	pkgInScope := false
-	for _, suf := range fsyncScopePkgSuffixes {
+	files := fsyncScopeFiles
+	for suf, pkgFiles := range fsyncScopePkgs {
 		if pass.Pkg.Path() == suf || strings.HasSuffix(pass.Pkg.Path(), "/"+suf) {
-			pkgInScope = true
+			files = pkgFiles
 		}
 	}
 	for _, f := range pass.Files {
 		name := filepath.Base(pass.Fset.Position(f.Pos()).Filename)
-		if !pkgInScope && !fsyncScopeFiles[name] {
+		if files != nil && !files[name] {
 			continue
 		}
 		for _, decl := range f.Decls {

@@ -3,7 +3,6 @@ package workload
 import (
 	"math"
 
-	"janusaqp/internal/bst"
 	"janusaqp/internal/core"
 	"janusaqp/internal/data"
 	"janusaqp/internal/geom"
@@ -17,24 +16,16 @@ import (
 // 2000-query workload does not require a full scan per query.
 type Truth struct {
 	idx      *kdindex.Tree
-	line     *bst.Tree         // 1-D fast path: order-statistic treap
-	lineKeys map[int64]float64 // id -> coordinate for 1-D deletions
 	dims     []int
 	aggIndex int
 }
 
 // NewTruth builds a ground-truth engine over the projection dims (nil =
-// identity) aggregating attribute aggIndex. One-dimensional projections
-// use the order-statistic treap (internal/bst) — the same "simple dynamic
-// search binary tree" of Section 4.2 — which answers interval aggregates
-// in O(log n); higher dimensions use the k-d aggregate index.
+// identity) aggregating attribute aggIndex.
 func NewTruth(keyDims int, dims []int, aggIndex int) *Truth {
 	d := keyDims
 	if dims != nil {
 		d = len(dims)
-	}
-	if d == 1 {
-		return &Truth{line: bst.New(1), lineKeys: make(map[int64]float64), dims: dims, aggIndex: aggIndex}
 	}
 	return &Truth{idx: kdindex.New(d), dims: dims, aggIndex: aggIndex}
 }
@@ -48,40 +39,21 @@ func (tr *Truth) project(t data.Tuple) geom.Point {
 
 // Insert mirrors an insertion.
 func (tr *Truth) Insert(t data.Tuple) {
-	if tr.line != nil {
-		k := tr.project(t)[0]
-		tr.line.Insert(bst.Entry{Key: k, ID: t.ID, Val: t.Val(tr.aggIndex)})
-		tr.lineKeys[t.ID] = k
-		return
-	}
 	tr.idx.Insert(kdindex.Entry{Point: tr.project(t), Val: t.Val(tr.aggIndex), ID: t.ID})
 }
 
 // Delete mirrors a deletion.
 func (tr *Truth) Delete(id int64) {
-	if tr.line != nil {
-		if k, ok := tr.lineKeys[id]; ok {
-			tr.line.Delete(k, id)
-			delete(tr.lineKeys, id)
-		}
-		return
-	}
 	tr.idx.Delete(id)
 }
 
 // Len returns the live tuple count.
 func (tr *Truth) Len() int {
-	if tr.line != nil {
-		return tr.line.Len()
-	}
 	return tr.idx.Len()
 }
 
 // Answer computes the exact result of the query.
 func (tr *Truth) Answer(q core.Query) float64 {
-	if tr.line != nil {
-		return tr.answer1D(q)
-	}
 	m := tr.idx.RangeMoments(q.Rect)
 	switch q.Func {
 	case core.FuncSum:
@@ -100,44 +72,6 @@ func (tr *Truth) Answer(q core.Query) float64 {
 		}
 		found := false
 		tr.idx.Report(q.Rect, func(e kdindex.Entry) bool {
-			found = true
-			if q.Func == core.FuncMin && e.Val < best {
-				best = e.Val
-			}
-			if q.Func == core.FuncMax && e.Val > best {
-				best = e.Val
-			}
-			return true
-		})
-		if !found {
-			return 0
-		}
-		return best
-	}
-	return 0
-}
-
-// answer1D serves the treap-backed fast path.
-func (tr *Truth) answer1D(q core.Query) float64 {
-	lo, hi := q.Rect.Min[0], q.Rect.Max[0]
-	m := tr.line.RangeMoments(lo, hi)
-	switch q.Func {
-	case core.FuncSum:
-		return m.Sum
-	case core.FuncCount:
-		return float64(m.N)
-	case core.FuncAvg:
-		if m.N == 0 {
-			return 0
-		}
-		return m.Sum / float64(m.N)
-	case core.FuncMin, core.FuncMax:
-		best := math.Inf(1)
-		if q.Func == core.FuncMax {
-			best = math.Inf(-1)
-		}
-		found := false
-		tr.line.AscendRange(lo, hi, func(e bst.Entry) bool {
 			found = true
 			if q.Func == core.FuncMin && e.Val < best {
 				best = e.Val

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -136,7 +137,8 @@ func shardEntry(name string) (k int, isNew, ok bool) {
 	return k, isNew, true
 }
 
-// LayoutRecovery reports what RecoverShardLayout did to a data directory.
+// LayoutRecovery reports what RecoverShardLayout did to a data directory
+// and what layout it holds afterwards.
 type LayoutRecovery struct {
 	// Layout is the committed manifest, nil for a legacy directory.
 	Layout *ShardLayout
@@ -146,11 +148,20 @@ type LayoutRecovery struct {
 	// RolledForward reports that a committed-but-unfinalized reshard (a
 	// crash after the manifest, before the renames) was completed.
 	RolledForward bool
+	// Fresh: the directory is missing or holds no data at all — a first
+	// boot.
+	Fresh bool
+	// RootForm: the legacy single-engine layout — segment logs and
+	// checkpoint in the root itself, no manifest, no shard directories.
+	RootForm bool
+	// Shards is the on-disk layout width: 1 for the root form, 0 when
+	// fresh.
+	Shards int
 }
 
 // RecoverShardLayout brings a data directory to exactly one consistent
-// shard layout before any store is opened. Call it first on every boot of
-// a directory that may have resharded:
+// shard layout before any store is opened, and reports which. Call it
+// first on every boot of a durable directory:
 //
 //   - no manifest: any shard-k.new directory is an uncommitted reshard's
 //     partial copy — removed; the legacy layout (root files or shard-k
@@ -162,52 +173,148 @@ type LayoutRecovery struct {
 //     shard the rename is completed, stale old-layout files are removed,
 //     and the manifest is rewritten as finalized. Idempotent: a crash
 //     during recovery recovers again.
+//
+// Hash routing is a pure function of (id, K), so a boot path must know
+// the on-disk K before opening any store; serving a width that disagrees
+// with it means resharding the directory, never appending under the wrong
+// K. Structural damage is refused with the full found-vs-expected layout
+// enumerated: shard-k entries that are not directories, gaps or strays in
+// the shard-dir sequence, single-engine logs mixed with shard directories,
+// or a manifest the directories contradict.
 func RecoverShardLayout(root string) (LayoutRecovery, error) {
 	var rec LayoutRecovery
 	ly, ok, err := ReadShardLayout(root)
 	if err != nil {
 		return rec, err
 	}
-	if _, serr := os.Stat(root); errors.Is(serr, os.ErrNotExist) {
-		return rec, nil
-	}
-	if !ok || !ly.Pending {
-		if ok {
-			rec.Layout = &ly
+	if ok && ly.Pending {
+		// Committed but unfinalized: complete the move.
+		if err := finalizeLayoutDirs(root, ly.Shards); err != nil {
+			return rec, fmt.Errorf("janus: rolling layout forward: %w", err)
 		}
-		// Sweep uncommitted target litter; the serving layout is complete
-		// without it (every acked write during a failed copy also landed in
-		// the source layout — dual-write mirrors, it never redirects).
-		entries, err := os.ReadDir(root)
-		if err != nil {
+		ly.Pending = false
+		if err := writeShardLayout(root, ly); err != nil {
 			return rec, err
 		}
-		for _, e := range entries {
-			if _, isNew, isShard := shardEntry(e.Name()); isShard && isNew && e.IsDir() {
+		rec.RolledForward = true
+	}
+	if ok {
+		rec.Layout, rec.Shards = &ly, ly.Shards
+	}
+	entries, err := os.ReadDir(root)
+	if errors.Is(err, os.ErrNotExist) {
+		rec.Fresh = true
+		return rec, nil
+	}
+	if err != nil {
+		return rec, err
+	}
+
+	var found []int
+	var notDirs []string
+	rootLogs := false
+	for _, e := range entries {
+		k, isNew, isShard := shardEntry(e.Name())
+		switch {
+		case !isShard:
+			switch e.Name() {
+			case insertsLogName, deletesLogName, checkpointName:
+				rootLogs = true
+			}
+		case isNew:
+			// Uncommitted target litter; the serving layout is complete
+			// without it (every acked write during a failed copy also landed
+			// in the source layout — dual-write mirrors, it never redirects).
+			if e.IsDir() {
 				if err := os.RemoveAll(filepath.Join(root, e.Name())); err != nil {
 					return rec, fmt.Errorf("janus: removing abandoned %s: %w", e.Name(), err)
 				}
 				rec.RemovedNew = append(rec.RemovedNew, e.Name())
 			}
+		case !e.IsDir():
+			notDirs = append(notDirs, e.Name())
+		default:
+			found = append(found, k)
 		}
-		if len(rec.RemovedNew) > 0 {
-			if err := syncDir(root); err != nil {
-				return rec, err
-			}
+	}
+	if len(rec.RemovedNew) > 0 {
+		if err := syncDir(root); err != nil {
+			return rec, err
 		}
-		return rec, nil
 	}
-	// Committed but unfinalized: complete the move.
-	if err := finalizeLayoutDirs(root, ly.Shards); err != nil {
-		return rec, fmt.Errorf("janus: rolling layout forward: %w", err)
+	sort.Ints(found)
+	if len(notDirs) > 0 {
+		return rec, fmt.Errorf("data dir %s: %s: not a directory (a shard layout holds one shard-k directory per shard); shard directories found: [%s]",
+			root, strings.Join(notDirs, ", "), shardDirNames(found))
 	}
-	ly.Pending = false
-	if err := writeShardLayout(root, ly); err != nil {
-		return rec, err
+	contiguous := func(width int) bool {
+		return len(found) == width && (width == 0 || found[width-1] == width-1)
 	}
-	rec.Layout = &ly
-	rec.RolledForward = true
+	switch {
+	case ok:
+		expected := fmt.Sprintf("the manifest's %d-shard layout (shard-0..shard-%d)", ly.Shards, ly.Shards-1)
+		if rootLogs {
+			return rec, fmt.Errorf("data dir %s: expected %s but single-engine root logs are present alongside [%s]",
+				root, expected, shardDirNames(found))
+		}
+		if !contiguous(ly.Shards) {
+			return rec, layoutMismatch(root, found, ly.Shards, expected)
+		}
+	case rootLogs && len(found) > 0:
+		return rec, fmt.Errorf("data dir %s holds both single-engine root logs and shard directories [%s]; move one layout aside",
+			root, shardDirNames(found))
+	case rootLogs:
+		rec.RootForm, rec.Shards = true, 1
+	case len(found) > 0:
+		width := found[len(found)-1] + 1
+		if !contiguous(width) {
+			return rec, layoutMismatch(root, found, width,
+				fmt.Sprintf("a contiguous %d-shard layout (shard-0..shard-%d)", width, width-1))
+		}
+		rec.Shards = width
+	default:
+		rec.Fresh = true
+	}
 	return rec, nil
+}
+
+// shardDirNames renders a shard-index list as its directory names, e.g.
+// "shard-0, shard-2".
+func shardDirNames(ks []int) string {
+	names := make([]string, len(ks))
+	for i, k := range ks {
+		names[i] = fmt.Sprintf("shard-%d", k)
+	}
+	return strings.Join(names, ", ")
+}
+
+// layoutMismatch builds the found-vs-expected error for a shard-dir set
+// that doesn't form the expected contiguous shard-0..shard-(width-1)
+// layout, enumerating every missing and extra directory.
+func layoutMismatch(dir string, found []int, width int, expected string) error {
+	have := make(map[int]bool, len(found))
+	var extra []int
+	for _, k := range found {
+		have[k] = true
+		if k >= width {
+			extra = append(extra, k)
+		}
+	}
+	var missing []int
+	for k := 0; k < width; k++ {
+		if !have[k] {
+			missing = append(missing, k)
+		}
+	}
+	var probs []string
+	if len(missing) > 0 {
+		probs = append(probs, "missing "+shardDirNames(missing))
+	}
+	if len(extra) > 0 {
+		probs = append(probs, "extra "+shardDirNames(extra))
+	}
+	return fmt.Errorf("data dir %s: expected %s but found [%s] (%s)",
+		dir, expected, shardDirNames(found), strings.Join(probs, "; "))
 }
 
 // finalizeLayoutDirs rewrites the directory to the committed shards-wide

@@ -777,7 +777,8 @@ func TestOpenStoreRefusesUnreadableCheckpoint(t *testing.T) {
 // contract: Store.Close detaches the write-through writers under the
 // topic locks, so a straggler publish latches the ErrStoreClosed sentinel
 // — not the OS's "file already closed" — and a clean close with no
-// stragglers latches nothing. Close is idempotent.
+// stragglers latches nothing; a checkpoint after Close is refused the same
+// way. Close is idempotent.
 func TestPublishAfterCloseLatchesErrStoreClosed(t *testing.T) {
 	dir := t.TempDir()
 	st, err := janus.OpenStore(dir)
@@ -789,11 +790,22 @@ func TestPublishAfterCloseLatchesErrStoreClosed(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.Broker().PublishInsertBatch(boot)
+	eng := bootRecoveryEngine(t, st.Broker())
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.WriteErr(); err != nil {
 		t.Fatalf("clean close latched %v", err)
+	}
+	// A closed store publishes nothing: a checkpoint hook that outlived a
+	// store swap must not rename a stale image into the directory.
+	if _, err := st.WriteCheckpoint(eng); !errors.Is(err, janus.ErrStoreClosed) {
+		t.Fatalf("WriteCheckpoint after Close = %v, want ErrStoreClosed", err)
+	}
+	for _, name := range []string{"checkpoint.db", "checkpoint.db.tmp"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("WriteCheckpoint on a closed store left %s behind (stat: %v)", name, err)
+		}
 	}
 	st.Broker().PublishInsert(janus.Tuple{ID: 900001, Key: janus.Point{1}, Vals: []float64{1}})
 	if err := st.WriteErr(); !errors.Is(err, janus.ErrStoreClosed) {

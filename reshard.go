@@ -355,7 +355,7 @@ func (g *ShardGroup) Reshard(ctx context.Context, opts ReshardOptions) (*Reshard
 		// quiescent under AddTemplate's sampling; mirrors routed to this
 		// shard wait, the other target shards keep absorbing theirs.
 		ts.mu.Lock()
-		eng, err := BuildReshardTarget(opts.Config.WithShardSeed(j), ts.broker, src, j)
+		eng, err := buildReshardTarget(opts.Config.WithShardSeed(j), ts.broker, src, j)
 		if err == nil {
 			ts.eng = eng
 		}
@@ -416,12 +416,11 @@ func (g *ShardGroup) Reshard(ctx context.Context, opts ReshardOptions) (*Reshard
 	return report, nil
 }
 
-// BuildReshardTarget constructs target shard number shard's engine over its
+// buildReshardTarget constructs target shard number shard's engine over its
 // loaded broker b, building every template (and schema) of src — any
 // engine of the source layout; registrations are identical across its
-// shards — on it. It is the build step of both reshard drivers: the
-// in-process ShardGroup.Reshard and the cluster coordinator's.
-func BuildReshardTarget(cfg Config, b *Broker, src *Engine, shard int) (*Engine, error) {
+// shards — on it.
+func buildReshardTarget(cfg Config, b *Broker, src *Engine, shard int) (*Engine, error) {
 	names := src.Templates()
 	if b.Archive().Len() == 0 && len(names) > 0 {
 		// A synopsis cannot initialize from an empty archive; an empty
