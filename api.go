@@ -112,32 +112,17 @@ func (e *Engine) Do(ctx context.Context, req Request) (Response, error) {
 		// [waited,·] answer.
 		waited = start
 	}
-	// A canceled context must not consume a read lock the caller no longer
-	// wants; past this point the answer is pure in-memory computation.
-	if err := ctx.Err(); err != nil {
-		return Response{}, err
-	}
-	sp := e.spans.start()
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var res Result
-	if onKeys != nil {
-		res, err = s.dpt.AnswerUniform(q, onKeys)
-	} else {
-		res, err = s.dpt.Answer(q)
-	}
+	a, err := e.answerShard(ctx, s, q, onKeys)
 	if err != nil {
 		return Response{}, err
 	}
-	e.spans.end(SpanShardAnswer, 0, sp)
-	resp := Response{
-		Result:          res,
-		Template:        s.tmpl.Name,
-		SampleSize:      s.dpt.SampleSize(),
-		Population:      s.dpt.Population(),
-		CatchUpProgress: s.dpt.CatchUpProgress(),
-		Elapsed:         time.Since(start),
+	// A single engine is the K = 1 case of a scatter-gather: its one
+	// answer goes through the merge a Router runs over K of them.
+	resp, err := mergeAnswers([]ShardAnswer{a})
+	if err != nil {
+		return Response{}, err
 	}
+	resp.Elapsed = time.Since(start)
 	if req.Trace {
 		resolveDur := resolved.Sub(t0)
 		answerDur := time.Since(waited)
@@ -268,6 +253,21 @@ func (e *Engine) AnswerPartial(ctx context.Context, req Request) (ShardAnswer, e
 	if err != nil {
 		return ShardAnswer{}, err
 	}
+	a, err := e.answerShard(ctx, s, q, onKeys)
+	if err != nil {
+		return ShardAnswer{}, err
+	}
+	if req.Trace {
+		a.Stages = []TraceStage{{Stage: StageAnswer, Dur: time.Since(t0)}}
+	}
+	return a, nil
+}
+
+// answerShard answers a resolved query against synopsis s under its read
+// lock — the one "answer this shard" step behind Do and AnswerPartial.
+func (e *Engine) answerShard(ctx context.Context, s *synopsis, q Query, onKeys []int) (ShardAnswer, error) {
+	// A canceled context must not consume a read lock the caller no longer
+	// wants; past this point the answer is pure in-memory computation.
 	if err := ctx.Err(); err != nil {
 		return ShardAnswer{}, err
 	}
@@ -275,6 +275,7 @@ func (e *Engine) AnswerPartial(ctx context.Context, req Request) (ShardAnswer, e
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var p core.Partial
+	var err error
 	if onKeys != nil {
 		p, err = s.dpt.AnswerUniformPartial(q, onKeys)
 	} else {
@@ -286,16 +287,12 @@ func (e *Engine) AnswerPartial(ctx context.Context, req Request) (ShardAnswer, e
 	// Emitted as shard 0 here; a grouped shard's installed observer stamps
 	// the true index (see ShardGroup.SetSpanObserver).
 	e.spans.end(SpanShardAnswer, 0, sp)
-	a := ShardAnswer{
+	return ShardAnswer{
 		Partial:         p,
 		Template:        s.tmpl.Name,
 		Confidence:      q.Confidence,
 		SampleSize:      s.dpt.SampleSize(),
 		Population:      s.dpt.Population(),
 		CatchUpProgress: s.dpt.CatchUpProgress(),
-	}
-	if req.Trace {
-		a.Stages = []TraceStage{{Stage: StageAnswer, Dur: time.Since(t0)}}
-	}
-	return a, nil
+	}, nil
 }

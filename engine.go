@@ -284,7 +284,8 @@ func (e *Engine) optimize(t Template, cfg core.Config, pooled []data.Tuple, popu
 	return partition.KD(o, opts)
 }
 
-// snapshotArchive copies the live table for catch-up consumption.
+// snapshotArchive copies the live table for catch-up consumption; core.New
+// takes the copy over and shuffles it in place.
 func (e *Engine) snapshotArchive() []data.Tuple {
 	out := make([]data.Tuple, 0, e.broker.Archive().Len())
 	e.broker.Archive().ForEach(func(t data.Tuple) bool {

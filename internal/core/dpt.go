@@ -219,9 +219,10 @@ type DPT struct {
 // the current data (which seeds both the reservoir and, per step 2 of the
 // re-initialization procedure, the approximate node statistics), the base
 // population size, and a snapshot of the base population for catch-up
-// (may be nil: statistics then rest on the pooled sample alone).
-// resample provides fresh uniform samples from archival storage for
-// reservoir re-draws.
+// (may be nil: statistics then rest on the pooled sample alone). New takes
+// ownership of snapshot and shuffles it in place — a caller that goes on
+// using its slice passes a copy. resample provides fresh uniform samples
+// from archival storage for reservoir re-draws.
 func New(cfg Config, bp *partition.Blueprint, pooled []data.Tuple, population int64, snapshot []data.Tuple, resample reservoir.Resampler) *DPT {
 	cfg = cfg.withDefaults()
 	t := &DPT{
@@ -252,8 +253,7 @@ func New(cfg Config, bp *partition.Blueprint, pooled []data.Tuple, population in
 	// Prepare the shuffled snapshot for background catch-up, skipping
 	// tuples already folded via the pooled sample.
 	if snapshot != nil {
-		t.snapshot = make([]data.Tuple, len(snapshot))
-		copy(t.snapshot, snapshot)
+		t.snapshot = snapshot
 		t.rng.Shuffle(len(t.snapshot), func(i, j int) {
 			t.snapshot[i], t.snapshot[j] = t.snapshot[j], t.snapshot[i]
 		})
@@ -306,13 +306,12 @@ func (t *DPT) project(tp data.Tuple) geom.Point {
 	return tp.Project(t.cfg.PredicateDims)
 }
 
-// containsProjected reports whether the tuple's key, projected onto this
-// synopsis's predicate space, falls inside rect — without materializing
-// the projected point. The partial-leaf estimators call this once per
-// stratum sample per query; going through project would make a projecting
-// synopsis allocate per sample on the answer hot path.
-func (t *DPT) containsProjected(rect geom.Rect, tp data.Tuple) bool {
-	dims := t.cfg.PredicateDims
+// containsKey reports whether the tuple's key, projected onto dims (nil
+// is the identity projection), falls inside rect — without materializing
+// the projected point. The estimator calls this once per stratum sample
+// per query; going through Tuple.Project would allocate per sample on the
+// answer hot path.
+func containsKey(rect geom.Rect, dims []int, tp data.Tuple) bool {
 	if dims == nil {
 		return rect.Contains(tp.Key)
 	}
@@ -396,43 +395,35 @@ func (t *DPT) rebuildStrata() {
 	t.refreshOracleRate()
 }
 
-// catchupScale returns the population estimate n0 and the catch-up sample
-// total h that node n's catch-up moments are scaled against: the global
-// snapshot accounting normally, or the anchor's frozen estimate and local
-// sample count inside a partially re-partitioned subtree. exact is true
+// scale is what a node's catch-up moments are scaled against: the
+// population estimate n0 and the catch-up sample total h. exact is set
 // when the moments are complete (full catch-up, global nodes only).
-func (t *DPT) catchupScale(n *node) (n0, h float64, exact bool) {
+type scale struct {
+	n0, h float64
+	exact bool
+}
+
+// scaleOf returns node n's scale: the global snapshot accounting normally,
+// or the anchor's frozen estimate and local sample count inside a
+// partially re-partitioned subtree.
+func (t *DPT) scaleOf(n *node) scale {
 	if a := anchorOf(n); a != nil {
-		return a.anchorBase, float64(a.localSeen[t.cfg.AggIndex].N), false
+		return scale{n0: a.anchorBase, h: float64(a.localSeen[t.cfg.AggIndex].N)}
 	}
-	return float64(t.snapshotN), float64(t.totalCatchup()), t.exactStats
+	return scale{n0: float64(t.snapshotN), h: float64(t.totalCatchup()), exact: t.exactStats}
 }
 
-// baseCount returns the estimated base-population count of a node:
-// N̂_i = (h_i / h) · N_0, exact when the snapshot was fully consumed.
-func (t *DPT) baseCount(n *node) float64 {
-	n0, h, exact := t.catchupScale(n)
-	if h == 0 {
+// base scales a total over a node's catch-up samples H_i — their count h_i,
+// Σa or Σa² — to its base-population estimate (N_0/h)·v, which is v itself
+// once the snapshot was fully consumed.
+func (s scale) base(v float64) float64 {
+	if s.h == 0 {
 		return 0
 	}
-	hi := float64(n.catchup[t.cfg.AggIndex].N)
-	if exact {
-		return hi
+	if s.exact {
+		return v
 	}
-	return hi / h * n0
-}
-
-// baseSum returns the estimated base-population sum of attribute a in node
-// n: (N_0 / h) · Σ_{H_i} a.
-func (t *DPT) baseSum(n *node, a int) float64 {
-	n0, h, exact := t.catchupScale(n)
-	if h == 0 {
-		return 0
-	}
-	if exact {
-		return n.catchup[a].Sum
-	}
-	return n.catchup[a].Sum / h * n0
+	return v / s.h * s.n0
 }
 
 // totalCatchup returns h, the number of catch-up samples consumed so far
@@ -441,10 +432,11 @@ func (t *DPT) totalCatchup() int64 {
 	return t.root.catchup[t.cfg.AggIndex].N
 }
 
-// liveCount returns the estimated live tuple count of node n.
+// liveCount returns the estimated live tuple count of node n: the base
+// estimate N̂_i = (h_i/h)·N_0 corrected by the exact insert/delete deltas.
 func (t *DPT) liveCount(n *node) float64 {
 	a := t.cfg.AggIndex
-	c := t.baseCount(n) + float64(n.ins[a].N) - float64(n.del[a].N)
+	c := t.scaleOf(n).base(float64(n.catchup[a].N)) + float64(n.ins[a].N) - float64(n.del[a].N)
 	if c < 0 {
 		return 0
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"janusaqp/internal/data"
@@ -111,7 +112,7 @@ func buildDPT(t *testing.T, tuples []data.Tuple, cfg Config) (*DPT, *testDB) {
 		}
 		return out
 	}
-	return New(cfg, bp, pooled, int64(len(tuples)), tuples, resample), db
+	return New(cfg, bp, pooled, int64(len(tuples)), slices.Clone(tuples), resample), db
 }
 
 func defaultCfg() Config {

@@ -1,18 +1,14 @@
 package core
 
-import (
-	"math"
-
-	"janusaqp/internal/geom"
-	"janusaqp/internal/stats"
-)
-
 // Extended aggregates (Section 6.6 of the paper notes that "other aggregate
 // functions such as STDDEV that can be composed using SUM and CNT would
 // also perform well"): VARIANCE and STDDEV are composed from the COUNT,
-// SUM, and SUM-of-squares estimators. The Σa² machinery is the same the
-// synopsis already maintains for confidence intervals, so no extra state is
-// needed.
+// SUM, and SUM-of-squares estimators (MergePartials). The Σa² machinery is
+// the same the synopsis already maintains for confidence intervals, so no
+// extra state is needed. Confidence intervals are not derived for them (the
+// composition is a nonlinear function of three estimators); the interval is
+// reported with zero width and Outer set so callers can tell the guarantee
+// is absent.
 
 const (
 	// FuncVariance is VAR_POP(A), composed from SUM/COUNT/SUMSQ estimates.
@@ -20,67 +16,6 @@ const (
 	// FuncStdDev is STDDEV_POP(A).
 	FuncStdDev
 )
-
-// estimateSumSq estimates Σ a² over the query region, mirroring
-// estimateSumCount's SUM path with squared values.
-func (t *DPT) estimateSumSq(aggIdx int, rect geom.Rect, cover, partial []*node) float64 {
-	var est float64
-	for _, n := range cover {
-		n0, h, exact := t.catchupScale(n)
-		if h > 0 {
-			if exact {
-				est += n.catchup[aggIdx].SumSq
-			} else {
-				est += n.catchup[aggIdx].SumSq / h * n0
-			}
-		}
-		est += n.ins[aggIdx].SumSq - n.del[aggIdx].SumSq
-	}
-	for _, n := range partial {
-		mi := int64(n.stratum.len())
-		if mi == 0 {
-			continue
-		}
-		ni := t.liveCount(n)
-		var sumsq float64
-		for _, s := range n.stratum.tuples() {
-			if t.containsProjected(rect, s) {
-				v := s.Val(aggIdx)
-				sumsq += v * v
-			}
-		}
-		est += stats.SumEstimate(sumsq, mi, ni)
-	}
-	return est
-}
-
-// answerExtended handles the composed aggregates. Confidence intervals are
-// not derived for them (the composition is a nonlinear function of three
-// estimators); the interval is reported with zero width and Outer set so
-// callers can tell the guarantee is absent.
-func (t *DPT) answerExtended(q Query, aggIdx int, cover, partial []*node) (Result, error) {
-	sumEst, _, _ := t.estimateSumCount(FuncSum, aggIdx, q.Rect, cover, partial)
-	cntEst, _, _ := t.estimateSumCount(FuncCount, aggIdx, q.Rect, cover, partial)
-	sqEst := t.estimateSumSq(aggIdx, q.Rect, cover, partial)
-	if cntEst <= 0 {
-		return Result{Covered: len(cover), Partial: len(partial), Outer: true}, nil
-	}
-	mean := sumEst / cntEst
-	variance := sqEst/cntEst - mean*mean
-	if variance < 0 {
-		variance = 0
-	}
-	est := variance
-	if q.Func == FuncStdDev {
-		est = math.Sqrt(variance)
-	}
-	return Result{
-		Estimate: est,
-		Interval: stats.Interval{Estimate: est},
-		Covered:  len(cover), Partial: len(partial),
-		Outer: true, // no CI guarantee for composed estimators
-	}, nil
-}
 
 // extendedFuncName returns the SQL name for the composed aggregates.
 func extendedFuncName(f Func) (string, bool) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"janusaqp/internal/data"
@@ -26,7 +27,7 @@ func fuzzSeedSynopsis() []byte {
 		o.Insert(kdindex.Entry{Point: s.Key, Val: s.Val(cfg.AggIndex), ID: s.ID})
 	}
 	bp := partition.KD(o, partition.Options{K: cfg.K})
-	dpt := New(cfg, bp, pooled, int64(len(tuples)), tuples, nil)
+	dpt := New(cfg, bp, pooled, int64(len(tuples)), slices.Clone(tuples), nil)
 	dpt.CatchUp(128)
 	for _, tp := range makeTuples(rng, 40, 10_000) {
 		dpt.Insert(tp)

@@ -7,36 +7,44 @@ import (
 	"janusaqp/internal/stats"
 )
 
-// Scatter-gather support: a Partial is the mergeable form of a shard-local
-// answer. Where Answer collapses the estimators into one Result, a Partial
-// keeps the sufficient statistics a coordinator needs to combine K
-// independent shard answers into one estimate with a valid combined
-// confidence interval — per-shard sums, counts, and variances add across
-// disjoint hash partitions, and AVG combines shard means with population
-// weights (shards are strata one level above the paper's partitions).
+// Scatter-gather support: a Partial is the mergeable form of a synopsis's
+// answer, and the only form the estimator produces. It keeps the sufficient
+// statistics needed to combine K independent shard answers into one
+// estimate with a valid combined confidence interval — per-shard sums,
+// counts, and variances add across disjoint hash partitions, and AVG
+// combines shard means with population weights (shards are strata one level
+// above the paper's partitions). A single synopsis is the K = 1 case:
+// Answer is MergePartials over its one Partial.
 
-// Partial is one shard's contribution to a scatter-gather answer. Only the
-// fields the query's Func needs are populated (see AnswerPartial).
+// Partial is one shard's contribution to a scatter-gather answer. The
+// estimator fills Sum, Count, SumSq and their variances for every Func (one
+// pass yields them all); Extreme and Seen only for MIN/MAX.
 type Partial struct {
 	// Func records which aggregate the partial answers; MergePartials
 	// refuses to combine partials of different functions.
 	Func Func
 
 	// Sum and SumVar are the SUM estimate over matching rows and its
-	// variance ν_c+ν_s (FuncSum, FuncAvg, and the composed aggregates).
+	// variance ν_c+ν_s.
 	Sum    float64
 	SumVar float64
-	// Count and CountVar are the COUNT estimate and its variance (FuncCount,
-	// FuncAvg, and the composed aggregates).
+	// Count and CountVar are the COUNT estimate and its variance. Sum and
+	// Count are the *matching* estimates the shard AVG is the ratio of, so
+	// the merged AVG telescopes to ΣSum/ΣCount and agrees with merging the
+	// query's SUM and COUNT partials; weighting by the relevant-partition
+	// population instead would skew the pooled mean toward shards whose
+	// partial leaves match few rows.
 	Count    float64
 	CountVar float64
 	// SumSq is the Σa² estimate the composed VARIANCE/STDDEV need.
 	SumSq float64
-	// AvgVar is the variance of the shard-local AVG estimate (FuncAvg).
+	// AvgVar is the variance of the shard-local AVG estimate Sum/Count
+	// (Appendix C, weights w_i = N̂_i/N̂_q).
 	AvgVar float64
 
 	// Extreme and Seen carry the MIN/MAX answer; Outer marks an answer that
-	// is only an outer approximation (exhausted heap, sample extremes).
+	// is only an outer approximation (exhausted heap, sample extremes) or,
+	// for the composed aggregates, one without a CI guarantee.
 	Extreme float64
 	Seen    bool
 	Outer   bool
@@ -46,93 +54,20 @@ type Partial struct {
 	Covered, PartialLeaves int
 }
 
-// AnswerPartial answers q in mergeable form. It validates exactly like
-// Answer, and its fields are consistent with Answer's Result on the same
-// synopsis: for SUM/COUNT the partial's estimate and variance reproduce
-// Answer's interval, so a 1-shard merge is identical to a local answer.
-func (t *DPT) AnswerPartial(q Query) (Partial, error) {
-	if q.Rect.Dims() != t.cfg.Dims {
-		return Partial{}, fmt.Errorf("core: query dimensionality %d, synopsis %d", q.Rect.Dims(), t.cfg.Dims)
-	}
-	aggIdx := q.AggIndex
-	if aggIdx < 0 {
-		aggIdx = t.cfg.AggIndex
-	}
-	if aggIdx >= t.cfg.NumVals {
-		return Partial{}, fmt.Errorf("core: aggregation attribute %d out of range (%d tracked)", aggIdx, t.cfg.NumVals)
-	}
-
-	var cover, partial []*node
-	t.classify(q.Rect, t.root, &cover, &partial)
-	p := Partial{Func: q.Func, Covered: len(cover), PartialLeaves: len(partial)}
-
-	switch q.Func {
-	case FuncSum:
-		est, nuC, nuS := t.estimateSumCount(FuncSum, aggIdx, q.Rect, cover, partial)
-		p.Sum, p.SumVar = est, nuC+nuS
-	case FuncCount:
-		est, nuC, nuS := t.estimateSumCount(FuncCount, aggIdx, q.Rect, cover, partial)
-		p.Count, p.CountVar = est, nuC+nuS
-	case FuncAvg:
-		// Sum and Count are the *matching* estimates the shard AVG is the
-		// ratio of, so the merged AVG telescopes to ΣSum/ΣCount and agrees
-		// with merging this query's SUM and COUNT partials; weighting by
-		// the relevant-partition population instead would skew the pooled
-		// mean toward shards whose partial leaves match few rows.
-		_, nuC, nuS, sumEst, cntEst := t.avgParts(aggIdx, q.Rect, cover, partial)
-		p.Sum = sumEst
-		p.Count = cntEst
-		p.AvgVar = nuC + nuS
-	case FuncMin, FuncMax:
-		best, seen, outer, err := t.minMaxParts(q.Func, aggIdx, q.Rect, cover, partial)
-		if err != nil {
-			return Partial{}, err
-		}
-		p.Extreme, p.Seen, p.Outer = best, seen, outer
-	case FuncVariance, FuncStdDev:
-		p.Sum, _, _ = t.estimateSumCount(FuncSum, aggIdx, q.Rect, cover, partial)
-		p.Count, _, _ = t.estimateSumCount(FuncCount, aggIdx, q.Rect, cover, partial)
-		p.SumSq = t.estimateSumSq(aggIdx, q.Rect, cover, partial)
-		p.Outer = true // composed estimators carry no CI guarantee
-	default:
-		return Partial{}, fmt.Errorf("core: unsupported aggregate %v", q.Func)
-	}
-	return p, nil
-}
-
-// AnswerUniformPartial is AnswerPartial for the Section 5.5 on-keys path:
-// uniform estimation over the pooled sample, in mergeable form. It supports
-// the same aggregates AnswerUniform does (SUM, COUNT, AVG).
-func (t *DPT) AnswerUniformPartial(q Query, dims []int) (Partial, error) {
-	matching, ones, m, n, err := t.uniformMoments(q, dims)
-	if err != nil {
-		return Partial{}, err
-	}
-	p := Partial{Func: q.Func}
-	switch q.Func {
-	case FuncSum:
-		p.Sum = stats.SumEstimate(matching.Sum, m, n)
-		p.SumVar = stats.ScaledSumVarianceTerm(matching, m, n)
-	case FuncCount:
-		p.Count = stats.SumEstimate(ones.Sum, m, n)
-		p.CountVar = stats.ScaledSumVarianceTerm(ones, m, n)
-	case FuncAvg:
-		p.Sum = stats.SumEstimate(matching.Sum, m, n)
-		p.Count = stats.SumEstimate(ones.Sum, m, n)
-		p.AvgVar = stats.ScaledAvgVarianceTerm(matching, m, matching.N, 1)
-	default:
-		return Partial{}, fmt.Errorf("core: uniform fallback does not support %v", q.Func)
-	}
-	return p, nil
-}
-
 // MergePartials combines per-shard partials into one Result with a valid
-// combined confidence interval at quantile z. All partials must answer the
-// same Func; the slice must not be empty.
-func MergePartials(parts []Partial, z float64) (Result, error) {
+// combined interval at the given confidence level — the one place a level
+// becomes a normal quantile, and where zero means the default 0.95. All
+// partials must answer the same Func; the slice must not be empty. Every
+// answer leaves through here, a single synopsis's included, so merging one
+// partial must (and does) reproduce its estimate and variance bit for bit.
+func MergePartials(parts []Partial, confidence float64) (Result, error) {
 	if len(parts) == 0 {
 		return Result{}, fmt.Errorf("core: no partials to merge")
 	}
+	if confidence == 0 {
+		confidence = 0.95
+	}
+	z := stats.ZForConfidence(confidence)
 	f := parts[0].Func
 	res := Result{}
 	for _, p := range parts {
@@ -158,16 +93,27 @@ func MergePartials(parts []Partial, z float64) (Result, error) {
 		res.Estimate = acc.Est
 		res.Interval = acc.Interval(z)
 	case FuncAvg:
-		var acc stats.MeanMerge
+		// The pooled mean of shard means Sum_i/Count_i under population
+		// weights w_i = Count_i/ΣCount telescopes to ΣSum/ΣCount, with
+		// variance Σ w_i²·ν_i. An empty shard carries no weight and no
+		// information.
+		var sum, cnt, v float64
 		for _, p := range parts {
-			var est float64
 			if p.Count > 0 {
-				est = p.Sum / p.Count
+				sum += p.Sum
+				cnt += p.Count
 			}
-			acc.Add(est, p.AvgVar, p.Count)
 		}
-		res.Estimate = acc.Mean()
-		res.Interval = acc.Interval(z)
+		if cnt > 0 {
+			res.Estimate = sum / cnt
+			for _, p := range parts {
+				if p.Count > 0 {
+					w := p.Count / cnt
+					v += w * w * p.AvgVar
+				}
+			}
+		}
+		res.Interval = stats.NewInterval(res.Estimate, v, 0, z)
 	case FuncMin, FuncMax:
 		acc := stats.NewExtremeMerge(f == FuncMax)
 		for _, p := range parts {
@@ -186,8 +132,8 @@ func MergePartials(parts []Partial, z float64) (Result, error) {
 		res.Estimate = best
 		res.Interval = stats.Interval{Estimate: best}
 	case FuncVariance, FuncStdDev:
-		// Composed exactly like the single-synopsis path: pool the SUM,
-		// COUNT, and Σa² estimates, then take VAR = Σa²/N − mean².
+		// Pool the SUM, COUNT, and Σa² estimates, then take
+		// VAR = Σa²/N − mean².
 		var sum, cnt, sumsq float64
 		for _, p := range parts {
 			sum += p.Sum

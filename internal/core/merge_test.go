@@ -6,18 +6,16 @@ import (
 	"testing"
 
 	"janusaqp/internal/geom"
-	"janusaqp/internal/stats"
 )
 
-// TestAnswerPartialConsistentWithAnswer pins the mergeable form to the
-// collapsed one: a single synopsis's Partial, merged alone, must reproduce
-// Answer's estimate and interval exactly — the 1-shard group answers
+// TestAnswerPartialConsistentWithAnswer pins the local answer to the
+// mergeable form: a single synopsis's Partial, merged alone, must reproduce
+// Answer's estimate and interval bit for bit — the 1-shard group answers
 // byte-for-byte like a bare engine.
 func TestAnswerPartialConsistentWithAnswer(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	tuples := makeTuples(rng, 12000, 0)
 	dpt, _ := buildDPT(t, tuples, defaultCfg())
-	z := stats.ZForConfidence(0.95)
 
 	rects := []geom.Rect{
 		geom.Universe(1),
@@ -35,14 +33,14 @@ func TestAnswerPartialConsistentWithAnswer(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v: AnswerPartial: %v", f, err)
 			}
-			got, err := MergePartials([]Partial{p}, z)
+			got, err := MergePartials([]Partial{p}, 0.95)
 			if err != nil {
 				t.Fatalf("%v: MergePartials: %v", f, err)
 			}
-			if math.Abs(got.Estimate-want.Estimate) > 1e-9*(1+math.Abs(want.Estimate)) {
+			if math.Float64bits(got.Estimate) != math.Float64bits(want.Estimate) {
 				t.Errorf("%v over %v: merged estimate %g, Answer %g", f, rect, got.Estimate, want.Estimate)
 			}
-			if math.Abs(got.Interval.HalfWidth-want.Interval.HalfWidth) > 1e-9*(1+want.Interval.HalfWidth) {
+			if math.Float64bits(got.Interval.HalfWidth) != math.Float64bits(want.Interval.HalfWidth) {
 				t.Errorf("%v over %v: merged half-width %g, Answer %g", f, rect, got.Interval.HalfWidth, want.Interval.HalfWidth)
 			}
 			if got.Outer != want.Outer {
@@ -56,12 +54,16 @@ func TestAnswerPartialConsistentWithAnswer(t *testing.T) {
 	}
 }
 
+// levelFor returns the confidence level whose two-sided normal quantile is
+// z, so the hand-computed half-widths below can keep their round z.
+func levelFor(z float64) float64 { return math.Erf(z / math.Sqrt2) }
+
 func TestMergePartialsSumAndCountAdd(t *testing.T) {
 	parts := []Partial{
 		{Func: FuncSum, Sum: 100, SumVar: 4, Covered: 2},
 		{Func: FuncSum, Sum: 50, SumVar: 9, PartialLeaves: 1},
 	}
-	res, err := MergePartials(parts, 2)
+	res, err := MergePartials(parts, levelFor(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +84,7 @@ func TestMergePartialsAvgIsRatioOfPooledSums(t *testing.T) {
 		{Func: FuncAvg, Sum: 1000, Count: 100, AvgVar: 1},
 		{Func: FuncAvg, Sum: 12000, Count: 300, AvgVar: 2},
 	}
-	res, err := MergePartials(parts, 1)
+	res, err := MergePartials(parts, levelFor(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,16 +137,15 @@ func TestMergedAvgTelescopesAcrossRealShards(t *testing.T) {
 		sumParts = append(sumParts, ps)
 		cntParts = append(cntParts, pc)
 	}
-	z := stats.ZForConfidence(0.95)
-	avg, err := MergePartials(avgParts, z)
+	avg, err := MergePartials(avgParts, 0.95)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := MergePartials(sumParts, z)
+	sum, err := MergePartials(sumParts, 0.95)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cnt, err := MergePartials(cntParts, z)
+	cnt, err := MergePartials(cntParts, 0.95)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestMergedAvgTelescopesAcrossRealShards(t *testing.T) {
 	}
 	// The pooled mean must sit near shard A's mean (it holds nearly all
 	// matching rows), not halfway to shard B's.
-	aOnly, err := MergePartials(avgParts[:1], z)
+	aOnly, err := MergePartials(avgParts[:1], 0.95)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,14 +170,14 @@ func TestMergePartialsMinMax(t *testing.T) {
 		{Func: FuncMin, Extreme: -2, Seen: true, Outer: true},
 		{Func: FuncMin}, // empty shard
 	}
-	res, err := MergePartials(parts, 1)
+	res, err := MergePartials(parts, levelFor(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Estimate != -2 || !res.Outer {
 		t.Fatalf("MIN = %g outer=%v, want -2 outer=true", res.Estimate, res.Outer)
 	}
-	none, err := MergePartials([]Partial{{Func: FuncMax}}, 1)
+	none, err := MergePartials([]Partial{{Func: FuncMax}}, levelFor(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +193,7 @@ func TestMergePartialsVarianceComposes(t *testing.T) {
 		{Func: FuncVariance, Sum: 0, Count: 2, SumSq: 0},
 		{Func: FuncVariance, Sum: 20, Count: 2, SumSq: 200},
 	}
-	res, err := MergePartials(parts, 1)
+	res, err := MergePartials(parts, levelFor(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,11 +207,11 @@ func TestMergePartialsVarianceComposes(t *testing.T) {
 }
 
 func TestMergePartialsRejectsMismatchAndEmpty(t *testing.T) {
-	if _, err := MergePartials(nil, 1); err == nil {
+	if _, err := MergePartials(nil, levelFor(1)); err == nil {
 		t.Fatal("empty merge must error")
 	}
 	parts := []Partial{{Func: FuncSum}, {Func: FuncCount}}
-	if _, err := MergePartials(parts, 1); err == nil {
+	if _, err := MergePartials(parts, levelFor(1)); err == nil {
 		t.Fatal("mixed-function merge must error")
 	}
 }

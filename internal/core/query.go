@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
-	"math"
 
+	"janusaqp/internal/data"
 	"janusaqp/internal/geom"
 	"janusaqp/internal/stats"
 )
@@ -88,67 +88,112 @@ func (t *DPT) classify(rect geom.Rect, n *node, cover *[]*node, partial *[]*node
 }
 
 // Answer estimates the query from the synopsis alone — the procedure never
-// touches the base data (Section 4.4).
+// touches the base data (Section 4.4). A local answer is the K = 1 case of
+// a scatter-gather answer: this synopsis's Partial, merged alone.
 func (t *DPT) Answer(q Query) (Result, error) {
-	if q.Rect.Dims() != t.cfg.Dims {
-		return Result{}, fmt.Errorf("core: query dimensionality %d, synopsis %d", q.Rect.Dims(), t.cfg.Dims)
+	p, err := t.AnswerPartial(q)
+	if err != nil {
+		return Result{}, err
 	}
+	return MergePartials([]Partial{p}, q.Confidence)
+}
+
+// aggIndex resolves the query's aggregation attribute (negative selects
+// the synopsis's primary one) and checks that it is tracked.
+func (t *DPT) aggIndex(q Query) (int, error) {
 	aggIdx := q.AggIndex
 	if aggIdx < 0 {
 		aggIdx = t.cfg.AggIndex
 	}
 	if aggIdx >= t.cfg.NumVals {
-		return Result{}, fmt.Errorf("core: aggregation attribute %d out of range (%d tracked)", aggIdx, t.cfg.NumVals)
+		return 0, fmt.Errorf("core: aggregation attribute %d out of range (%d tracked)", aggIdx, t.cfg.NumVals)
 	}
-	conf := q.Confidence
-	if conf == 0 {
-		conf = 0.95
+	return aggIdx, nil
+}
+
+// AnswerPartial answers q in mergeable form — the estimator of Section 4.4
+// and Appendix C, run once: one frontier walk, one pass over the covered
+// nodes (catch-up estimates corrected by the exact insert/delete deltas)
+// and one scan of each partial leaf's stratum (stratified-sample
+// estimates). Every aggregate is read off the same terms, so AVG is the
+// ratio of exactly the SUM and COUNT a SUM and a COUNT query would report,
+// and the composed VARIANCE/STDDEV (Section 6.6) pool the same three
+// estimators.
+func (t *DPT) AnswerPartial(q Query) (Partial, error) {
+	if q.Rect.Dims() != t.cfg.Dims {
+		return Partial{}, fmt.Errorf("core: query dimensionality %d, synopsis %d", q.Rect.Dims(), t.cfg.Dims)
 	}
-	z := stats.ZForConfidence(conf)
+	aggIdx, err := t.aggIndex(q)
+	if err != nil {
+		return Partial{}, err
+	}
+	// ext folds the extremes of a MIN/MAX query: heap extremes of covered
+	// nodes, then matching sample extremes of partial leaves.
+	var ext *stats.ExtremeMerge
+	switch q.Func {
+	case FuncSum, FuncCount, FuncAvg, FuncVariance, FuncStdDev:
+	case FuncMin, FuncMax:
+		if aggIdx != t.cfg.AggIndex {
+			return Partial{}, fmt.Errorf("core: MIN/MAX heaps track only the primary attribute %d", t.cfg.AggIndex)
+		}
+		ext = stats.NewExtremeMerge(q.Func == FuncMax)
+	default:
+		return Partial{}, fmt.Errorf("core: unsupported aggregate %v", q.Func)
+	}
 
 	var cover, partial []*node
 	t.classify(q.Rect, t.root, &cover, &partial)
 
-	switch q.Func {
-	case FuncSum, FuncCount:
-		est, nuC, nuS := t.estimateSumCount(q.Func, aggIdx, q.Rect, cover, partial)
-		return Result{
-			Estimate: est,
-			Interval: stats.NewInterval(est, nuC, nuS, z),
-			Covered:  len(cover), Partial: len(partial),
-		}, nil
-	case FuncAvg:
-		return t.estimateAvg(aggIdx, q.Rect, cover, partial, z)
-	case FuncMin, FuncMax:
-		return t.estimateMinMax(q.Func, aggIdx, q.Rect, cover, partial)
-	case FuncVariance, FuncStdDev:
-		return t.answerExtended(q, aggIdx, cover, partial)
-	}
-	return Result{}, fmt.Errorf("core: unsupported aggregate %v", q.Func)
-}
-
-// estimateSumCount implements the SUM/COUNT estimators of Section 4.4 and
-// Appendix C: covered nodes contribute catch-up estimates corrected by
-// exact insert/delete deltas; partial leaves contribute stratified-sample
-// estimates.
-func (t *DPT) estimateSumCount(f Func, aggIdx int, rect geom.Rect, cover, partial []*node) (est, nuC, nuS float64) {
+	// N̂_q, the denominator of the AVG variance weights w_i = N̂_i/N̂_q: the
+	// estimated size of every partition the query touches. The pass below
+	// weighs terms with it, so it is summed first (node statistics only —
+	// no stratum is read).
+	var nq float64
 	for _, n := range cover {
-		n0, h, exact := t.catchupScale(n)
-		if f == FuncSum {
-			est += t.baseSum(n, aggIdx) + n.ins[aggIdx].Sum - n.del[aggIdx].Sum
-			if !exact && h > 0 {
-				ni := t.baseCount(n)
-				nuC += stats.CatchupSumVarianceTerm(n.catchup[aggIdx], ni)
-			}
-		} else {
-			est += t.liveCount(n)
-			if !exact && h > 0 {
+		nq += t.liveCount(n)
+	}
+	for _, n := range partial {
+		nq += t.liveCount(n)
+	}
+	weight := func(ni float64) float64 {
+		if nq > 0 {
+			return ni / nq
+		}
+		return 0
+	}
+
+	var e terms
+	outer := len(partial) > 0 // sample extremes are inner bounds
+	for _, n := range cover {
+		sc := t.scaleOf(n)
+		c := n.catchup[aggIdx]
+		live := t.liveCount(n)
+		e.sum += sc.base(c.Sum) + n.ins[aggIdx].Sum - n.del[aggIdx].Sum
+		e.cnt += live
+		e.sumSq += sc.base(c.SumSq)
+		e.sumSq += n.ins[aggIdx].SumSq - n.del[aggIdx].SumSq
+		if !sc.exact {
+			if sc.h > 0 {
+				e.sumNuC += stats.CatchupSumVarianceTerm(c, sc.base(float64(c.N)))
 				// Multinomial variance of N̂_i = (h_i/h)·N_0; the literal
 				// Appendix C formula vanishes for COUNT over covered nodes
 				// (every sample matches), so the allocation uncertainty is
 				// the honest term to report.
-				p := float64(n.catchup[aggIdx].N) / h
-				nuC += n0 * n0 * p * (1 - p) / h
+				p := float64(c.N) / sc.h
+				e.cntNuC += sc.n0 * sc.n0 * p * (1 - p) / sc.h
+			}
+			e.avgNuC += stats.CatchupAvgVarianceTerm(c, weight(live))
+		}
+		if ext != nil {
+			heap := n.minHeap
+			if q.Func == FuncMax {
+				heap = n.maxHeap
+			}
+			if v, ok := heap.Extreme(); ok {
+				ext.Add(v)
+				// A heap exhausted by deletions bounds the extreme only
+				// from outside (Section 4.1).
+				outer = outer || !heap.Exact()
 			}
 		}
 	}
@@ -158,141 +203,78 @@ func (t *DPT) estimateSumCount(f Func, aggIdx int, rect geom.Rect, cover, partia
 			continue
 		}
 		ni := t.liveCount(n)
-		var matching stats.Moments
-		for _, s := range n.stratum.tuples() {
-			if t.containsProjected(rect, s) {
-				if f == FuncSum {
-					matching.Add(s.Val(aggIdx))
-				} else {
-					matching.Add(1)
-				}
-			}
-		}
-		est += stats.SumEstimate(matching.Sum, mi, ni)
-		nuS += stats.ScaledSumVarianceTerm(matching, mi, ni)
+		matching := scan(n.stratum.tuples(), q.Rect, t.cfg.PredicateDims, aggIdx, ext)
+		e.addStratum(matching, mi, ni, weight(ni))
 	}
-	return est, nuC, nuS
+
+	p := e.partial(q.Func)
+	p.Covered, p.PartialLeaves = len(cover), len(partial)
+	switch q.Func {
+	case FuncMin, FuncMax:
+		p.Extreme, p.Seen = ext.Extreme()
+		p.Outer = outer
+	case FuncVariance, FuncStdDev:
+		p.Outer = true // composed estimators carry no CI guarantee
+	}
+	return p, nil
 }
 
-// estimateAvg answers AVG as the ratio of the SUM and COUNT estimators
-// (identical to the paper's estimator on covered nodes; on partial leaves
-// this is the standard ratio form of the stratified estimate). Confidence
-// intervals use the AVG variance terms of Appendix C with weights
-// w_i = N̂_i/N̂_q.
-func (t *DPT) estimateAvg(aggIdx int, rect geom.Rect, cover, partial []*node, z float64) (Result, error) {
-	est, nuC, nuS, _, _ := t.avgParts(aggIdx, rect, cover, partial)
-	return Result{
-		Estimate: est,
-		Interval: stats.NewInterval(est, nuC, nuS, z),
-		Covered:  len(cover), Partial: len(partial),
-	}, nil
+// terms accumulates the estimator over a query's decomposition. Each
+// accumulator is fed in decomposition order — covered nodes, then partial
+// leaves, both in tree order — and the catch-up variance ν_c and the
+// sample-estimate variance ν_s stay apart until the end: floating-point
+// sums are order-sensitive, and answers are pinned bit for bit
+// (testdata/answers.golden).
+type terms struct {
+	sum, sumNuC, sumNuS float64 // SUM estimate and its variance components
+	cnt, cntNuC, cntNuS float64 // COUNT estimate and its variance components
+	sumSq               float64 // Σa² estimate
+	avgNuC, avgNuS      float64 // AVG variance components
 }
 
-// avgParts computes the AVG estimate, its two variance components, and the
-// matching SUM and COUNT estimates it is the ratio of — the pieces both
-// the local answer and the shard-mergeable Partial are assembled from.
-func (t *DPT) avgParts(aggIdx int, rect geom.Rect, cover, partial []*node) (est, nuC, nuS, sumEst, cntEst float64) {
-	sumEst, _, _ = t.estimateSumCount(FuncSum, aggIdx, rect, cover, partial)
-	cntEst, _, _ = t.estimateSumCount(FuncCount, aggIdx, rect, cover, partial)
-	if cntEst > 0 {
-		est = sumEst / cntEst
-	}
-	// N̂_q — the AVG variance weights' denominator: total estimated size of
-	// all relevant partitions.
-	var nq float64
-	for _, n := range cover {
-		nq += t.liveCount(n)
-	}
-	for _, n := range partial {
-		nq += t.liveCount(n)
-	}
-	if nq > 0 {
-		for _, n := range cover {
-			if _, _, exact := t.catchupScale(n); exact {
-				continue
-			}
-			wi := t.liveCount(n) / nq
-			nuC += stats.CatchupAvgVarianceTerm(n.catchup[aggIdx], wi)
-		}
-		for _, n := range partial {
-			mi := int64(n.stratum.len())
-			if mi == 0 {
-				continue
-			}
-			var matching stats.Moments
-			for _, s := range n.stratum.tuples() {
-				if t.containsProjected(rect, s) {
-					matching.Add(s.Val(aggIdx))
-				}
-			}
-			wi := t.liveCount(n) / nq
-			nuS += stats.ScaledAvgVarianceTerm(matching, mi, matching.N, wi)
-		}
-	}
-	return est, nuC, nuS, sumEst, cntEst
+// addStratum folds one sampled stratum: matching holds the moments of the
+// aggregation values of its samples inside the predicate, mi is its sample
+// count (matching or not), ni its estimated population and wi its AVG
+// weight N̂_i/N̂_q. COUNT is SUM over the matching indicator, whose moments
+// are all |S_i ∩ q|.
+func (e *terms) addStratum(matching stats.Moments, mi int64, ni, wi float64) {
+	c := float64(matching.N)
+	ones := stats.Moments{N: matching.N, Sum: c, SumSq: c}
+	e.sum += stats.SumEstimate(matching.Sum, mi, ni)
+	e.sumNuS += stats.ScaledSumVarianceTerm(matching, mi, ni)
+	e.cnt += stats.SumEstimate(ones.Sum, mi, ni)
+	e.cntNuS += stats.ScaledSumVarianceTerm(ones, mi, ni)
+	e.sumSq += stats.SumEstimate(matching.SumSq, mi, ni)
+	e.avgNuS += stats.ScaledAvgVarianceTerm(matching, mi, matching.N, wi)
 }
 
-// estimateMinMax combines heap extremes of covered nodes with matching
-// sample extremes of partial leaves. Deletion-exhausted heaps make the
-// answer an outer approximation (Section 4.1), reported via Result.Outer.
-func (t *DPT) estimateMinMax(f Func, aggIdx int, rect geom.Rect, cover, partial []*node) (Result, error) {
-	best, seen, outer, err := t.minMaxParts(f, aggIdx, rect, cover, partial)
-	if err != nil {
-		return Result{}, err
+// partial reads the accumulated terms off into a Partial answering f.
+func (e *terms) partial(f Func) Partial {
+	return Partial{
+		Func:     f,
+		Sum:      e.sum,
+		SumVar:   e.sumNuC + e.sumNuS,
+		Count:    e.cnt,
+		CountVar: e.cntNuC + e.cntNuS,
+		SumSq:    e.sumSq,
+		AvgVar:   e.avgNuC + e.avgNuS,
 	}
-	if !seen {
-		return Result{Covered: len(cover), Partial: len(partial), Outer: true}, nil
-	}
-	return Result{
-		Estimate: best,
-		Interval: stats.Interval{Estimate: best},
-		Covered:  len(cover), Partial: len(partial),
-		Outer: outer,
-	}, nil
 }
 
-// minMaxParts computes the MIN/MAX extreme, whether any value contributed,
-// and whether the answer is only an outer approximation — the mergeable
-// pieces of an extreme answer (the global extreme of a hash-partitioned
-// table is the extreme of the shard extremes).
-func (t *DPT) minMaxParts(f Func, aggIdx int, rect geom.Rect, cover, partial []*node) (best float64, seen, outer bool, err error) {
-	if aggIdx != t.cfg.AggIndex {
-		return 0, false, false, fmt.Errorf("core: MIN/MAX heaps track only the primary attribute %d", t.cfg.AggIndex)
-	}
-	best = math.Inf(1)
-	if f == FuncMax {
-		best = math.Inf(-1)
-	}
-	take := func(v float64) {
-		seen = true
-		if f == FuncMin && v < best {
-			best = v
+// scan is the one pass over a stratum's samples: it returns the moments of
+// the aggregation values of those whose key, projected onto dims, falls
+// inside rect, folding each such value into ext when the query wants
+// extremes.
+func scan(items []data.Tuple, rect geom.Rect, dims []int, aggIdx int, ext *stats.ExtremeMerge) (matching stats.Moments) {
+	for _, s := range items {
+		if !containsKey(rect, dims, s) {
+			continue
 		}
-		if f == FuncMax && v > best {
-			best = v
+		v := s.Val(aggIdx)
+		matching.Add(v)
+		if ext != nil {
+			ext.Add(v)
 		}
 	}
-	for _, n := range cover {
-		heap := n.minHeap
-		if f == FuncMax {
-			heap = n.maxHeap
-		}
-		if v, ok := heap.Extreme(); ok {
-			take(v)
-			if !heap.Exact() {
-				outer = true
-			}
-		}
-	}
-	for _, n := range partial {
-		for _, s := range n.stratum.tuples() {
-			if t.containsProjected(rect, s) {
-				take(s.Val(aggIdx))
-			}
-		}
-	}
-	if len(partial) > 0 {
-		outer = true // sample extremes are inner bounds
-	}
-	return best, seen, outer, nil
+	return matching
 }

@@ -1,71 +1,41 @@
 package core
 
-import (
-	"fmt"
+import "fmt"
 
-	"janusaqp/internal/geom"
-	"janusaqp/internal/stats"
-)
-
-// uniformMoments validates an on-keys query and scans the pooled sample
-// once, returning the moments of matching values and of the matching
-// indicator, the sample size m, and the population n — the shared substrate
-// of AnswerUniform and AnswerUniformPartial.
-func (t *DPT) uniformMoments(q Query, dims []int) (matching, ones stats.Moments, m int64, n float64, err error) {
+// AnswerUniformPartial answers, in mergeable form, a query whose predicate
+// ranges over arbitrary *original* key attributes (dims indexes into
+// Tuple.Key), rather than this synopsis's own predicate projection, by
+// plain uniform estimation over the pooled sample — heuristic (ii) of
+// Section 5.5 for queries from templates the tree was not built for. To
+// the estimator the whole reservoir is one partial stratum of the whole
+// population, with no covered nodes. Accuracy and latency match uniform
+// reservoir sampling; re-partitioning on the new attribute restores DPT
+// accuracy. It supports SUM, COUNT and AVG.
+func (t *DPT) AnswerUniformPartial(q Query, dims []int) (Partial, error) {
 	if q.Rect.Dims() != len(dims) {
-		return matching, ones, 0, 0, fmt.Errorf("core: predicate dims %d, rect dims %d", len(dims), q.Rect.Dims())
+		return Partial{}, fmt.Errorf("core: predicate dims %d, rect dims %d", len(dims), q.Rect.Dims())
 	}
-	aggIdx := q.AggIndex
-	if aggIdx < 0 {
-		aggIdx = t.cfg.AggIndex
+	aggIdx, err := t.aggIndex(q)
+	if err != nil {
+		return Partial{}, err
 	}
-	if aggIdx >= t.cfg.NumVals {
-		return matching, ones, 0, 0, fmt.Errorf("core: aggregation attribute %d out of range", aggIdx)
+	switch q.Func {
+	case FuncSum, FuncCount, FuncAvg:
+	default:
+		return Partial{}, fmt.Errorf("core: uniform fallback does not support %v", q.Func)
 	}
-	m = int64(t.res.Len())
-	n = float64(t.population)
-	for _, s := range t.res.Items() {
-		p := make(geom.Point, len(dims))
-		for i, d := range dims {
-			p[i] = s.Key[d]
-		}
-		if q.Rect.Contains(p) {
-			matching.Add(s.Val(aggIdx))
-			ones.Add(1)
-		}
-	}
-	return matching, ones, m, n, nil
+	var e terms
+	matching := scan(t.res.Items(), q.Rect, dims, aggIdx, nil)
+	e.addStratum(matching, int64(t.res.Len()), float64(t.population), 1)
+	return e.partial(q.Func), nil
 }
 
-// AnswerUniform answers a query whose predicate ranges over arbitrary
-// *original* key attributes (dims indexes into Tuple.Key), rather than this
-// synopsis's own predicate projection, by plain uniform estimation over the
-// pooled sample — heuristic (ii) of Section 5.5 for queries from templates
-// the tree was not built for. Accuracy and latency match uniform reservoir
-// sampling; re-partitioning on the new attribute restores DPT accuracy.
+// AnswerUniform is the local form of AnswerUniformPartial: its Partial,
+// merged alone.
 func (t *DPT) AnswerUniform(q Query, dims []int) (Result, error) {
-	matching, ones, m, n, err := t.uniformMoments(q, dims)
+	p, err := t.AnswerUniformPartial(q, dims)
 	if err != nil {
 		return Result{}, err
 	}
-	conf := q.Confidence
-	if conf == 0 {
-		conf = 0.95
-	}
-	z := stats.ZForConfidence(conf)
-	switch q.Func {
-	case FuncSum:
-		est := stats.SumEstimate(matching.Sum, m, n)
-		nu := stats.ScaledSumVarianceTerm(matching, m, n)
-		return Result{Estimate: est, Interval: stats.NewInterval(est, 0, nu, z)}, nil
-	case FuncCount:
-		est := stats.SumEstimate(ones.Sum, m, n)
-		nu := stats.ScaledSumVarianceTerm(ones, m, n)
-		return Result{Estimate: est, Interval: stats.NewInterval(est, 0, nu, z)}, nil
-	case FuncAvg:
-		est := matching.Mean()
-		nu := stats.ScaledAvgVarianceTerm(matching, m, matching.N, 1)
-		return Result{Estimate: est, Interval: stats.NewInterval(est, 0, nu, z)}, nil
-	}
-	return Result{}, fmt.Errorf("core: uniform fallback does not support %v", q.Func)
+	return MergePartials([]Partial{p}, q.Confidence)
 }

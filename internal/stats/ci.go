@@ -13,12 +13,19 @@ func ZForConfidence(level float64) float64 {
 	if level >= 1 {
 		return math.Inf(1)
 	}
-	// Want z with  erf(z/sqrt2) = level.
-	target := level
+	// Want z with  erf(z/sqrt2) = level. The bracket keeps
+	// erf(lo/sqrt2) < level <= erf(hi/sqrt2), so once the midpoint rounds
+	// onto an end (some 60-80 halvings in, for any level an interval is
+	// asked at) every further step would re-assign that end to itself: the
+	// bisection has converged. Levels within ~1e-59 of zero bracket a
+	// subnormal and run into the step budget instead.
 	lo, hi := 0.0, 40.0
 	for i := 0; i < 200; i++ {
 		mid := (lo + hi) / 2
-		if math.Erf(mid/math.Sqrt2) < target {
+		if mid == lo || mid == hi {
+			break
+		}
+		if math.Erf(mid/math.Sqrt2) < level {
 			lo = mid
 		} else {
 			hi = mid

@@ -29,6 +29,46 @@ func TestZForConfidence(t *testing.T) {
 	}
 }
 
+// zReference is the bisection ZForConfidence ran before it learned to stop
+// at its fixed point: 200 halvings, most of them no-ops.
+func zReference(level float64) float64 {
+	if level <= 0 {
+		return 0
+	}
+	if level >= 1 {
+		return math.Inf(1)
+	}
+	lo, hi := 0.0, 40.0
+	for i := 0; i < 200; i++ {
+		mid := (lo + hi) / 2
+		if math.Erf(mid/math.Sqrt2) < level {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return (lo + hi) / 2
+}
+
+// TestZForConfidenceMatchesFullBisection pins the early stop to the full
+// 200-step loop bit for bit: over a dense sweep of (0,1), at levels hugging
+// both ends, at the ends themselves, and at the levels the answer golden
+// (internal/core/testdata/answers.golden) was recorded with.
+func TestZForConfidenceMatchesFullBisection(t *testing.T) {
+	levels := []float64{0, 1, -1, 2, 0.80, 0.95, 0.99,
+		math.SmallestNonzeroFloat64, 1e-300, 1e-16, math.Nextafter(1, 0), 1 - 1e-9}
+	const sweep = 20000
+	for i := 1; i < sweep; i++ {
+		levels = append(levels, float64(i)/sweep)
+	}
+	for _, level := range levels {
+		got, want := ZForConfidence(level), zReference(level)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("ZForConfidence(%g) = %x, 200-step bisection gives %x", level, math.Float64bits(got), math.Float64bits(want))
+		}
+	}
+}
+
 func TestIntervalCovers(t *testing.T) {
 	iv := NewInterval(100, 4, 5, 2) // ±2*3 = ±6
 	if math.Abs(iv.HalfWidth-6) > 1e-12 {

@@ -7,9 +7,8 @@ import "math"
 // hash-sharded engine group. Each shard holds a disjoint hash-partition of
 // the data and answers over its own synopsis; because the shards' samples
 // are drawn independently, the variance of a sum of shard estimates is the
-// sum of their variances, and a pooled mean combines shard means with
-// population weights exactly like the paper's per-partition AVG weights
-// (Appendix C) lifted one level up: shards are strata.
+// sum of their variances. (The pooled mean, which needs the combined
+// population before it can weigh a shard, is composed in core.MergePartials.)
 
 // SumMerge combines additive partial estimates (SUM or COUNT over disjoint
 // shards): point estimates add, and so do the variances of independent
@@ -30,56 +29,6 @@ func (a *SumMerge) Add(est, variance float64) {
 // Interval returns the combined confidence interval est ± z·sqrt(Σ ν_i).
 func (a *SumMerge) Interval(z float64) Interval {
 	return NewInterval(a.Est, a.Var, 0, z)
-}
-
-// MeanMerge combines per-shard mean estimates into the pooled mean with
-// population weights w_i = n_i / Σ n_j:
-//
-//	est = Σ w_i · est_i = Σ n_i·est_i / Σ n_i
-//	ν   = Σ w_i² · ν_i  = Σ n_i²·ν_i / (Σ n_i)²
-//
-// With est_i = Ŝ_i/n_i this telescopes to ΣŜ_i / Σn_i — the ratio of the
-// combined SUM and COUNT estimators, so the merged AVG is consistent with
-// merging SUM and COUNT separately.
-type MeanMerge struct {
-	weightedEst float64 // Σ n_i · est_i
-	weightedVar float64 // Σ n_i² · ν_i
-	totalN      float64 // Σ n_i
-}
-
-// Add folds one shard's mean estimate, its variance, and the (estimated)
-// population n_i it describes.
-func (a *MeanMerge) Add(est, variance, n float64) {
-	if n <= 0 {
-		return // an empty shard carries no weight and no information
-	}
-	a.weightedEst += n * est
-	a.weightedVar += n * n * variance
-	a.totalN += n
-}
-
-// N returns the combined population Σ n_i.
-func (a *MeanMerge) N() float64 { return a.totalN }
-
-// Mean returns the pooled mean, or 0 when no shard carried weight.
-func (a *MeanMerge) Mean() float64 {
-	if a.totalN == 0 {
-		return 0
-	}
-	return a.weightedEst / a.totalN
-}
-
-// Variance returns the variance of the pooled mean.
-func (a *MeanMerge) Variance() float64 {
-	if a.totalN == 0 {
-		return 0
-	}
-	return a.weightedVar / (a.totalN * a.totalN)
-}
-
-// Interval returns the combined confidence interval around the pooled mean.
-func (a *MeanMerge) Interval(z float64) Interval {
-	return NewInterval(a.Mean(), a.Variance(), 0, z)
 }
 
 // ExtremeMerge combines per-shard MIN/MAX answers: the global extreme of a

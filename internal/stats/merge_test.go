@@ -25,54 +25,6 @@ func TestSumMergeAddsEstimatesAndVariances(t *testing.T) {
 	}
 }
 
-func TestMeanMergePoolsWithPopulationWeights(t *testing.T) {
-	// Two strata: mean 10 over 100 rows, mean 40 over 300 rows.
-	var acc MeanMerge
-	acc.Add(10, 1, 100)
-	acc.Add(40, 2, 300)
-	want := (100*10.0 + 300*40.0) / 400
-	if got := acc.Mean(); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("Mean = %g, want %g", got, want)
-	}
-	// Var = (100²·1 + 300²·2) / 400².
-	wantVar := (100.0*100*1 + 300.0*300*2) / (400.0 * 400)
-	if got := acc.Variance(); math.Abs(got-wantVar) > 1e-12 {
-		t.Fatalf("Variance = %g, want %g", got, wantVar)
-	}
-	if got := acc.N(); got != 400 {
-		t.Fatalf("N = %g, want 400", got)
-	}
-}
-
-func TestMeanMergeConsistentWithRatioOfSums(t *testing.T) {
-	// est_i = S_i/n_i must telescope: pooled mean == ΣS_i / Σn_i.
-	sums := []float64{120, 75, 300}
-	ns := []float64{12, 5, 60}
-	var acc MeanMerge
-	var totalS, totalN float64
-	for i := range sums {
-		acc.Add(sums[i]/ns[i], 0, ns[i])
-		totalS += sums[i]
-		totalN += ns[i]
-	}
-	if got, want := acc.Mean(), totalS/totalN; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("Mean = %g, want ΣS/Σn = %g", got, want)
-	}
-}
-
-func TestMeanMergeIgnoresEmptyStrata(t *testing.T) {
-	var acc MeanMerge
-	acc.Add(123, 456, 0) // an empty shard must not poison the pool
-	acc.Add(10, 1, 50)
-	if got := acc.Mean(); got != 10 {
-		t.Fatalf("Mean = %g, want 10", got)
-	}
-	var empty MeanMerge
-	if empty.Mean() != 0 || empty.Variance() != 0 {
-		t.Fatalf("empty MeanMerge must report zeros, got %g/%g", empty.Mean(), empty.Variance())
-	}
-}
-
 func TestExtremeMerge(t *testing.T) {
 	minAcc := NewExtremeMerge(false)
 	maxAcc := NewExtremeMerge(true)

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"janusaqp/internal/core"
-	"janusaqp/internal/stats"
 )
 
 // ShardBackend is one shard as the scatter-gather Router sees it. *Engine
@@ -178,38 +177,19 @@ func (r *Router) Do(ctx context.Context, req Request, began time.Time) (Response
 	if err := firstShardErr(errs); err != nil {
 		return Response{}, err
 	}
-	first := answers[0]
-	parts := make([]core.Partial, n)
-	resp := Response{Template: first.Template, CatchUpProgress: 1}
-	for i, a := range answers {
-		if a.Template != first.Template {
-			return Response{}, fmt.Errorf("janus: shard %d resolved template %q, shard 0 resolved %q: shard registrations have diverged",
-				i, a.Template, first.Template)
-		}
-		parts[i] = a.Partial
-		resp.SampleSize += a.SampleSize
-		resp.Population += a.Population
-		// The merged answer is only as caught up as its least caught-up
-		// shard — the conservative bound a dashboard should see.
-		resp.CatchUpProgress = min(resp.CatchUpProgress, a.CatchUpProgress)
-	}
-	conf := first.Confidence
-	if conf == 0 {
-		conf = 0.95
-	}
 	msp := r.spans.start()
-	res, err := core.MergePartials(parts, stats.ZForConfidence(conf))
+	resp, err := mergeAnswers(answers)
 	if err != nil {
 		return Response{}, err
 	}
 	r.spans.end(StageMerge, -1, msp)
-	resp.Result = res
 	resp.Elapsed = time.Since(start)
 	if req.Trace {
 		resolveDur := resolved.Sub(began)
 		scatterDur := scattered.Sub(start)
 		mergeDur := time.Since(scattered)
 		resp.Elapsed = resolveDur + scatterDur + mergeDur
+		first := answers[0]
 		trace := make([]TraceStage, 0, n*len(first.Stages)+4)
 		trace = append(trace, TraceStage{Stage: StageResolve, Shard: -1, Dur: resolveDur})
 		if req.MinSyncOffset > 0 {
@@ -231,6 +211,31 @@ func (r *Router) Do(ctx context.Context, req Request, began time.Time) (Response
 		resp.Trace = append(trace, TraceStage{Stage: StageMerge, Shard: -1, Dur: mergeDur})
 	}
 	return resp, nil
+}
+
+// mergeAnswers folds per-shard answers into one Response: the partials
+// into the Result (core.MergePartials, at the level shard 0 resolved), the
+// metadata by sum and minimum. It is the gather half of every answer — a
+// Router's over K shards, and an Engine's own over its one.
+func mergeAnswers(answers []ShardAnswer) (Response, error) {
+	first := answers[0]
+	parts := make([]core.Partial, len(answers))
+	resp := Response{Template: first.Template, CatchUpProgress: 1}
+	for i, a := range answers {
+		if a.Template != first.Template {
+			return Response{}, fmt.Errorf("janus: shard %d resolved template %q, shard 0 resolved %q: shard registrations have diverged",
+				i, a.Template, first.Template)
+		}
+		parts[i] = a.Partial
+		resp.SampleSize += a.SampleSize
+		resp.Population += a.Population
+		// The merged answer is only as caught up as its least caught-up
+		// shard — the conservative bound a dashboard should see.
+		resp.CatchUpProgress = min(resp.CatchUpProgress, a.CatchUpProgress)
+	}
+	var err error
+	resp.Result, err = core.MergePartials(parts, first.Confidence)
+	return resp, err
 }
 
 // InsertBatch hash-partitions the batch and applies each shard's sub-batch
