@@ -13,7 +13,12 @@
 // Queries decompose into exact partial aggregates over fully covered nodes
 // plus sample-based estimates over partially covered leaves (Sections 2.3.2
 // and 4.4), with confidence intervals combining the catch-up variance ν_c
-// and the sample-estimate variance ν_s (Section 4.4.1, Appendix C).
+// and the sample-estimate variance ν_s (Section 4.4.1, Appendix C). The
+// estimator runs once per query — one frontier walk, one scan of each
+// partial stratum — into a mergeable Partial (AnswerPartial, and
+// AnswerUniformPartial for the Section 5.5 on-keys fallback), and every
+// Result is MergePartials over partials: a local Answer is the K = 1 merge
+// of the scatter-gather a sharded deployment runs over K.
 //
 // The package also provides catch-up processing (Section 4.3) and the
 // re-partitioning triggers (Section 5.4, Appendix E); orchestration across

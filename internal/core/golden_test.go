@@ -302,13 +302,11 @@ func goldenWithinAvgUlps(got, want string) bool {
 		return false
 	}
 	var ge, we uint64
-	var grest, wrest string
 	if _, err := fmt.Sscanf(gv, "%016x", &ge); err != nil {
 		return false
 	}
 	if _, err := fmt.Sscanf(wv, "%016x", &we); err != nil {
 		return false
 	}
-	grest, wrest = gv[16:], wv[16:]
-	return grest == wrest && ulpDistance(ge, we) <= goldenMaxAvgUlps
+	return gv[16:] == wv[16:] && ulpDistance(ge, we) <= goldenMaxAvgUlps
 }

@@ -97,6 +97,30 @@ func TestMergePartialsAvgIsRatioOfPooledSums(t *testing.T) {
 	}
 }
 
+// TestMergePartialsAvgIgnoresEmptyShards: a shard matching no rows carries
+// no weight and no information, whatever its other fields say, and a merge
+// of only such shards answers zero with zero width.
+func TestMergePartialsAvgIgnoresEmptyShards(t *testing.T) {
+	parts := []Partial{
+		{Func: FuncAvg, Sum: 123, Count: 0, AvgVar: 456}, // must not poison the pool
+		{Func: FuncAvg, Sum: 500, Count: 50, AvgVar: 1},
+	}
+	res, err := MergePartials(parts, levelFor(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Estimate != 10 || math.Abs(res.Interval.HalfWidth-1) > 1e-12 {
+		t.Fatalf("AVG = %g ± %g, want 10 ± 1", res.Estimate, res.Interval.HalfWidth)
+	}
+	empty, err := MergePartials(parts[:1], levelFor(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if empty.Estimate != 0 || empty.Interval.HalfWidth != 0 {
+		t.Fatalf("all-empty AVG must answer zeros, got %g ± %g", empty.Estimate, empty.Interval.HalfWidth)
+	}
+}
+
 // TestMergedAvgTelescopesAcrossRealShards pins the AVG merge weights to
 // the *matching* count estimates: over two synopses with very different
 // selectivities under the same predicate, the merged AVG must equal the
