@@ -28,6 +28,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"janusaqp/internal/data"
 	"janusaqp/internal/geom"
@@ -131,55 +132,62 @@ type node struct {
 	localSeen  []stats.Moments // local samples folded into the subtree
 }
 
-// stratum is one leaf's slice of the pooled sample: O(1) add and remove by
-// tuple id (swap-delete, like the broker archive) over a dense slice.
-// Estimators iterate the slice, which buys two things over the map it
-// replaces: scans of partial leaves — the query hot path — walk contiguous
-// memory, and iteration order is a deterministic function of the operation
-// history, so identical histories produce bitwise-identical floating-point
-// sums. Synopsis persistence preserves the order, which is what lets a
-// crash-recovered engine answer byte-identically to one that never
-// crashed.
+// stratum is one leaf's virtual partition of the pooled sample, stored
+// flat so the partial-leaf scan (the query hot path) reads contiguous
+// floats: sample i is ids[i], its key projected onto the predicate dims at
+// add time is keys[i*d:(i+1)*d], its values are vals[i*nv:(i+1)*nv]
+// (Tuple.Val, so a missing attribute reads 0). add and remove are O(1) by
+// id and swap-delete all three slices in lockstep, so iteration order — and
+// with it every floating-point sum — is a deterministic function of the
+// operation history; persistence keeps it, so a recovered engine answers
+// byte-identically. The full tuples live in the reservoir (stratumTuples).
 type stratum struct {
-	items []data.Tuple
-	pos   map[int64]int
+	d, nv      int
+	ids        []int64
+	keys, vals []float64
+	pos        map[int64]int
 }
 
-func newStratum() *stratum {
-	return &stratum{pos: make(map[int64]int)}
+func newStratum(cfg Config) *stratum {
+	return &stratum{d: cfg.Dims, nv: cfg.NumVals, pos: make(map[int64]int)}
 }
 
-// add stores t, replacing any resident tuple with the same id in place.
-func (s *stratum) add(t data.Tuple) {
-	if i, ok := s.pos[t.ID]; ok {
-		s.items[i] = t
-		return
+// add stores tp under key, its projection onto the predicate dims,
+// overwriting any resident sample with the same id in place.
+func (s *stratum) add(tp data.Tuple, key geom.Point) {
+	i, ok := s.pos[tp.ID]
+	if !ok {
+		i = len(s.ids)
+		s.pos[tp.ID] = i
+		s.ids = append(s.ids, tp.ID)
+		s.keys = slices.Grow(s.keys, s.d)[:len(s.keys)+s.d]
+		s.vals = slices.Grow(s.vals, s.nv)[:len(s.vals)+s.nv]
 	}
-	s.pos[t.ID] = len(s.items)
-	s.items = append(s.items, t)
+	copy(s.keys[i*s.d:], key[:s.d])
+	for a := range s.nv {
+		s.vals[i*s.nv+a] = tp.Val(a)
+	}
 }
 
-// remove drops the tuple with the given id, reporting whether it was held.
+// remove drops the sample with the given id, reporting whether it was held.
 func (s *stratum) remove(id int64) bool {
 	i, ok := s.pos[id]
 	if !ok {
 		return false
 	}
-	last := len(s.items) - 1
+	last := len(s.ids) - 1
 	delete(s.pos, id)
 	if i != last {
-		s.items[i] = s.items[last]
-		s.pos[s.items[i].ID] = i
+		s.ids[i] = s.ids[last]
+		copy(s.keys[i*s.d:(i+1)*s.d], s.keys[last*s.d:])
+		copy(s.vals[i*s.nv:(i+1)*s.nv], s.vals[last*s.nv:])
+		s.pos[s.ids[i]] = i
 	}
-	s.items = s.items[:last]
+	s.ids, s.keys, s.vals = s.ids[:last], s.keys[:last*s.d], s.vals[:last*s.nv]
 	return true
 }
 
-func (s *stratum) len() int { return len(s.items) }
-
-// tuples returns the live slice in iteration order; callers must not
-// mutate or retain it across updates.
-func (s *stratum) tuples() []data.Tuple { return s.items }
+func (s *stratum) len() int { return len(s.ids) }
 
 func (n *node) initStats(cfg Config) {
 	n.catchup = make([]stats.Moments, cfg.NumVals)
@@ -278,7 +286,7 @@ func (t *DPT) cloneBlueprint(src *partition.Node, parent *node) *node {
 	n.initStats(t.cfg)
 	if src.IsLeaf() {
 		n.isLeaf = true
-		n.stratum = newStratum()
+		n.stratum = newStratum(t.cfg)
 		t.leaves = append(t.leaves, n)
 		return n
 	}
@@ -313,9 +321,9 @@ func (t *DPT) project(tp data.Tuple) geom.Point {
 
 // containsKey reports whether the tuple's key, projected onto dims (nil
 // is the identity projection), falls inside rect — without materializing
-// the projected point. The estimator calls this once per stratum sample
-// per query; going through Tuple.Project would allocate per sample on the
-// answer hot path.
+// the projected point. The on-keys scan calls this once per reservoir
+// sample per query; going through Tuple.Project would allocate per sample
+// on the answer path.
 func containsKey(rect geom.Rect, dims []int, tp data.Tuple) bool {
 	if dims == nil {
 		return rect.Contains(tp.Key)
@@ -373,7 +381,7 @@ func (t *DPT) refreshOracleRate() {
 func (t *DPT) addToStratum(tp data.Tuple) {
 	p := t.project(tp)
 	leaf := t.route(p)
-	leaf.stratum.add(tp)
+	leaf.stratum.add(tp, p)
 	t.oracle.Insert(kdindex.Entry{Point: p, Val: tp.Val(t.cfg.AggIndex), ID: tp.ID})
 }
 
@@ -385,14 +393,24 @@ func (t *DPT) dropFromStratum(tp data.Tuple) {
 	t.oracle.Delete(tp.ID)
 }
 
+// stratumTuples returns leaf l's samples as the reservoir's full tuples,
+// in stratum order.
+func (t *DPT) stratumTuples(l *node) []data.Tuple {
+	out := make([]data.Tuple, len(l.stratum.ids))
+	for i, id := range l.stratum.ids {
+		out[i], _ = t.res.Get(id)
+	}
+	return out
+}
+
 // rebuildStrata re-derives every leaf stratum and the oracle from the
 // current reservoir contents (needed after a reservoir re-draw).
 func (t *DPT) rebuildStrata() {
 	for _, l := range t.leaves {
-		for _, s := range l.stratum.tuples() {
-			t.oracle.Delete(s.ID)
+		for _, id := range l.stratum.ids {
+			t.oracle.Delete(id)
 		}
-		l.stratum = newStratum()
+		l.stratum = newStratum(t.cfg)
 	}
 	for _, s := range t.res.Items() {
 		t.addToStratum(s)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"slices"
@@ -314,7 +315,7 @@ func TestStrataConsistency(t *testing.T) {
 		t.Helper()
 		total := 0
 		for _, l := range dpt.leaves {
-			for _, s := range l.stratum.tuples() {
+			for _, s := range dpt.stratumTuples(l) {
 				id := s.ID
 				if !l.rect.Contains(s.Key) {
 					t.Fatalf("%s: stratum sample %d outside its leaf", when, id)
@@ -331,6 +332,7 @@ func TestStrataConsistency(t *testing.T) {
 		if dpt.oracle.Len() != dpt.res.Len() {
 			t.Fatalf("%s: oracle holds %d samples, reservoir %d", when, dpt.oracle.Len(), dpt.res.Len())
 		}
+		checkFlatStrata(t, dpt, when)
 	}
 	check("after build")
 	fresh := makeTuples(rng, 4000, 2_000_000)
@@ -352,6 +354,35 @@ func TestStrataConsistency(t *testing.T) {
 	check("after heavy deletes")
 	if dpt.res.Resamples == 0 {
 		t.Log("note: no reservoir re-draw occurred (deletions missed the sample)")
+	}
+	// A delete-driven re-draw rebuilds every stratum from the reservoir.
+	for dpt.res.Resamples == 0 {
+		tp := dpt.res.Items()[0]
+		dpt.Delete(tp)
+		db.delete(tp.ID)
+	}
+	check("after a re-draw")
+	if err := dpt.PartialRepartition(geom.Point{500}, 2); err != nil {
+		t.Fatal(err)
+	}
+	check("after a partial repartition")
+	// Decode rebuilds the strata from the image in the order they were
+	// saved.
+	var buf bytes.Buffer
+	if err := dpt.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	saved := dpt
+	restored, err := Decode(&buf, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dpt = restored
+	check("after Encode and Decode")
+	for i, l := range dpt.leaves {
+		if !slices.Equal(l.stratum.ids, saved.leaves[i].stratum.ids) {
+			t.Fatalf("leaf %d decoded in order %v, saved %v", i, l.stratum.ids, saved.leaves[i].stratum.ids)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"janusaqp/internal/data"
@@ -42,6 +43,37 @@ func fuzzSeedSynopsis() []byte {
 	return buf.Bytes()
 }
 
+// mutateSeed re-encodes fuzzSeedSynopsis's image after mutate edits its
+// decoded form: a checkpoint corrupted past the gob layer.
+func mutateSeed(mutate func(p *persistDPT)) []byte {
+	var p persistDPT
+	if err := gob.NewDecoder(bytes.NewReader(fuzzSeedSynopsis())).Decode(&p); err != nil {
+		panic(err)
+	}
+	mutate(&p)
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&p); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+}
+
+// persistedLeaves returns the persisted tree's leaves, left to right.
+func persistedLeaves(n *persistNode) []*persistNode {
+	if n.IsLeaf {
+		return []*persistNode{n}
+	}
+	return append(persistedLeaves(n.Left), persistedLeaves(n.Right)...)
+}
+
+// sharedSampleImage is the seed image with one sample in two strata.
+func sharedSampleImage() []byte {
+	return mutateSeed(func(p *persistDPT) {
+		l := persistedLeaves(p.Root)
+		l[1].Stratum = append(l[1].Stratum, l[0].Stratum[0])
+	})
+}
+
 // FuzzDecode asserts the crash-recovery trust boundary: Decode over
 // arbitrary bytes — corrupted or truncated checkpoint images included —
 // must return an error or a synopsis that answers queries, and must never
@@ -57,6 +89,7 @@ func FuzzDecode(f *testing.F) {
 		flipped[i] ^= 0x5a
 	}
 	f.Add(flipped)
+	f.Add(sharedSampleImage())
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		dpt, err := Decode(bytes.NewReader(raw), nil)
 		if err != nil {
@@ -82,25 +115,13 @@ func FuzzDecode(f *testing.F) {
 // estimators read Val(i) for every tracked column, and a short slice
 // silently yields zeros, skewing SUM/AVG with no error.
 func TestDecodeRejectsShortValsTuples(t *testing.T) {
-	corrupt := func(mutate func(p *persistDPT)) []byte {
-		var p persistDPT
-		if err := gob.NewDecoder(bytes.NewReader(fuzzSeedSynopsis())).Decode(&p); err != nil {
-			t.Fatal(err)
-		}
-		mutate(&p)
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&p); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	shortenReservoir := corrupt(func(p *persistDPT) {
+	shortenReservoir := mutateSeed(func(p *persistDPT) {
 		p.Reservoir[0].Vals = p.Reservoir[0].Vals[:1] // config tracks 2
 	})
 	if _, err := Decode(bytes.NewReader(shortenReservoir), nil); err == nil {
 		t.Fatal("reservoir tuple with short Vals decoded without error")
 	}
-	shortenStratum := corrupt(func(p *persistDPT) {
+	shortenStratum := mutateSeed(func(p *persistDPT) {
 		n := p.Root
 		for !n.IsLeaf {
 			n = n.Left
@@ -112,6 +133,47 @@ func TestDecodeRejectsShortValsTuples(t *testing.T) {
 	})
 	if _, err := Decode(bytes.NewReader(shortenStratum), nil); err == nil {
 		t.Fatal("stratum tuple with short Vals decoded without error")
+	}
+}
+
+// TestDecodeRejectsStrataNotPartitioningReservoir pins that the strata of
+// a restored image are a partition of its reservoir. A stratum sample the
+// reservoir lacks would be scanned until the next re-draw, since no
+// eviction ever reports it; one in two strata would be scanned twice; and
+// one whose key or values differ from the reservoir's copy would change
+// when re-seeded or re-encoded from the reservoir.
+func TestDecodeRejectsStrataNotPartitioningReservoir(t *testing.T) {
+	if _, err := Decode(bytes.NewReader(mutateSeed(func(*persistDPT) {})), nil); err != nil {
+		t.Fatalf("the unmutated seed image: %v", err)
+	}
+	first := func(p *persistDPT) *data.Tuple { return &persistedLeaves(p.Root)[0].Stratum[0] }
+	for _, c := range []struct {
+		name  string
+		image []byte
+		want  string
+	}{
+		{"absent from the reservoir", mutateSeed(func(p *persistDPT) {
+			id := first(p).ID
+			p.Reservoir = slices.DeleteFunc(p.Reservoir, func(s data.Tuple) bool { return s.ID == id })
+		}), "not in the reservoir"},
+		{"in two strata", sharedSampleImage(), "in two strata"},
+		{"beyond a reservoir over capacity, whose tail Init drops", mutateSeed(func(p *persistDPT) {
+			p.Cfg.SampleLowerBound = len(p.Reservoir)/2 - 1
+		}), "capacity"},
+		{"values differ", mutateSeed(func(p *persistDPT) {
+			s := first(p)
+			s.Vals = slices.Clone(s.Vals)
+			s.Vals[1] += 0.5
+		}), "differs from its reservoir copy"},
+		{"key differs", mutateSeed(func(p *persistDPT) {
+			s := first(p)
+			s.Key = geom.Point{math.Nextafter(s.Key[0], math.Inf(1))}
+		}), "differs from its reservoir copy"},
+	} {
+		_, err := Decode(bytes.NewReader(c.image), nil)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("stratum sample %s: Decode error %v, want one saying %q", c.name, err, c.want)
+		}
 	}
 }
 

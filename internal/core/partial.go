@@ -65,9 +65,7 @@ func (t *DPT) repartitionSubtree(u *node) error {
 	lu := len(oldLeaves)
 	var pooled []data.Tuple
 	for _, l := range oldLeaves {
-		for _, s := range l.stratum.tuples() {
-			pooled = append(pooled, s)
-		}
+		pooled = append(pooled, t.stratumTuples(l)...)
 	}
 	// Freeze the anchor population estimate before touching anything.
 	anchorBase := t.liveCount(u)
@@ -81,7 +79,7 @@ func (t *DPT) repartitionSubtree(u *node) error {
 	if bp.Root.IsLeaf() {
 		u.left, u.right = nil, nil
 		u.isLeaf = true
-		u.stratum = newStratum()
+		u.stratum = newStratum(t.cfg)
 	} else {
 		u.isLeaf = false
 		u.stratum = nil
@@ -119,7 +117,7 @@ func (t *DPT) cloneSubtree(src *partition.Node, parent *node) *node {
 	n.initStats(t.cfg)
 	if src.IsLeaf() {
 		n.isLeaf = true
-		n.stratum = newStratum()
+		n.stratum = newStratum(t.cfg)
 		return n
 	}
 	n.left = t.cloneSubtree(src.Left, n)
@@ -148,7 +146,7 @@ func (t *DPT) seedAnchored(u *node, tp data.Tuple) {
 		n.minHeap.Push(primary)
 		n.maxHeap.Push(primary)
 	}
-	n.stratum.add(tp)
+	n.stratum.add(tp, p)
 }
 
 func collectLeaves(n *node) []*node {

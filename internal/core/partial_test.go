@@ -33,7 +33,7 @@ func TestPartialRepartitionPreservesConsistency(t *testing.T) {
 	// Strata must exactly mirror the reservoir.
 	total := 0
 	for _, l := range dpt.leaves {
-		for _, s := range l.stratum.tuples() {
+		for _, s := range dpt.stratumTuples(l) {
 			id := s.ID
 			if !l.rect.Contains(s.Key) {
 				t.Fatalf("stratum sample %d outside its leaf", id)
@@ -44,6 +44,7 @@ func TestPartialRepartitionPreservesConsistency(t *testing.T) {
 	if total != dpt.res.Len() {
 		t.Fatalf("strata hold %d samples, reservoir %d", total, dpt.res.Len())
 	}
+	checkFlatStrata(t, dpt, "after a partial repartition")
 	// Every point must still route to exactly one leaf.
 	for trial := 0; trial < 300; trial++ {
 		p := geom.Point{rng.Float64() * 1200}

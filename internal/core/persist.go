@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"janusaqp/internal/data"
 	"janusaqp/internal/geom"
@@ -79,12 +80,12 @@ func (t *DPT) Encode(w io.Writer) error {
 		Consumed:   t.totalCatchup(),
 		Reservoir:  append([]data.Tuple(nil), t.res.Items()...),
 		ResPop:     t.res.Population(),
-		Root:       exportNode(t.root),
+		Root:       t.exportNode(t.root),
 	}
 	return gob.NewEncoder(w).Encode(&p)
 }
 
-func exportNode(n *node) *persistNode {
+func (t *DPT) exportNode(n *node) *persistNode {
 	if n == nil {
 		return nil
 	}
@@ -98,8 +99,8 @@ func exportNode(n *node) *persistNode {
 		IsAnchor:   n.isAnchor,
 		AnchorBase: n.anchorBase,
 		LocalSeen:  append([]stats.Moments(nil), n.localSeen...),
-		Left:       exportNode(n.left),
-		Right:      exportNode(n.right),
+		Left:       t.exportNode(n.left),
+		Right:      t.exportNode(n.right),
 	}
 	// Heap contents: persist the retained multiset; re-pushing restores an
 	// equivalent heap.
@@ -110,8 +111,10 @@ func exportNode(n *node) *persistNode {
 		// reproduces the leaf's iteration order exactly, so a recovered
 		// synopsis computes bitwise-identical floating-point sums to the
 		// one that was saved (and to any engine with the same operation
-		// history).
-		p.Stratum = append([]data.Tuple(nil), n.stratum.tuples()...)
+		// history). The stratum holds only projections, so the full tuples
+		// are read back from the reservoir by id, which keeps the image in
+		// the format existing checkpoints use.
+		p.Stratum = t.stratumTuples(n)
 	}
 	return p
 }
@@ -160,7 +163,7 @@ func Decode(r io.Reader, resample reservoir.Resampler) (t *DPT, err error) {
 	t.refreshOracleRate()
 	// Rebuild the oracle from the restored strata (membership was saved).
 	for _, l := range t.leaves {
-		for _, s := range l.stratum.tuples() {
+		for _, s := range t.stratumTuples(l) {
 			t.oracle.Insert(oracleEntryFor(t, s))
 		}
 	}
@@ -175,9 +178,10 @@ const maxPersistDim = 1 << 20
 
 // validatePersisted checks the structural invariants of a decoded image:
 // a config the constructors accept, a well-formed binary tree with at
-// least one leaf, per-node statistics of the configured arity, and
-// reservoir/stratum tuples whose attributes cover the projection — every
-// property a later Answer, Insert, or Delete indexes by without checking.
+// least one leaf, per-node statistics of the configured arity,
+// reservoir/stratum tuples whose attributes cover the projection, and
+// strata that partition the reservoir — every property a later Answer,
+// Insert, or Delete relies on without checking.
 func validatePersisted(p *persistDPT) error {
 	cfg := &p.Cfg
 	switch {
@@ -218,10 +222,17 @@ func validatePersisted(p *persistDPT) error {
 		}
 		return nil
 	}
-	for _, s := range p.Reservoir {
+	if len(p.Reservoir) > 2*cfg.SampleLowerBound {
+		return fmt.Errorf("reservoir holds %d samples, capacity %d", len(p.Reservoir), 2*cfg.SampleLowerBound)
+	}
+	// The strata must partition the reservoir, whose copy of each sample is
+	// what re-seeds and encodes read: a stratum tuple claims its slot (-1).
+	slot, claimed := make(map[int64]int, len(p.Reservoir)), 0
+	for i, s := range p.Reservoir {
 		if err := checkTuple(s, "reservoir"); err != nil {
 			return err
 		}
+		slot[s.ID] = i
 	}
 	leaves := 0
 	var walk func(n *persistNode, depth int) error
@@ -249,6 +260,17 @@ func validatePersisted(p *persistDPT) error {
 				if err := checkTuple(s, "stratum"); err != nil {
 					return err
 				}
+				i, ok := slot[s.ID]
+				switch {
+				case !ok:
+					return fmt.Errorf("stratum tuple %d is not in the reservoir", s.ID)
+				case i < 0:
+					return fmt.Errorf("tuple %d is in two strata", s.ID)
+				case !sameBits(s.Key, p.Reservoir[i].Key) || !sameBits(s.Vals, p.Reservoir[i].Vals):
+					return fmt.Errorf("stratum tuple %d differs from its reservoir copy", s.ID)
+				}
+				slot[s.ID] = -1
+				claimed++
 			}
 			return nil
 		}
@@ -271,6 +293,9 @@ func validatePersisted(p *persistDPT) error {
 	}
 	if leaves == 0 {
 		return fmt.Errorf("tree has no leaves")
+	}
+	if claimed != len(p.Reservoir) {
+		return fmt.Errorf("strata hold %d of the reservoir's %d samples", claimed, len(p.Reservoir))
 	}
 	// The root must span the whole predicate space (blueprints are built
 	// over the universe). Together with checkSplit's tiling this makes the
@@ -319,6 +344,11 @@ func checkSplit(n *persistNode, dims int) error {
 	return fmt.Errorf("interior node's children do not tile its rectangle")
 }
 
+// sameBits reports whether a and b hold the same floats, bit for bit.
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
 func (t *DPT) importNode(p *persistNode, parent *node) *node {
 	if p == nil {
 		return nil
@@ -344,9 +374,9 @@ func (t *DPT) importNode(p *persistNode, parent *node) *node {
 		n.maxHeap.Push(v)
 	}
 	if n.isLeaf {
-		n.stratum = newStratum()
+		n.stratum = newStratum(t.cfg)
 		for _, s := range p.Stratum {
-			n.stratum.add(s)
+			n.stratum.add(s, t.project(s))
 		}
 		t.leaves = append(t.leaves, n)
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"janusaqp/internal/data"
 	"janusaqp/internal/geom"
 	"janusaqp/internal/stats"
 )
@@ -203,8 +202,7 @@ func (t *DPT) AnswerPartial(q Query) (Partial, error) {
 			continue
 		}
 		ni := t.liveCount(n)
-		matching := scan(n.stratum.tuples(), q.Rect, t.cfg.PredicateDims, aggIdx, ext)
-		e.addStratum(matching, mi, ni, weight(ni))
+		e.addStratum(n.stratum.scan(q.Rect, aggIdx, ext), mi, ni, weight(ni))
 	}
 
 	p := e.partial(q.Func)
@@ -262,19 +260,26 @@ func (e *terms) partial(f Func) Partial {
 }
 
 // scan is the one pass over a stratum's samples: it returns the moments of
-// the aggregation values of those whose key, projected onto dims, falls
-// inside rect, folding each such value into ext when the query wants
-// extremes.
-func scan(items []data.Tuple, rect geom.Rect, dims []int, aggIdx int, ext *stats.ExtremeMerge) (matching stats.Moments) {
-	for _, s := range items {
-		if !containsKey(rect, dims, s) {
-			continue
+// the aggIdx values of those whose projected key falls inside rect.
+func (s *stratum) scan(rect geom.Rect, aggIdx int, ext *stats.ExtremeMerge) (matching stats.Moments) {
+	d, nv := s.d, s.nv
+	lo, hi := rect.Min[:d], rect.Max[:d]
+samples:
+	for i := range s.ids {
+		for j, v := range s.keys[i*d : i*d+d] {
+			if v < lo[j] || v > hi[j] {
+				continue samples
+			}
 		}
-		v := s.Val(aggIdx)
-		matching.Add(v)
-		if ext != nil {
-			ext.Add(v)
-		}
+		fold(&matching, ext, s.vals[i*nv+aggIdx])
 	}
 	return matching
+}
+
+// fold adds a matching sample's value to the moments and, if wanted, ext.
+func fold(matching *stats.Moments, ext *stats.ExtremeMerge, v float64) {
+	matching.Add(v)
+	if ext != nil {
+		ext.Add(v)
+	}
 }

@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"janusaqp/internal/stats"
+)
 
 // AnswerUniformPartial answers, in mergeable form, a query whose predicate
 // ranges over arbitrary *original* key attributes (dims indexes into
@@ -24,8 +28,13 @@ func (t *DPT) AnswerUniformPartial(q Query, dims []int) (Partial, error) {
 	default:
 		return Partial{}, fmt.Errorf("core: uniform fallback does not support %v", q.Func)
 	}
+	var matching stats.Moments
+	for _, s := range t.res.Items() {
+		if containsKey(q.Rect, dims, s) {
+			fold(&matching, nil, s.Val(aggIdx))
+		}
+	}
 	var e terms
-	matching := scan(t.res.Items(), q.Rect, dims, aggIdx, nil)
 	e.addStratum(matching, int64(t.res.Len()), float64(t.population), 1)
 	return e.partial(q.Func), nil
 }

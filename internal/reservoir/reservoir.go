@@ -87,6 +87,14 @@ func (s *Sample) Contains(id int64) bool {
 	return ok
 }
 
+// Get returns the sampled tuple with the given ID.
+func (s *Sample) Get(id int64) (data.Tuple, bool) {
+	if i, ok := s.pos[id]; ok {
+		return s.items[i], true
+	}
+	return data.Tuple{}, false
+}
+
 // Items returns the live sample. The returned slice is the internal buffer:
 // callers must not mutate or retain it across updates.
 func (s *Sample) Items() []data.Tuple { return s.items }

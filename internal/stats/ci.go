@@ -7,6 +7,17 @@ import "math"
 // CDF with a bisection over erf, which is exact enough for interval
 // construction and avoids shipping a rational approximation table.
 func ZForConfidence(level float64) float64 {
+	if level == 0.95 {
+		return z95
+	}
+	return bisectZ(level)
+}
+
+// z95 is the quantile at the default level, which nearly every answer asks
+// for: bisected once.
+var z95 = bisectZ(0.95)
+
+func bisectZ(level float64) float64 {
 	if level <= 0 {
 		return 0
 	}

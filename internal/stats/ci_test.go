@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -140,5 +141,20 @@ func TestMeanHelper(t *testing.T) {
 	}
 	if got := Mean(nil); got != 0 {
 		t.Errorf("Mean(nil) = %g, want 0", got)
+	}
+}
+
+// BenchmarkZForConfidence times the quantile at the default level, which
+// every answer asking for no level takes, and at a level that bisects.
+//
+//	go test -run '^$' -bench ZForConfidence ./internal/stats
+func BenchmarkZForConfidence(b *testing.B) {
+	for _, level := range []float64{0.95, 0.99} {
+		b.Run(fmt.Sprintf("level=%g", level), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				ZForConfidence(level)
+			}
+		})
 	}
 }
