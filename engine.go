@@ -12,9 +12,6 @@ import (
 	"janusaqp/internal/broker"
 	"janusaqp/internal/core"
 	"janusaqp/internal/data"
-	"janusaqp/internal/geom"
-	"janusaqp/internal/kdindex"
-	"janusaqp/internal/maxvar"
 	"janusaqp/internal/partition"
 )
 
@@ -55,11 +52,6 @@ func (e *BatchIDError) Error() string {
 
 // Unwrap makes errors.Is(err, ErrUnknownID) match.
 func (e *BatchIDError) Unwrap() error { return ErrUnknownID }
-
-// oracleEntry adapts a sample tuple to the max-variance index entry type.
-func oracleEntry(p geom.Point, val float64, id int64) kdindex.Entry {
-	return kdindex.Entry{Point: p, Val: val, ID: id}
-}
 
 // Engine manages a collection of DPT synopses — one per query template —
 // maintaining them under the broker's insert/delete streams, driving
@@ -219,7 +211,7 @@ func (e *Engine) AddTemplate(t Template) error {
 	if _, dup := e.lookup(t.Name); dup {
 		return fmt.Errorf("janus: %w %q", ErrDuplicateTemplate, t.Name)
 	}
-	dpt, err := e.buildSynopsis(t)
+	dpt, err := e.buildUpdLocked(t, e.cfg.NumVals, e.cfg.Seed, nil)
 	if err != nil {
 		return err
 	}
@@ -227,22 +219,21 @@ func (e *Engine) AddTemplate(t Template) error {
 	return nil
 }
 
-// buildSynopsis runs initialization for one template: sample the archive,
-// optimize the partitioning, populate approximate statistics, and run
-// catch-up to the configured rate. Caller holds e.upd, so the archive is
-// quiescent for the duration.
-func (e *Engine) buildSynopsis(t Template) (*core.DPT, error) {
+// buildUpdLocked is the one synopsis builder, the re-initialization
+// procedure of Section 4.3: draw a pooled sample from the archive, let
+// core.New optimize a partitioning on it (or adopt bp, a candidate the
+// Section 5.4 trigger already optimized), populate approximate statistics,
+// and run catch-up to the configured rate. numVals 0 takes the arity of
+// the first pooled tuple. Caller holds e.upd, so the archive is quiescent
+// for the duration.
+func (e *Engine) buildUpdLocked(t Template, numVals int, seed int64, bp *partition.Blueprint) (*core.DPT, error) {
 	n := e.broker.Archive().Len()
 	if n == 0 {
 		return nil, fmt.Errorf("janus: cannot initialize template %q from an empty archive", t.Name)
 	}
-	m := int(e.cfg.SampleRate * float64(n))
-	if m < e.cfg.MinSamples {
-		m = e.cfg.MinSamples
-	}
+	m := max(int(e.cfg.SampleRate*float64(n)), e.cfg.MinSamples)
 	pooled := e.broker.Archive().SampleUniform(2*m, e.rng)
-	numVals := e.cfg.NumVals
-	if numVals <= 0 && len(pooled) > 0 {
+	if numVals <= 0 {
 		numVals = len(pooled[0].Vals)
 	}
 	cfg := core.Config{
@@ -254,34 +245,30 @@ func (e *Engine) buildSynopsis(t Template) (*core.DPT, error) {
 		K:                e.cfg.LeafNodes,
 		SampleLowerBound: m,
 		Beta:             e.cfg.Beta,
-		Seed:             e.cfg.Seed,
+		Seed:             seed,
 	}
-	bp := e.optimize(t, cfg, pooled, n)
-	snapshot := e.snapshotArchive()
-	dpt := core.New(cfg, bp, pooled, n, snapshot, e.resampler())
+	dpt := core.New(cfg, bp, pooled, n, e.snapshotArchive(), e.resampler())
 	dpt.CatchUpTarget(e.cfg.CatchUpRate)
 	return dpt, nil
 }
 
-// optimize computes a partition blueprint for the template from a pooled
-// sample (step 1 of re-initialization).
-func (e *Engine) optimize(t Template, cfg core.Config, pooled []data.Tuple, population int64) *partition.Blueprint {
-	o := maxvar.New(t.Agg, cfg.Dims, cfg.Delta)
-	if population > 0 {
-		o.SetSamplingRate(float64(len(pooled)) / float64(population))
+// reinstallUpdLocked rebuilds s, on bp or on a fresh optimization when bp
+// is nil, and swaps the new synopsis in (steps 2–3 of Section 4.3). On
+// error the old synopsis stays and nothing is counted. Caller holds e.upd;
+// the old synopsis keeps answering queries until the brief write-locked
+// pointer swap.
+func (e *Engine) reinstallUpdLocked(s *synopsis, bp *partition.Blueprint) error {
+	sp := e.spans.start()
+	dpt, err := e.buildUpdLocked(s.tmpl, s.dpt.Config().NumVals, e.cfg.Seed+int64(e.Reinits)+1, bp)
+	if err != nil {
+		return err
 	}
-	for _, s := range pooled {
-		key := s.Key
-		if cfg.PredicateDims != nil {
-			key = s.Project(cfg.PredicateDims)
-		}
-		o.Insert(oracleEntry(key, s.Val(t.AggIndex), s.ID))
-	}
-	opts := partition.Options{K: cfg.K, Population: population}
-	if cfg.Dims == 1 {
-		return partition.BinarySearch1D(o, opts)
-	}
-	return partition.KD(o, opts)
+	s.mu.Lock()
+	s.dpt = dpt
+	s.mu.Unlock()
+	e.bumpCounter(&e.Reinits)
+	e.spans.end(SpanReinit, 0, sp)
+	return nil
 }
 
 // snapshotArchive copies the live table for catch-up consumption; core.New
@@ -672,45 +659,26 @@ func (e *Engine) evaluateTriggersUpdLocked(updates int) {
 			}
 		}
 		s.apply(func(dpt *core.DPT) { dpt.ResetTrigger() })
-		current := s.dpt.MaxVariance()
-		cand := e.candidateBlueprint(s)
-		candVar := blueprintMaxVariance(s.dpt.Oracle(), cand)
-		if current > 0 && candVar >= current/e.cfg.Beta {
+		cand := s.dpt.Reoptimize()
+		if cand == nil {
 			// Not enough improvement: keep the partitioning but refresh the
 			// baselines so the same drift does not re-fire immediately.
 			s.apply(func(dpt *core.DPT) { dpt.RefreshBaselines() })
 			e.bumpCounter(&e.TriggersRejected)
 			return
 		}
-		e.reinitializeUpdLocked(s, cand, nil)
+		// An empty archive has nothing to rebuild from: the old synopsis
+		// keeps serving and nothing is counted.
+		_ = e.reinstallUpdLocked(s, cand)
 	})
 }
 
-// candidateBlueprint optimizes a fresh partitioning for the synopsis from
-// its current pooled sample (re-using the synopsis oracle, which tracks the
-// sample exactly).
-func (e *Engine) candidateBlueprint(s *synopsis) *partition.Blueprint {
-	opts := partition.Options{K: e.cfg.LeafNodes, Population: s.dpt.Population()}
-	if s.dpt.Config().Dims == 1 {
-		return partition.BinarySearch1D(s.dpt.Oracle(), opts)
-	}
-	return partition.KD(s.dpt.Oracle(), opts)
-}
-
-func blueprintMaxVariance(o *maxvar.Oracle, bp *partition.Blueprint) float64 {
-	worst := 0.0
-	for _, l := range bp.Leaves {
-		if v := o.MaxVariance(l.Rect); v > worst {
-			worst = v
-		}
-	}
-	return worst
-}
-
 // Reinitialize rebuilds the named synopsis from the current archive state
-// (the full 5-step procedure of Section 4.3, run synchronously), returning
-// the wall-clock optimization + population cost. The old synopsis keeps
-// serving until the swap.
+// (the full procedure of Section 4.3, run synchronously under the update
+// lock), returning the wall-clock cost of the rebuild. The old synopsis
+// keeps serving until the swap. On an empty archive there is nothing to
+// rebuild from: the old synopsis stays, Reinits is not bumped, and the
+// error says so.
 func (e *Engine) Reinitialize(template string) (time.Duration, error) {
 	e.upd.Lock()
 	defer e.upd.Unlock()
@@ -719,69 +687,10 @@ func (e *Engine) Reinitialize(template string) (time.Duration, error) {
 		return 0, fmt.Errorf("janus: %w %q", ErrUnknownTemplate, template)
 	}
 	start := time.Now()
-	e.reinitializeUpdLocked(s, nil, nil)
+	if err := e.reinstallUpdLocked(s, nil); err != nil {
+		return 0, err
+	}
 	return time.Since(start), nil
-}
-
-// reinitializeUpdLocked swaps in a re-optimized synopsis. cand may carry a
-// pre-computed blueprint (from trigger evaluation) or nil to optimize from
-// a fresh archive sample; pooled may carry the sample that blueprint was
-// optimized on (from ReinitializeAsync) so the archive is not scanned a
-// second time for a sample the caller already drew, or nil to draw fresh.
-// Caller holds e.upd; the old synopsis keeps answering queries until the
-// brief write-locked pointer swap.
-func (e *Engine) reinitializeUpdLocked(s *synopsis, cand *partition.Blueprint, pooled []data.Tuple) {
-	n := e.broker.Archive().Len()
-	if n == 0 {
-		return
-	}
-	sp := e.spans.start()
-	defer func() { e.spans.end(SpanReinit, 0, sp) }()
-	m := int(e.cfg.SampleRate * float64(n))
-	if m < e.cfg.MinSamples {
-		m = e.cfg.MinSamples
-	}
-	// Step 4's pooled sample: drawn up front so step 2 can populate
-	// approximate statistics from it. A caller-supplied sample was drawn
-	// before the caller released upd to optimize, so rows deleted since
-	// must be dropped — seeding the reservoir with them would resurrect
-	// them in every estimate (the delete was applied to the synopsis this
-	// swap discards). Liveness is one map lookup per sampled row, far
-	// cheaper than the full archive re-scan the filter replaces.
-	if pooled == nil {
-		pooled = e.broker.Archive().SampleUniform(2*m, e.rng)
-	} else {
-		live := pooled[:0]
-		for _, t := range pooled {
-			if _, ok := e.broker.Archive().Get(t.ID); ok {
-				live = append(live, t)
-			}
-		}
-		pooled = live
-	}
-	numVals := s.dpt.Config().NumVals
-	cfg := core.Config{
-		PredicateDims:    s.tmpl.PredicateDims,
-		Dims:             len(s.tmpl.PredicateDims),
-		NumVals:          numVals,
-		AggIndex:         s.tmpl.AggIndex,
-		Agg:              s.tmpl.Agg,
-		K:                e.cfg.LeafNodes,
-		SampleLowerBound: m,
-		Beta:             e.cfg.Beta,
-		Seed:             e.cfg.Seed + int64(e.Reinits) + 1,
-	}
-	bp := cand
-	if bp == nil {
-		bp = e.optimize(s.tmpl, cfg, pooled, n)
-	}
-	snapshot := e.snapshotArchive()
-	dpt := core.New(cfg, bp, pooled, n, snapshot, e.resampler())
-	dpt.CatchUpTarget(e.cfg.CatchUpRate)
-	s.mu.Lock()
-	s.dpt = dpt // step 3: discard the old synopsis
-	s.mu.Unlock()
-	e.bumpCounter(&e.Reinits)
 }
 
 // bumpCounter increments one of the exported counters under statsMu.
@@ -789,50 +698,6 @@ func (e *Engine) bumpCounter(c *int) {
 	e.statsMu.Lock()
 	*c++
 	e.statsMu.Unlock()
-}
-
-// ReinitializeAsync runs step 1 (optimization) of the re-initialization in
-// the background while the engine keeps serving updates and queries from
-// the old synopsis, then performs the brief blocking swap (step 2-3). The
-// returned channel delivers the total duration once the swap completes.
-//
-// The swap re-uses the pooled sample the optimizer ran on — one archive
-// scan, not two — so updates that race the optimization enter the new
-// synopsis through its catch-up snapshot (taken at swap time) rather than
-// the reservoir, exactly as they would had they arrived just after a
-// synchronous re-initialization.
-func (e *Engine) ReinitializeAsync(template string) (<-chan time.Duration, error) {
-	e.upd.Lock()
-	s, ok := e.lookup(template)
-	if !ok {
-		e.upd.Unlock()
-		return nil, fmt.Errorf("janus: %w %q", ErrUnknownTemplate, template)
-	}
-	// Snapshot inputs for the optimizer under the update lock.
-	n := e.broker.Archive().Len()
-	m := int(e.cfg.SampleRate * float64(n))
-	if m < e.cfg.MinSamples {
-		m = e.cfg.MinSamples
-	}
-	pooled := e.broker.Archive().SampleUniform(2*m, e.rng)
-	cfg := s.dpt.Config()
-	tmpl := s.tmpl
-	e.upd.Unlock()
-
-	done := make(chan time.Duration, 1)
-	go func() {
-		start := time.Now()
-		// Step 1 (in parallel): optimize on the sampled data; the old
-		// synopsis keeps absorbing updates concurrently.
-		bp := e.optimize(tmpl, cfg, pooled, n)
-		// Step 2 (blocking): populate and swap, re-using the sample the
-		// blueprint was optimized on instead of re-scanning the archive.
-		e.upd.Lock()
-		e.reinitializeUpdLocked(s, bp, pooled)
-		e.upd.Unlock()
-		done <- time.Since(start)
-	}()
-	return done, nil
 }
 
 // Template returns the declaration of the named template.

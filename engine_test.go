@@ -234,30 +234,26 @@ func TestEngineReinitialize(t *testing.T) {
 	}
 }
 
-func TestEngineReinitializeAsyncServesDuringOptimization(t *testing.T) {
-	b, _ := seedBroker(t, workload.NYCTaxi, 15000)
-	eng := NewEngine(Config{LeafNodes: 32, SampleRate: 0.05, CatchUpRate: 0.2, Seed: 6}, b)
+// TestEngineReinitializeEmptyArchive checks that a rebuild with nothing to
+// rebuild from is reported, not counted: the old synopsis stays.
+func TestEngineReinitializeEmptyArchive(t *testing.T) {
+	b, tuples := seedBroker(t, workload.NYCTaxi, 2000)
+	eng := NewEngine(Config{LeafNodes: 16, Seed: 6}, b)
 	if err := eng.AddTemplate(taxiTemplate()); err != nil {
 		t.Fatal(err)
 	}
-	done, err := eng.ReinitializeAsync("trips")
-	if err != nil {
+	ids := make([]int64, len(tuples))
+	for i, tp := range tuples {
+		ids[i] = tp.ID
+	}
+	if _, err := eng.DeleteBatch(ids); err != nil {
 		t.Fatal(err)
 	}
-	// Keep inserting and querying while the rebuild happens.
-	fresh, _ := workload.Generate(workload.NYCTaxi, 2000, 3_000_000, 45)
-	for _, tp := range fresh {
-		insert1(t, eng, tp)
-		if _, err := query(eng, "trips", Query{Func: FuncCount, AggIndex: -1, Rect: Universe(1)}); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := eng.Reinitialize("trips"); err == nil {
+		t.Error("Reinitialize on an empty archive must error")
 	}
-	<-done
-	if eng.Reinits != 1 {
-		t.Errorf("Reinits = %d, want 1", eng.Reinits)
-	}
-	if _, err := eng.ReinitializeAsync("nope"); err == nil {
-		t.Error("unknown template must error")
+	if got := eng.Stats().Reinits; got != 0 {
+		t.Errorf("Reinits = %d after a rebuild that never ran, want 0", got)
 	}
 }
 

@@ -390,7 +390,8 @@ func (a *Archive) SampleUniform(n int, rng *rand.Rand) []data.Tuple {
 		copy(out, a.items)
 		return out
 	}
-	// Partial Fisher–Yates over an index permutation.
+	// The first n of a full random permutation of the rows: O(N) per draw,
+	// and the permutation is what every seeded draw reproduces.
 	idx := rng.Perm(len(a.items))[:n]
 	out := make([]data.Tuple, n)
 	for i, j := range idx {

@@ -42,14 +42,14 @@ func (t *DPT) CatchUp(batch int) (processed int, done bool) {
 		t.consumed++
 		processed++
 	}
-	done = t.consumed >= len(t.snapshot)
-	if done && t.totalCatchup() >= t.snapshotN {
-		// Every base tuple has been folded: node statistics are now exact
-		// (the DPT degenerates to an SPT over the base population, plus the
-		// exact insert/delete deltas).
+	if t.totalCatchup() >= t.snapshotN {
+		// Every base tuple has been folded — even when the snapshot's unread
+		// tail holds only pooled rows, which were folded first: node
+		// statistics are now exact (the DPT degenerates to an SPT over the
+		// base population, plus the exact insert/delete deltas).
 		t.exactStats = true
 	}
-	return processed, done
+	return processed, t.consumed >= len(t.snapshot)
 }
 
 // CatchUpProgress returns the fraction of the base population folded into

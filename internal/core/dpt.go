@@ -232,7 +232,11 @@ type DPT struct {
 // the current data (which seeds both the reservoir and, per step 2 of the
 // re-initialization procedure, the approximate node statistics), the base
 // population size, and a snapshot of the base population for catch-up
-// (may be nil: statistics then rest on the pooled sample alone). New takes
+// (may be nil: statistics then rest on the pooled sample alone). A nil
+// blueprint means "optimize one from the pooled sample" (step 1 of
+// re-initialization, Section 4.3). The pooled rows must come from the
+// snapshot: catch-up counts them as already folded, and marks the
+// statistics exact once the fold count reaches the population. New takes
 // ownership of snapshot and shuffles it in place — a caller that goes on
 // using its slice passes a copy. resample provides fresh uniform samples
 // from archival storage for reservoir re-draws.
@@ -245,17 +249,25 @@ func New(cfg Config, bp *partition.Blueprint, pooled []data.Tuple, population in
 		population: population,
 		seen:       make(map[int64]bool),
 	}
+	// Pooled reservoir and the max-variance oracle over it, which the
+	// optimizer partitions when no blueprint was given.
+	t.res = reservoir.New(cfg.SampleLowerBound, cfg.Seed+1, resample)
+	t.res.Init(pooled, population)
+	t.oracle = newOracleFor(cfg)
+	t.refreshOracleRate()
+	for _, s := range t.res.Items() {
+		t.oracle.Insert(oracleEntryFor(t, s))
+	}
+	if bp == nil {
+		bp = t.optimize()
+	}
 	t.root = t.cloneBlueprint(bp.Root, nil)
 	if len(t.leaves) == 0 {
 		panic("core: blueprint produced no leaves")
 	}
-	// Pooled reservoir and the max-variance oracle over it.
-	t.res = reservoir.New(cfg.SampleLowerBound, cfg.Seed+1, resample)
-	t.res.Init(pooled, population)
-	t.oracle = maxvar.New(cfg.Agg, cfg.Dims, cfg.Delta)
-	t.refreshOracleRate()
 	for _, s := range t.res.Items() {
-		t.addToStratum(s)
+		p := t.project(s)
+		t.route(p).stratum.add(s, p)
 	}
 	// Step 2 of re-initialization: populate approximate node statistics
 	// from the pooled sample (these tuples are uniform over the base
@@ -306,10 +318,6 @@ func (t *DPT) SampleSize() int { return t.res.Len() }
 
 // Population returns the tracked database size |D|.
 func (t *DPT) Population() int64 { return t.population }
-
-// Oracle exposes the max-variance oracle over the pooled sample, which the
-// engine uses to compare candidate re-partitionings.
-func (t *DPT) Oracle() *maxvar.Oracle { return t.oracle }
 
 // project maps a tuple key onto this synopsis's predicate space.
 func (t *DPT) project(tp data.Tuple) geom.Point {

@@ -475,6 +475,33 @@ func TestCatchUpProgressMonotonic(t *testing.T) {
 	}
 }
 
+// TestCatchUpProgressOneIsExact pins "progress 1 implies exact statistics":
+// CatchUpTarget(1.0) stops once every base row is folded, which can leave
+// the snapshot's unread tail holding only rows the pooled seed already
+// folded. Exactness must not wait for a call that drains that tail.
+func TestCatchUpProgressOneIsExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	tuples := makeTuples(rng, 1100, 0)
+	cfg := defaultCfg()
+	cfg.SampleLowerBound = 545 // a 1,090-row pooled sample: ten rows left to fold
+	cfg.Seed = 5               // a shuffle that puts all ten in the first batch
+	dpt, db := buildDPT(t, tuples, cfg)
+	dpt.CatchUpTarget(1.0)
+	if dpt.CatchUpProgress() != 1 || dpt.consumed >= len(dpt.snapshot) {
+		t.Fatalf("precondition: progress %g with %d of %d snapshot rows read, want progress 1 with the snapshot not drained",
+			dpt.CatchUpProgress(), dpt.consumed, len(dpt.snapshot))
+	}
+	rect := dpt.leaves[len(dpt.leaves)/2].rect
+	res, err := dpt.Answer(Query{Func: FuncSum, AggIndex: -1, Rect: rect})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := db.truth(FuncSum, 0, rect); res.Partial != 0 || res.Interval.HalfWidth != 0 || !closeTo(res.Estimate, want) {
+		t.Errorf("SUM over a whole leaf at progress 1 = %g ± %g (%d partial), want exactly %g",
+			res.Estimate, res.Interval.HalfWidth, res.Partial, want)
+	}
+}
+
 func TestQueryDimensionMismatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	tuples := makeTuples(rng, 1000, 0)

@@ -416,13 +416,7 @@ func FuzzAnswerAlgebra(f *testing.F) {
 
 		all := append([]*algebraSynopsis{one}, shards...)
 		for _, s := range all {
-			// Drain the snapshot rather than CatchUpTarget(1.0): progress
-			// reaches 1 before the snapshot is done when its tail holds only
-			// rows the pooled seed already folded, and exactness is marked
-			// on the draining call.
-			for done := false; !done; {
-				_, done = s.dpt.CatchUp(1024)
-			}
+			s.dpt.CatchUpTarget(1.0)
 			if !s.dpt.exactStats {
 				t.Fatal("full catch-up must mark statistics exact")
 			}

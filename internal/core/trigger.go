@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
+
+	"janusaqp/internal/partition"
 )
 
 // noteUpdate is called on a leaf after each insert/delete affecting it. It
@@ -71,18 +73,38 @@ func (t *DPT) ResetTrigger() {
 	t.pendingLeaf = nil
 }
 
-// MaxVariance returns the current maximum leaf variance M(R) over the whole
-// partitioning — the quantity the engine compares against a candidate
-// re-partitioning (adopt the candidate only when it improves by more than
-// β, Section 5.4).
-func (t *DPT) MaxVariance() float64 {
-	worst := 0.0
+// optimize partitions the pooled sample the oracle holds into K leaves:
+// the binary-search partitioner in one dimension, KD above (Section 5).
+func (t *DPT) optimize() *partition.Blueprint {
+	opts := partition.Options{K: t.cfg.K, Population: t.population}
+	if t.cfg.Dims == 1 {
+		return partition.BinarySearch1D(t.oracle, opts)
+	}
+	return partition.KD(t.oracle, opts)
+}
+
+// Reoptimize runs the Section 5.4 accept test for a fired trigger: it
+// optimizes a candidate partitioning of the current pooled sample and
+// returns it when its maximum leaf variance improves on the current
+// partitioning's M(R) by more than β (or M(R) is 0), and nil when the
+// candidate should be turned down.
+func (t *DPT) Reoptimize() *partition.Blueprint {
+	current, candVar := 0.0, 0.0
 	for _, l := range t.leaves {
-		if v := t.oracle.MaxVariance(l.rect); v > worst {
-			worst = v
+		if v := t.oracle.MaxVariance(l.rect); v > current {
+			current = v
 		}
 	}
-	return worst
+	cand := t.optimize()
+	for _, l := range cand.Leaves {
+		if v := t.oracle.MaxVariance(l.Rect); v > candVar {
+			candVar = v
+		}
+	}
+	if current > 0 && candVar >= current/t.cfg.Beta {
+		return nil
+	}
+	return cand
 }
 
 // RefreshBaselines re-records every leaf's trigger baseline M_i from the

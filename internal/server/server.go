@@ -734,10 +734,6 @@ func (s *Server) Handler() http.Handler { return s.withRequestID(s.mux) }
 // its series through the same /metrics endpoint.
 func (s *Server) Registry() *metrics.Registry { return s.reg }
 
-// Metrics returns the server's metrics registry so embedders can attach
-// their own counters.
-func (s *Server) Metrics() *metrics.Registry { return s.reg }
-
 // Close stops the background catch-up pump and follow loops and waits for
 // them to exit.
 func (s *Server) Close() {
