@@ -16,6 +16,7 @@ package janus_test
 import (
 	"context"
 	"io"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -210,6 +211,66 @@ func BenchmarkReinitialize(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// retainedTemplateHeap builds four templates over rows NYCTaxi rows and
+// returns the heap bytes the engine retains for them: HeapAlloc after two
+// collections, minus the same reading taken with only the table loaded.
+func retainedTemplateHeap(tb testing.TB, rows int) uint64 {
+	tb.Helper()
+	tuples, err := workload.Generate(workload.NYCTaxi, rows, 0, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	br := janus.NewBroker()
+	br.PublishInsertBatch(tuples)
+	tuples = nil
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	eng := janus.NewEngine(janus.Config{LeafNodes: 128, SampleRate: 0.01, CatchUpRate: 0.10, Seed: 1}, br)
+	for _, t := range []janus.Template{
+		{Name: "trips", PredicateDims: []int{0}, AggIndex: 0, Agg: janus.Sum},
+		{Name: "dropoffs", PredicateDims: []int{1}, AggIndex: 1, Agg: janus.Sum},
+		{Name: "fares", PredicateDims: []int{2}, AggIndex: 1, Agg: janus.Avg},
+		{Name: "cube", PredicateDims: []int{0, 1, 2}, AggIndex: 0, Agg: janus.Sum},
+	} {
+		if err := eng.AddTemplate(t); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	after := heap()
+	runtime.KeepAlive(eng)
+	if after < before {
+		return 0
+	}
+	return after - before
+}
+
+// TestAddTemplateRetainsNoTableCopy pins that a built synopsis keeps no
+// copy of the table once catch-up has reached its goal: four templates
+// over 200k rows retain O(sample), not four times the table's tuple
+// headers (56 B per row each).
+func TestAddTemplateRetainsNoTableCopy(t *testing.T) {
+	const limit = 16 << 20
+	if got := retainedTemplateHeap(t, 200_000); got >= limit {
+		t.Errorf("four templates over 200k rows retain %.1f MB of heap, want < %d MB", float64(got)/(1<<20), limit>>20)
+	}
+}
+
+// BenchmarkAddTemplateRetained reports the heap four templates over 200k
+// NYCTaxi rows retain after their builds, per template.
+func BenchmarkAddTemplateRetained(b *testing.B) {
+	var retained uint64
+	for i := 0; i < b.N; i++ {
+		retained = retainedTemplateHeap(b, 200_000)
+	}
+	b.ReportMetric(float64(retained)/4, "retained-B/template")
 }
 
 // --- concurrent serving benchmarks ------------------------------------------

@@ -154,7 +154,7 @@ func bootLocal(c daemonConfig, opts *server.Options, p *parts) (engines []*janus
 		}
 	}
 	p.shards, p.warm = k, k-p.cold
-	opts.CatchUpInterval, opts.RecoveryTailRecords = c.catchUpEvery, p.tail
+	opts.RecoveryTailRecords = p.tail
 	if len(rest) > 0 {
 		// The -stream demo producer: held-back rows arrive on a broker the
 		// server follows, the path an embedder tails an external stream by.
@@ -353,7 +353,6 @@ func (e nodeEngine) Do(ctx context.Context, req janus.Request) (janus.Response, 
 }
 func (e nodeEngine) InsertBatch(tuples []janus.Tuple) error { return e.n.Engine().InsertBatch(tuples) }
 func (e nodeEngine) DeleteBatch(ids []int64) (int, error)   { return e.n.Engine().DeleteBatch(ids) }
-func (e nodeEngine) PumpCatchUp() bool                      { return e.n.Engine().PumpCatchUp() }
 func (e nodeEngine) Follow(ctx context.Context, source *janus.Broker, state *janus.SyncState, interval time.Duration) int {
 	return e.n.Engine().Follow(ctx, source, state, interval)
 }

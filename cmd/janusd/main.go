@@ -1,8 +1,8 @@
 // Command janusd serves a JanusAQP engine over HTTP — the network daemon
 // form of the interactive DAQP service the paper motivates: dashboards
 // issue approximate queries against /v2/query while producers stream
-// batches through /v2/ingest, and a background goroutine keeps folding
-// catch-up samples (the paper's catch-up thread).
+// batches through /v2/ingest. Every synopsis build — at boot, and at each
+// re-initialization — runs catch-up to -catchup-rate before it serves.
 //
 // It boots from a synthetic dataset so there is something to query
 // immediately:
@@ -127,7 +127,7 @@ const (
 // Flag groups for the role table; every role reads -role and -log-*.
 const (
 	engineFlags = "seed leaves sample-rate catchup-rate auto-repartition "
-	localFlags  = engineFlags + "addr rpc dataset rows stream catchup-interval data checkpoint-interval retain slow-query admin "
+	localFlags  = engineFlags + "addr rpc dataset rows stream data checkpoint-interval retain slow-query admin "
 )
 
 // role is one row of the role table.
@@ -168,7 +168,6 @@ type daemonConfig struct {
 	addr, dataset   string
 	rows            int
 	engine          janus.Config // -seed -leaves -sample-rate -catchup-rate -auto-repartition
-	catchUpEvery    time.Duration
 	stream          float64
 	dataDir         string
 	checkpointEvery time.Duration
@@ -213,7 +212,6 @@ func (c *daemonConfig) flagSet() *flag.FlagSet {
 	fs.IntVar(&c.engine.LeafNodes, "leaves", 128, "DPT leaf partitions k")
 	fs.Float64Var(&c.engine.SampleRate, "sample-rate", 0.01, "pooled sample fraction")
 	fs.Float64Var(&c.engine.CatchUpRate, "catchup-rate", 0.10, "catch-up goal as a fraction of the base population")
-	fs.DurationVar(&c.catchUpEvery, "catchup-interval", 25*time.Millisecond, "background catch-up pump interval (0 disables)")
 	fs.BoolVar(&c.engine.AutoRepartition, "auto-repartition", true, "enable trigger-driven re-partitioning")
 	fs.Float64Var(&c.stream, "stream", 0, "fraction of rows held back and streamed through a followed broker after boot, in [0,1)")
 	fs.StringVar(&c.dataDir, "data", "", "durable data directory: segment logs + checkpoints; restarts warm-boot from it")

@@ -23,13 +23,13 @@ import (
 	"janusaqp/internal/workload"
 )
 
-// TestFlagTable pins the command line: the 26 flags and their defaults,
+// TestFlagTable pins the command line: the 25 flags and their defaults,
 // and — per role, from the role table — one required-missing, one
 // refused-with-a-note and one plainly unread flag, plus the range checks.
 func TestFlagTable(t *testing.T) {
 	defaults := map[string]string{
 		"addr": ":8080", "dataset": "taxi", "rows": "200000", "seed": "42", "leaves": "128",
-		"sample-rate": "0.01", "catchup-rate": "0.1", "catchup-interval": "25ms",
+		"sample-rate": "0.01", "catchup-rate": "0.1",
 		"auto-repartition": "true", "stream": "0", "data": "", "checkpoint-interval": "30s",
 		"retain": "compact", "shards": "1", "log-level": "info", "log-format": "text",
 		"slow-query": "0s", "admin": "false", "role": "single", "rpc": ":9101", "peers": "",
@@ -43,8 +43,8 @@ func TestFlagTable(t *testing.T) {
 			t.Errorf("flag -%s default %q, want %q (known: %v)", f.Name, f.DefValue, want, ok)
 		}
 	})
-	if n != len(defaults) || n != 26 {
-		t.Errorf("janusd has %d flags, want 26", n)
+	if n != len(defaults) || n != 25 {
+		t.Errorf("janusd has %d flags, want 25", n)
 	}
 
 	for _, tc := range []struct {
@@ -476,8 +476,6 @@ func TestShardInstallThenCheckpoint(t *testing.T) {
 	img := janus.NewEngine(c.engineConfig(), b)
 	if err := registerBootstrap(img); err != nil {
 		t.Fatal(err)
-	}
-	for img.PumpCatchUp() {
 	}
 	wantStats, err := img.StatsFor("trips")
 	if err != nil {

@@ -127,7 +127,6 @@ func main() {
 				truth.Delete(id)
 			}
 		}
-		eng.PumpCatchUp()
 		if done%*reportEvery < batch && done >= *reportEvery {
 			report(done)
 		}

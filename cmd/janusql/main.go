@@ -77,7 +77,6 @@ func main() {
 				fmt.Fprintln(os.Stderr, "stream:", err)
 				return
 			}
-			eng.PumpCatchUp()
 			mu.Lock()
 			streamed += hi - lo
 			mu.Unlock()

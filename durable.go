@@ -294,17 +294,20 @@ func (st *Store) Compact() (CompactInfo, error) {
 	info := CompactInfo{LogBytesBefore: st.logBytes()}
 	insPath := filepath.Join(st.dir, insertsLogName)
 	delPath := filepath.Join(st.dir, deletesLogName)
-	if f, stats, err := st.broker.Inserts.CompactTo(ckIns, insPath); err != nil {
-		return CompactInfo{}, fmt.Errorf("janus: compacting %s: %w", insertsLogName, err)
-	} else if f != nil {
-		st.inserts = f
-		info.InsertsDropped = stats.Dropped
+	// A rotation failing its directory fsync still hands back its new file.
+	f, stats, err := st.broker.Inserts.CompactTo(ckIns, insPath)
+	if f != nil {
+		st.inserts, info.InsertsDropped = f, stats.Dropped
 	}
-	if f, stats, err := st.broker.Deletes.CompactTo(ckDel, delPath); err != nil {
+	if err != nil {
+		return info, fmt.Errorf("janus: compacting %s: %w", insertsLogName, err)
+	}
+	f, stats, err = st.broker.Deletes.CompactTo(ckDel, delPath)
+	if f != nil {
+		st.deletes, info.DeletesDropped = f, stats.Dropped
+	}
+	if err != nil {
 		return info, fmt.Errorf("janus: compacting %s: %w", deletesLogName, err)
-	} else if f != nil {
-		st.deletes = f
-		info.DeletesDropped = stats.Dropped
 	}
 	info.LogBytesAfter = st.logBytes()
 	return info, nil
@@ -370,9 +373,10 @@ func (st *Store) WriteCheckpoint(e *Engine) (CheckpointInfo, error) {
 		_ = os.Remove(tmp)
 		return CheckpointInfo{}, fmt.Errorf("janus: publishing checkpoint: %w", err)
 	}
-	if d, err := os.Open(st.dir); err == nil {
-		_ = d.Sync()
-		_ = d.Close()
+	if err := syncDir(st.dir); err != nil {
+		// A rename that may not survive a crash is no publish: report it,
+		// so the background checkpointer does not compact behind it.
+		return CheckpointInfo{}, fmt.Errorf("janus: syncing the checkpoint's directory: %w", err)
 	}
 	st.spans.end(SpanCheckpointFsync, 0, sp)
 	return info, nil
@@ -551,9 +555,8 @@ func InitReplicaDir(dir string, checkpoint []byte) error {
 		_ = os.Remove(tmp)
 		return fmt.Errorf("janus: publishing replica checkpoint: %w", err)
 	}
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		_ = d.Close()
+	if err := syncDir(dir); err != nil {
+		return fmt.Errorf("janus: syncing the replica directory: %w", err)
 	}
 	return nil
 }

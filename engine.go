@@ -66,8 +66,8 @@ func (e *BatchIDError) Unwrap() error { return ErrUnknownID }
 //   - each synopsis carries its own RWMutex: queries on different
 //     templates proceed fully in parallel, read-only queries on the same
 //     template share an RLock, and only maintenance writes (stream
-//     application, catch-up folding, re-initialization swaps) take the
-//     per-synopsis write lock;
+//     application, re-initialization swaps) take the per-synopsis write
+//     lock;
 //   - upd is the update lock: every mutation of broker archive state and
 //     synopsis contents runs under it, so a broker publish and its
 //     application to the synopses are one atomic step. Without it a
@@ -94,8 +94,8 @@ type Engine struct {
 	// the lock.
 	ordered []*synopsis
 
-	// upd serializes all state mutations: Insert/Delete, catch-up pumps,
-	// trigger evaluation, re-initialization swaps, and template builds.
+	// upd serializes all state mutations: Insert/Delete, trigger
+	// evaluation, re-initialization swaps, and template builds.
 	// rng and updatesSinceTriggerCheck are guarded by it.
 	upd sync.Mutex
 	rng *rand.Rand
@@ -223,9 +223,9 @@ func (e *Engine) AddTemplate(t Template) error {
 // procedure of Section 4.3: draw a pooled sample from the archive, let
 // core.New optimize a partitioning on it (or adopt bp, a candidate the
 // Section 5.4 trigger already optimized), populate approximate statistics,
-// and run catch-up to the configured rate. numVals 0 takes the arity of
-// the first pooled tuple. Caller holds e.upd, so the archive is quiescent
-// for the duration.
+// and run catch-up to the configured rate, where it ends for good. numVals
+// 0 takes the arity of the first pooled tuple. Caller holds e.upd, so the
+// archive is quiescent for the duration.
 func (e *Engine) buildUpdLocked(t Template, numVals int, seed int64, bp *partition.Blueprint) (*core.DPT, error) {
 	n := e.broker.Archive().Len()
 	if n == 0 {
@@ -249,6 +249,7 @@ func (e *Engine) buildUpdLocked(t Template, numVals int, seed int64, bp *partiti
 	}
 	dpt := core.New(cfg, bp, pooled, n, e.snapshotArchive(), e.resampler())
 	dpt.CatchUpTarget(e.cfg.CatchUpRate)
+	dpt.EndCatchUp()
 	return dpt, nil
 }
 
@@ -482,50 +483,12 @@ func (e *Engine) DeleteBatch(ids []int64) (int, error) {
 	return len(tuples), nil
 }
 
-// PumpCatchUp folds one batch of catch-up samples into every synopsis that
-// has not reached its target; returns true when any work was done. The
-// daemon runs this from a background goroutine (the paper's catch-up
-// thread); library callers may interleave it with stream events instead.
-func (e *Engine) PumpCatchUp() bool {
-	sp := e.spans.start()
-	e.upd.Lock()
-	defer e.upd.Unlock()
-	worked := false
-	e.forEachSynUpdLocked(func(s *synopsis) {
-		s.apply(func(dpt *core.DPT) {
-			if dpt.CatchUpProgress() < e.cfg.CatchUpRate {
-				if n, _ := dpt.CatchUp(e.cfg.CatchUpBatch); n > 0 {
-					worked = true
-				}
-			}
-		})
-	})
-	// Idle pumps (the 10ms poll finding nothing to fold) would swamp the
-	// span histogram with no-op durations; only real work is reported.
-	if worked {
-		e.spans.end(SpanCatchUp, 0, sp)
-	}
-	return worked
-}
-
-// ForceCatchUpBatch folds one batch of catch-up samples into the named
-// synopsis regardless of the configured catch-up rate (the user-driven
-// catch-up knob of Section 4.3); it returns false when the snapshot is
-// exhausted or the template is unknown.
-func (e *Engine) ForceCatchUpBatch(template string, batch int) bool {
-	e.upd.Lock()
-	defer e.upd.Unlock()
-	s, ok := e.lookup(template)
-	if !ok {
-		return false
-	}
-	worked := false
-	s.apply(func(dpt *core.DPT) {
-		n, _ := dpt.CatchUp(batch)
-		worked = n > 0
-	})
-	return worked
-}
+// PumpCatchUp reports false: every synopsis build runs catch-up to
+// Config.CatchUpRate and ends it there, so no batch is left to fold.
+//
+// Deprecated: it stays only because the benchmark module under bench/
+// calls it; ROADMAP item 8's coordinated bench/ edit removes it.
+func (e *Engine) PumpCatchUp() bool { return false }
 
 // PartialRepartitions returns the total Appendix E subtree rebuilds across
 // all templates.

@@ -310,7 +310,7 @@ func TestEngineConcurrentAccess(t *testing.T) {
 				case 1:
 					delete1(eng, tuples[(worker*500+i)%len(tuples)].ID)
 				case 2:
-					eng.PumpCatchUp()
+					eng.Stats()
 				}
 			}
 		}(w)
@@ -326,29 +326,23 @@ func TestEngineConcurrentAccess(t *testing.T) {
 	}
 }
 
+// TestEnginePumpCatchUp pins where catch-up happens: every synopsis build
+// runs it to the configured rate before the synopsis serves, so nothing is
+// left for a background pump.
 func TestEnginePumpCatchUp(t *testing.T) {
 	b, _ := seedBroker(t, workload.IntelWireless, 20000)
-	eng := NewEngine(Config{
-		LeafNodes: 16, SampleRate: 0.01, CatchUpRate: 0.5,
-		CatchUpBatch: 512, Seed: 10,
-	}, b)
-	// Build with a tiny initial catch-up by setting the rate low first.
+	eng := NewEngine(Config{LeafNodes: 16, SampleRate: 0.01, CatchUpRate: 0.5, Seed: 10}, b)
 	if err := eng.AddTemplate(Template{Name: "light", PredicateDims: []int{0}, AggIndex: 0, Agg: Sum}); err != nil {
 		t.Fatal(err)
 	}
-	start := catchUpOf(t, eng, "light")
-	if start >= 0.5 {
-		// Initialization already reached the target; that is fine, but then
-		// PumpCatchUp must be a no-op.
-		if eng.PumpCatchUp() {
-			t.Error("PumpCatchUp should be idle at target")
-		}
-		return
+	if got := catchUpOf(t, eng, "light"); got < 0.5 {
+		t.Errorf("AddTemplate left catch-up at %.3f, want >= 0.5", got)
 	}
-	for eng.PumpCatchUp() {
+	if _, err := eng.Reinitialize("light"); err != nil {
+		t.Fatal(err)
 	}
 	if got := catchUpOf(t, eng, "light"); got < 0.5 {
-		t.Errorf("catch-up stalled at %.3f, want >= 0.5", got)
+		t.Errorf("Reinitialize left catch-up at %.3f, want >= 0.5", got)
 	}
 }
 

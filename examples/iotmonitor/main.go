@@ -82,7 +82,6 @@ func main() {
 		if err := eng.InsertBatch(tuples[lo:hi]); err != nil {
 			log.Fatal(err)
 		}
-		eng.PumpCatchUp()
 	}
 	show("after 25k new readings:")
 

@@ -39,7 +39,7 @@ func main() {
 	eng := janus.NewEngine(janus.Config{
 		LeafNodes:   128,  // partition-tree leaves
 		SampleRate:  0.01, // 1% pooled stratified sample
-		CatchUpRate: 0.10, // background catch-up folds 10% of the data
+		CatchUpRate: 0.10, // each build's catch-up folds 10% of the data
 	}, b)
 	if err := eng.AddTemplate(janus.Template{
 		Name:          "amounts",

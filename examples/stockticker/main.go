@@ -82,7 +82,6 @@ func main() {
 			log.Fatal(err) // already-canceled orders are fine; anything else is not
 		}
 		canceled += n
-		eng.PumpCatchUp()
 	}
 	fmt.Printf("streamed %d orders, canceled %d (%.1f%%), %d re-partitions\n\n",
 		rows-initial, canceled, 100*float64(canceled)/float64(rows-initial), eng.Stats().Reinits)

@@ -55,12 +55,11 @@ func TestIntegrationFullLifecycle(t *testing.T) {
 	}
 	check("after init", 0.15)
 
-	// Phase 2: streaming growth with background catch-up.
+	// Phase 2: streaming growth.
 	for _, tp := range tuples[10000:30000] {
 		insert1(t, eng, tp)
 		truth.Insert(tp)
 	}
-	eng.PumpCatchUp()
 	check("after growth", 0.25)
 
 	// Phase 3: explicit re-initialization.
@@ -117,16 +116,19 @@ func TestIntegrationFullLifecycle(t *testing.T) {
 
 // TestQueriesDuringPartialCatchup verifies the Section 4.3 property that
 // queries issued mid-catch-up are usable and improve monotonically (in
-// aggregate) as catch-up progresses.
+// aggregate) as catch-up progresses. Two engines with one seed draw the
+// same pooled sample and snapshot order, so the one with the higher
+// catch-up rate is the other caught up further.
 func TestQueriesDuringPartialCatchup(t *testing.T) {
 	b, tuples := seedBroker(t, workload.IntelWireless, 30000)
-	eng := NewEngine(Config{
-		LeafNodes: 64, SampleRate: 0.01, CatchUpRate: 0.001, Seed: 73,
-	}, b)
-	if err := eng.AddTemplate(Template{
-		Name: "light", PredicateDims: []int{0}, AggIndex: 0, Agg: Sum,
-	}); err != nil {
-		t.Fatal(err)
+	build := func(rate float64) *Engine {
+		eng := NewEngine(Config{LeafNodes: 64, SampleRate: 0.01, CatchUpRate: rate, Seed: 73}, b)
+		if err := eng.AddTemplate(Template{
+			Name: "light", PredicateDims: []int{0}, AggIndex: 0, Agg: Sum,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return eng
 	}
 	truth := workload.NewTruth(1, []int{0}, 0)
 	for _, tp := range tuples {
@@ -134,7 +136,7 @@ func TestQueriesDuringPartialCatchup(t *testing.T) {
 	}
 	gen := workload.NewQueryGen(74, tuples, []int{0})
 	queries := gen.Workload(100, FuncSum)
-	measure := func() float64 {
+	measure := func(eng *Engine) float64 {
 		var errs []float64
 		for _, q := range queries {
 			res, err := query(eng, "light", q)
@@ -149,16 +151,15 @@ func TestQueriesDuringPartialCatchup(t *testing.T) {
 		}
 		return stats.Percentile(errs, 0.95)
 	}
-	early := measure()
+	early := measure(build(0.001))
 	if early > 2.0 {
 		t.Errorf("queries at minimal catch-up unusable: P95 %.3f", early)
 	}
-	for catchUpOf(t, eng, "light") < 0.5 {
-		if !eng.ForceCatchUpBatch("light", 4096) {
-			break
-		}
+	caughtUp := build(0.5)
+	if got := catchUpOf(t, caughtUp, "light"); got < 0.5 {
+		t.Fatalf("catch-up reached %.3f, want >= 0.5", got)
 	}
-	late := measure()
+	late := measure(caughtUp)
 	if late > early*1.25 {
 		t.Errorf("catch-up degraded accuracy: %.3f -> %.3f", early, late)
 	}

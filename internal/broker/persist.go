@@ -444,8 +444,9 @@ type CompactStats struct {
 // any point leaves either the full old segment or the complete compacted
 // one, never a mix. On success the returned file is the topic's new
 // write-through target (the old writer is closed) and the caller should
-// retain it for Close. A newBase at or below the current base is a no-op
-// returning a nil file — the caller keeps its old handle.
+// retain it for Close, even beside a directory-fsync error, which is also
+// latched as the topic's write error. A newBase at or below the current
+// base is a no-op returning a nil file — the caller keeps its old handle.
 //
 // The topic lock is held for the whole rewrite, so publishes stall for
 // its duration; callers compact right after a checkpoint, when the
@@ -517,9 +518,12 @@ func (t *Topic) CompactTo(newBase int64, path string) (*os.File, CompactStats, e
 	if err := os.Rename(tmp, path); err != nil {
 		return fail(fmt.Errorf("broker: publishing compacted segment: %w", err))
 	}
-	if d, err := os.Open(filepath.Dir(path)); err == nil {
-		_ = d.Sync()
-		d.Close()
+	d, err := os.Open(filepath.Dir(path))
+	if err == nil {
+		err = d.Sync()
+		if cerr := d.Close(); err == nil {
+			err = cerr
+		}
 	}
 
 	// The renamed handle is the new write-through target; the old one is
@@ -532,7 +536,12 @@ func (t *Topic) CompactTo(newBase int64, path string) (*os.File, CompactStats, e
 	t.base = newBase
 	t.persisted = len(t.recs)
 	t.magicOnLog = true
-	return f, CompactStats{Dropped: int64(drop), BytesAfter: size}, nil
+	if err != nil {
+		// The swap is done, but the new segment's name may not survive a
+		// crash: latch it, so no later append is acknowledged as durable.
+		t.werr = fmt.Errorf("broker: syncing the compacted segment's directory: %w", err)
+	}
+	return f, CompactStats{Dropped: int64(drop), BytesAfter: size}, t.werr
 }
 
 // WriteErr reports the latched write-through failure, if any, without

@@ -198,8 +198,6 @@ func TestBinaryClientEquivalence(t *testing.T) {
 	if err := nodeEng.AddTemplate(clusterTemplate()); err != nil {
 		t.Fatal(err)
 	}
-	for nodeEng.PumpCatchUp() {
-	}
 	nodeAddr, _ := serveNode(t, NewNode(nodeEng, nil))
 
 	surfaces := []struct {

@@ -65,8 +65,6 @@ func bootEphemeralShard(t *testing.T, part []janus.Tuple, shard int, cfg janus.C
 	if err := eng.AddTemplate(clusterTemplate()); err != nil {
 		t.Fatal(err)
 	}
-	for eng.PumpCatchUp() {
-	}
 	addr, _ := serveNode(t, NewNode(eng, nil))
 	return addr
 }
@@ -88,8 +86,6 @@ func buildGroup(t *testing.T, tuples []janus.Tuple, k int, cfg janus.Config) *ja
 	}
 	if err := g.AddTemplate(clusterTemplate()); err != nil {
 		t.Fatal(err)
-	}
-	for g.PumpCatchUp() {
 	}
 	return g
 }
@@ -290,8 +286,6 @@ func bootDurableShard(t *testing.T, boot []janus.Tuple, shard int, cfg janus.Con
 	eng := janus.NewEngine(cfg.WithShardSeed(shard), st.Broker())
 	if err := eng.AddTemplate(clusterTemplate()); err != nil {
 		t.Fatal(err)
-	}
-	for eng.PumpCatchUp() {
 	}
 	ds := &durableShard{store: st, eng: eng, node: NewNode(eng, st)}
 	ds.addr, ds.kill = serveNode(t, ds.node)

@@ -469,9 +469,6 @@ func (c *Coordinator) DeleteBatch(ids []int64) (int, error) {
 	return c.router().DeleteBatch(ids)
 }
 
-// PumpCatchUp reports false: each shard node runs its own catch-up pump.
-func (c *Coordinator) PumpCatchUp() bool { return false }
-
 // Follow is a no-op: shard nodes tail their own brokers; a coordinator
 // has no local engine to route a stream into.
 func (c *Coordinator) Follow(ctx context.Context, source *janus.Broker, state *janus.SyncState, interval time.Duration) int {

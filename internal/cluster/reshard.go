@@ -121,12 +121,8 @@ func (c *Coordinator) Reshard(ctx context.Context, newPeers []string, newStandby
 	}
 	images := make([][]byte, kNew)
 	for j := range images {
-		eng := group.Shard(j)
-		// Drain catch-up so the checkpointed install image is fully caught up.
-		for eng.PumpCatchUp() {
-		}
 		var buf bytes.Buffer
-		if _, err := eng.Checkpoint(&buf); err != nil {
+		if _, err := group.Shard(j).Checkpoint(&buf); err != nil {
 			return nil, fmt.Errorf("cluster: reshard: checkpointing target shard %d: %w", j, err)
 		}
 		// The whole image must ride one install frame (plus header slack).

@@ -27,8 +27,6 @@ func bootReshardSource(t *testing.T, dir string, part []janus.Tuple, shard int, 
 	if err := eng.AddTemplate(clusterTemplate()); err != nil {
 		t.Fatal(err)
 	}
-	for eng.PumpCatchUp() {
-	}
 	if _, err := st.WriteCheckpoint(eng); err != nil {
 		t.Fatal(err)
 	}

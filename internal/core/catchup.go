@@ -29,9 +29,10 @@ func (t *DPT) foldCatchup(tp data.Tuple) {
 }
 
 // CatchUp consumes up to batch tuples from the shuffled base-population
-// snapshot, improving node statistics in the background (step 5 of the
-// re-initialization procedure, Section 4.3). It returns the number of
-// tuples processed and whether the snapshot is exhausted.
+// snapshot, improving node statistics (step 5 of the re-initialization
+// procedure, Section 4.3). It returns the number of tuples processed and
+// whether the snapshot is exhausted; after EndCatchUp, or on a decoded
+// synopsis, there is no snapshot and it folds nothing.
 //
 // Because the snapshot is consumed in random order, the partially caught-up
 // statistics are unbiased estimates of the base population at every point
@@ -78,4 +79,11 @@ func (t *DPT) CatchUpTarget(fraction float64) int {
 		}
 	}
 	return total
+}
+
+// EndCatchUp ends catch-up for good, in the state Decode restores: it
+// drops the snapshot's unread tail and the folded-ID set, so the synopsis
+// holds no copy of the table, and keeps the node statistics and progress.
+func (t *DPT) EndCatchUp() {
+	t.snapshot, t.seen = nil, nil
 }

@@ -210,7 +210,7 @@ type DPT struct {
 	rng    *rand.Rand
 
 	// Catch-up state (Section 4.3): a shuffled snapshot of the base
-	// population, consumed incrementally in random order.
+	// population, consumed incrementally in random order, until EndCatchUp.
 	snapshot   []data.Tuple
 	snapshotN  int64 // N_0: base population size
 	consumed   int   // snapshot tuples already folded into node statistics
@@ -238,8 +238,9 @@ type DPT struct {
 // snapshot: catch-up counts them as already folded, and marks the
 // statistics exact once the fold count reaches the population. New takes
 // ownership of snapshot and shuffles it in place — a caller that goes on
-// using its slice passes a copy. resample provides fresh uniform samples
-// from archival storage for reservoir re-draws.
+// using its slice passes a copy — and holds it until EndCatchUp; folding
+// is left to CatchUp/CatchUpTarget. resample provides fresh uniform
+// samples from archival storage for reservoir re-draws.
 func New(cfg Config, bp *partition.Blueprint, pooled []data.Tuple, population int64, snapshot []data.Tuple, resample reservoir.Resampler) *DPT {
 	cfg = cfg.withDefaults()
 	t := &DPT{
@@ -275,8 +276,8 @@ func New(cfg Config, bp *partition.Blueprint, pooled []data.Tuple, population in
 	for _, s := range pooled {
 		t.foldCatchup(s)
 	}
-	// Prepare the shuffled snapshot for background catch-up, skipping
-	// tuples already folded via the pooled sample.
+	// Prepare the shuffled snapshot for catch-up, which skips tuples
+	// already folded via the pooled sample.
 	if snapshot != nil {
 		t.snapshot = snapshot
 		t.rng.Shuffle(len(t.snapshot), func(i, j int) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -499,6 +500,43 @@ func TestCatchUpProgressOneIsExact(t *testing.T) {
 	if want := db.truth(FuncSum, 0, rect); res.Partial != 0 || res.Interval.HalfWidth != 0 || !closeTo(res.Estimate, want) {
 		t.Errorf("SUM over a whole leaf at progress 1 = %g ± %g (%d partial), want exactly %g",
 			res.Estimate, res.Interval.HalfWidth, res.Partial, want)
+	}
+}
+
+// TestEndCatchUp pins what ending catch-up keeps and drops: the snapshot
+// and the folded-ID set go, the statistics, progress and every answer stay
+// bit for bit, and CatchUp folds nothing more.
+func TestEndCatchUp(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	tuples := makeTuples(rng, 3000, 0)
+	dpt, _ := buildDPT(t, tuples, defaultCfg())
+	dpt.CatchUpTarget(0.3)
+	answers := func() []Result {
+		var out []Result
+		for _, l := range dpt.leaves {
+			for _, f := range []Func{FuncSum, FuncCount, FuncMax} {
+				res, err := dpt.Answer(Query{Func: f, AggIndex: -1, Rect: geom.NewRect(geom.Point{l.rect.Min[0] / 2}, l.rect.Max)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, res)
+			}
+		}
+		return out
+	}
+	progress, before := dpt.CatchUpProgress(), answers()
+	dpt.EndCatchUp()
+	if dpt.snapshot != nil || dpt.seen != nil {
+		t.Fatal("EndCatchUp kept the snapshot or the folded-ID set")
+	}
+	if n, done := dpt.CatchUp(1024); n != 0 || !done {
+		t.Errorf("CatchUp after EndCatchUp folded %d (done %v), want 0 (done)", n, done)
+	}
+	if got := dpt.CatchUpProgress(); got != progress {
+		t.Errorf("progress %g after EndCatchUp, %g before", got, progress)
+	}
+	if after := answers(); !reflect.DeepEqual(after, before) {
+		t.Errorf("answers changed across EndCatchUp:\n before %v\n after  %v", before, after)
 	}
 }
 

@@ -344,6 +344,45 @@ func checkRootSplit(t *testing.T, d *DPT, a, c float64) {
 	}
 }
 
+// checkDecodedLikeSource asserts that the synopsis Encode → Decode restores
+// answers like its source: the same estimate and half-width bits and the
+// same Outer/Covered/Partial for every aggregate over the universe, each
+// leaf and rect, on the tree path and (for SUM/COUNT/AVG) on-keys.
+func checkDecodedLikeSource(t *testing.T, d *DPT, rect geom.Rect) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := d.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := Decode(&buf, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rects := []geom.Rect{geom.Universe(1), rect}
+	for _, l := range d.leaves {
+		rects = append(rects, l.rect)
+	}
+	same := func(path string, q Query, answer func(*DPT) (Result, error)) {
+		want, werr := answer(d)
+		got, gerr := answer(decoded)
+		if (werr == nil) != (gerr == nil) ||
+			math.Float64bits(want.Estimate) != math.Float64bits(got.Estimate) ||
+			math.Float64bits(want.Interval.HalfWidth) != math.Float64bits(got.Interval.HalfWidth) ||
+			want.Outer != got.Outer || want.Covered != got.Covered || want.Partial != got.Partial {
+			t.Errorf("%s %v over %v: source answers %+v (%v), decoded %+v (%v)", path, q.Func, q.Rect, want, werr, got, gerr)
+		}
+	}
+	for _, r := range rects {
+		for _, f := range []Func{FuncSum, FuncCount, FuncAvg, FuncMin, FuncMax, FuncVariance, FuncStdDev} {
+			q := Query{Func: f, AggIndex: -1, Rect: r}
+			same("tree", q, func(s *DPT) (Result, error) { return s.Answer(q) })
+			if f == FuncSum || f == FuncCount || f == FuncAvg {
+				same("on-keys", q, func(s *DPT) (Result, error) { return s.AnswerUniform(q, []int{0}) })
+			}
+		}
+	}
+}
+
 // FuzzAnswerAlgebra drives a synopsis, and the same rows hash-split over
 // algebraShards more, through an op history read off the fuzz bytes and
 // asserts the estimator identities that need no statistics: they hold for
@@ -352,10 +391,12 @@ func checkRootSplit(t *testing.T, d *DPT, a, c float64) {
 // Each op is three bytes (kind, x, y): insert a row keyed by x, delete the
 // x-th live row, run x catch-up steps, or check the composition and split
 // identities over a rect from (x, y) in the state reached so far. At the
-// end every synopsis catches up fully, where whole-leaf SUM/COUNT must be
-// exact with zero half-width, MIN/MAX must bracket every matching sample,
-// and the merged shards must agree with the single synopsis; a final
-// partial re-partition re-checks composition over an anchored subtree.
+// end the decoded image must answer like the synopsis, then every synopsis
+// catches up fully, where whole-leaf SUM/COUNT must be exact with zero
+// half-width, MIN/MAX must bracket every matching sample, and the merged
+// shards must agree with the single synopsis; a final partial
+// re-partition re-checks composition, and the decoded image, over an
+// anchored subtree.
 func FuzzAnswerAlgebra(f *testing.F) {
 	f.Add([]byte{}) // the untouched synopsis; histories live in testdata/fuzz/FuzzAnswerAlgebra
 	f.Fuzz(func(t *testing.T, raw []byte) {
@@ -414,17 +455,21 @@ func FuzzAnswerAlgebra(f *testing.F) {
 			}
 		}
 
+		var ends [4]byte
+		copy(ends[:], raw[min(len(raw), 3*maxOps):])
+		if len(raw) >= 4 {
+			copy(ends[:], raw[len(raw)-4:])
+		}
+		lo, hi := rectOf(ends[2], ends[3])
+		rect := geom.NewRect(geom.Point{lo}, geom.Point{hi})
+		checkDecodedLikeSource(t, one.dpt, rect)
+
 		all := append([]*algebraSynopsis{one}, shards...)
 		for _, s := range all {
 			s.dpt.CatchUpTarget(1.0)
 			if !s.dpt.exactStats {
 				t.Fatal("full catch-up must mark statistics exact")
 			}
-		}
-		var ends [4]byte
-		copy(ends[:], raw[min(len(raw), 3*maxOps):])
-		if len(raw) >= 4 {
-			copy(ends[:], raw[len(raw)-4:])
 		}
 
 		// Whole leaves at full catch-up: exact, zero half-width.
@@ -452,8 +497,6 @@ func FuzzAnswerAlgebra(f *testing.F) {
 		// Any rect at full catch-up: composition, the split, and extremes
 		// that bracket every matching sample (every live value has been
 		// through the heaps by now).
-		lo, hi := rectOf(ends[2], ends[3])
-		rect := geom.NewRect(geom.Point{lo}, geom.Point{hi})
 		checkComposition(t, d, rect)
 		checkRootSplit(t, d, lo, hi)
 		minP, err := d.AnswerPartial(Query{Func: FuncMin, AggIndex: -1, Rect: rect})
@@ -504,5 +547,6 @@ func FuzzAnswerAlgebra(f *testing.F) {
 		}
 		checkComposition(t, d, rect)
 		checkComposition(t, d, geom.Universe(1))
+		checkDecodedLikeSource(t, d, rect)
 	})
 }

@@ -29,8 +29,8 @@ func oracleEntryFor(t *DPT, s data.Tuple) kdindex.Entry {
 // different process, preserving node statistics, strata, MIN/MAX heap
 // contents, and anchor scaling. The catch-up snapshot is deliberately not
 // persisted — it is cold-storage data by definition; a restored synopsis
-// reports its saved catch-up progress and resumes refinement only after
-// the next re-initialization.
+// is in the state EndCatchUp leaves: it reports its saved catch-up
+// progress and folds nothing more.
 
 // persistNode is the exported on-disk form of a tree node.
 type persistNode struct {
@@ -69,8 +69,12 @@ type persistDPT struct {
 
 const persistVersion = 1
 
-// Encode writes the synopsis to w in gob format.
+// Encode writes the synopsis to w in gob format: a persistDPT, then, only
+// when deletions have exhausted some MIN/MAX heap (so an image whose heaps
+// are all exact keeps its one-value form), every node's exhausted flags
+// for its min and max heap, in preorder.
 func (t *DPT) Encode(w io.Writer) error {
+	var exhausted []bool
 	p := persistDPT{
 		Version:    persistVersion,
 		Cfg:        t.cfg,
@@ -80,15 +84,20 @@ func (t *DPT) Encode(w io.Writer) error {
 		Consumed:   t.totalCatchup(),
 		Reservoir:  append([]data.Tuple(nil), t.res.Items()...),
 		ResPop:     t.res.Population(),
-		Root:       t.exportNode(t.root),
+		Root:       t.exportNode(t.root, &exhausted),
 	}
-	return gob.NewEncoder(w).Encode(&p)
+	enc := gob.NewEncoder(w)
+	if err := enc.Encode(&p); err != nil || !slices.Contains(exhausted, true) {
+		return err
+	}
+	return enc.Encode(exhausted)
 }
 
-func (t *DPT) exportNode(n *node) *persistNode {
+func (t *DPT) exportNode(n *node, exhausted *[]bool) *persistNode {
 	if n == nil {
 		return nil
 	}
+	*exhausted = append(*exhausted, !n.minHeap.Exact(), !n.maxHeap.Exact())
 	p := &persistNode{
 		Rect:       persistRect{Min: n.rect.Min, Max: n.rect.Max},
 		Catchup:    append([]stats.Moments(nil), n.catchup...),
@@ -99,13 +108,13 @@ func (t *DPT) exportNode(n *node) *persistNode {
 		IsAnchor:   n.isAnchor,
 		AnchorBase: n.anchorBase,
 		LocalSeen:  append([]stats.Moments(nil), n.localSeen...),
-		Left:       t.exportNode(n.left),
-		Right:      t.exportNode(n.right),
+		Left:       t.exportNode(n.left, exhausted),
+		Right:      t.exportNode(n.right, exhausted),
 	}
 	// Heap contents: persist the retained multiset; re-pushing restores an
 	// equivalent heap.
-	p.MinVals = heapValues(n.minHeap)
-	p.MaxVals = heapValues(n.maxHeap)
+	p.MinVals = n.minHeap.Values()
+	p.MaxVals = n.maxHeap.Values()
 	if n.stratum != nil {
 		// The stratum's live order is persisted as-is: restoring it
 		// reproduces the leaf's iteration order exactly, so a recovered
@@ -119,8 +128,18 @@ func (t *DPT) exportNode(n *node) *persistNode {
 	return p
 }
 
-func heapValues(h *stats.BoundedHeap) []float64 {
-	return h.Values()
+// restoreHeap re-pushes a persisted heap. An exhausted one is restored
+// the one way a heap becomes inexact: asked to remove its last retained
+// value, which it keeps.
+func restoreHeap(kind stats.HeapKind, k int, vals []float64, exhausted bool) *stats.BoundedHeap {
+	h := stats.NewBoundedHeap(kind, k)
+	for i, v := range vals {
+		h.Push(v)
+		if i == 0 && exhausted {
+			h.Remove(v)
+		}
+	}
+	return h
 }
 
 // Decode restores a synopsis previously written with Encode. resample
@@ -140,8 +159,13 @@ func Decode(r io.Reader, resample reservoir.Resampler) (t *DPT, err error) {
 		}
 	}()
 	var p persistDPT
-	if err := gob.NewDecoder(r).Decode(&p); err != nil {
+	dec := gob.NewDecoder(r)
+	if err := dec.Decode(&p); err != nil {
 		return nil, fmt.Errorf("core: decoding synopsis: %w", err)
+	}
+	var exhausted []bool
+	if err := dec.Decode(&exhausted); err != nil && err != io.EOF {
+		return nil, fmt.Errorf("core: decoding synopsis heaps: %w", err)
 	}
 	if p.Version != persistVersion {
 		return nil, fmt.Errorf("core: unsupported synopsis version %d", p.Version)
@@ -154,9 +178,8 @@ func Decode(r io.Reader, resample reservoir.Resampler) (t *DPT, err error) {
 		snapshotN:  p.SnapshotN,
 		exactStats: p.ExactStats,
 		population: p.Population,
-		seen:       make(map[int64]bool),
 	}
-	t.root = t.importNode(p.Root, nil)
+	t.root = t.importNode(p.Root, nil, &exhausted)
 	t.res = reservoir.New(p.Cfg.SampleLowerBound, p.Cfg.Seed+1, resample)
 	t.res.Init(p.Reservoir, p.ResPop)
 	t.oracle = newOracleFor(p.Cfg)
@@ -349,7 +372,7 @@ func sameBits(a, b []float64) bool {
 	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
-func (t *DPT) importNode(p *persistNode, parent *node) *node {
+func (t *DPT) importNode(p *persistNode, parent *node, exhausted *[]bool) *node {
 	if p == nil {
 		return nil
 	}
@@ -365,14 +388,12 @@ func (t *DPT) importNode(p *persistNode, parent *node) *node {
 		anchorBase: p.AnchorBase,
 		localSeen:  append([]stats.Moments(nil), p.LocalSeen...),
 	}
-	n.minHeap = stats.NewBoundedHeap(stats.KeepMin, t.cfg.HeapK)
-	n.maxHeap = stats.NewBoundedHeap(stats.KeepMax, t.cfg.HeapK)
-	for _, v := range p.MinVals {
-		n.minHeap.Push(v)
+	var minX, maxX bool
+	if len(*exhausted) >= 2 {
+		minX, maxX, *exhausted = (*exhausted)[0], (*exhausted)[1], (*exhausted)[2:]
 	}
-	for _, v := range p.MaxVals {
-		n.maxHeap.Push(v)
-	}
+	n.minHeap = restoreHeap(stats.KeepMin, t.cfg.HeapK, p.MinVals, minX)
+	n.maxHeap = restoreHeap(stats.KeepMax, t.cfg.HeapK, p.MaxVals, maxX)
 	if n.isLeaf {
 		n.stratum = newStratum(t.cfg)
 		for _, s := range p.Stratum {
@@ -380,7 +401,7 @@ func (t *DPT) importNode(p *persistNode, parent *node) *node {
 		}
 		t.leaves = append(t.leaves, n)
 	}
-	n.left = t.importNode(p.Left, n)
-	n.right = t.importNode(p.Right, n)
+	n.left = t.importNode(p.Left, n, exhausted)
+	n.right = t.importNode(p.Right, n, exhausted)
 	return n
 }

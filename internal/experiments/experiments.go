@@ -169,15 +169,6 @@ func mustDelete(eng *janus.Engine, id int64) {
 	}
 }
 
-// catchUpProgress reads one template's catch-up progress in [0,1].
-func catchUpProgress(eng *janus.Engine, template string) float64 {
-	st, err := eng.StatsFor(template)
-	if err != nil {
-		panic(err)
-	}
-	return st.CatchUpProgress
-}
-
 // evalResult summarizes a workload evaluation.
 type evalResult struct {
 	MedianRE  float64 // median relative error

@@ -119,6 +119,11 @@ func TestFigure7Shape(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Log("\n" + render(t, tbl))
+	for _, r := range tbl.Rows {
+		if goal, reached := cell(t, r[0]), cell(t, r[5]); reached < goal {
+			t.Errorf("catch-up goal %s: the synopsis reached only %s", r[0], r[5])
+		}
+	}
 	first := cell(t, tbl.Rows[0][1])
 	last := cell(t, tbl.Rows[len(tbl.Rows)-1][1])
 	if last > first*1.2 {
@@ -247,6 +252,9 @@ func TestAblationCatchupSeed(t *testing.T) {
 	t.Log("\n" + render(t, tbl))
 	at0 := cell(t, tbl.Rows[0][1])
 	at10 := cell(t, tbl.Rows[0][2])
+	if reached := cell(t, tbl.Rows[0][3]); reached < 10 {
+		t.Errorf("the 10%% catch-up synopsis reached only %.2f%%", reached)
+	}
 	if at10 > at0*1.2 {
 		t.Errorf("catch-up should not hurt: %.2f%% -> %.2f%%", at0, at10)
 	}

@@ -66,7 +66,11 @@ func RunTable3(opts Options) (*Table, error) {
 				if focus == maxvar.Sum { // report timing once per method (SUM column)
 					times[method] = time.Since(start)
 				}
-				dpt := buildStaticSynopsis(bp, pooled, tuples, spec, opts.Seed)
+				// A PASS-style synopsis: the pooled sample provides the strata and
+				// full catch-up exact node statistics, isolating partitioning
+				// quality as the only error source difference.
+				dpt := newSynopsis(bp, bp.NumLeaves(), pooled, tuples, spec, opts.Seed)
+				dpt.CatchUpTarget(1.0)
 				var f core.Func
 				switch focus {
 				case maxvar.Count:
@@ -95,22 +99,14 @@ func RunTable3(opts Options) (*Table, error) {
 	return tbl, nil
 }
 
-// buildStaticSynopsis assembles a PASS-style synopsis over a blueprint: the
-// pooled sample provides the strata and the full data provides exact node
-// statistics (full catch-up), isolating partitioning quality as the only
-// error source difference.
-func buildStaticSynopsis(bp *partition.Blueprint, pooled []data.Tuple, tuples []data.Tuple, spec dsSpec, seed int64) *core.DPT {
-	snapshot := make([]data.Tuple, len(tuples))
-	for i, t := range tuples {
-		c := t.Clone()
-		c.Key = c.Project(spec.predDims)
-		snapshot[i] = c
-	}
+// newSynopsis builds a synopsis over the spec's 1-D projection, before any
+// catch-up beyond its pooled seed: pooled is a projected sample (as
+// projectSample draws it), a projected copy of tuples is the catch-up
+// snapshot, and a nil blueprint optimizes k leaves from the pooled sample.
+func newSynopsis(bp *partition.Blueprint, k int, pooled []data.Tuple, tuples []data.Tuple, spec dsSpec, seed int64) *core.DPT {
 	cfg := core.Config{
-		Dims: 1, NumVals: 1, AggIndex: 0, Agg: maxvar.Sum,
-		K: bp.NumLeaves(), SampleLowerBound: maxInt(len(pooled)/2, 1), Seed: seed,
+		Dims: 1, NumVals: spec.aggVal + 1, AggIndex: spec.aggVal, Agg: maxvar.Sum,
+		K: k, SampleLowerBound: maxInt(len(pooled)/2, 1), Seed: seed,
 	}
-	dpt := core.New(cfg, bp, pooled, int64(len(tuples)), snapshot, nil)
-	dpt.CatchUpTarget(1.0)
-	return dpt
+	return core.New(cfg, bp, pooled, int64(len(tuples)), projectAll(tuples, spec), nil)
 }

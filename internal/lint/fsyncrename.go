@@ -24,7 +24,7 @@ var FsyncRename = &Analyzer{
 		"function calling os.Rename must fsync what it wrote beforehand\n" +
 		"(when the function itself created the file) and must fsync the\n" +
 		"containing directory afterwards (a .Sync() call or syncDir helper\n" +
-		"after the rename).",
+		"after the rename whose error is not discarded).",
 	Run: runFsyncRename,
 }
 
@@ -74,10 +74,28 @@ func checkRenameProtocol(pass *Pass, fn *ast.FuncDecl) {
 	}
 	var renames []callSite
 	var syncs []token.Pos    // x.Sync() calls (file or dir handles)
-	var syncDirs []token.Pos // syncDir(...)-style helper calls
+	var dirSyncs []token.Pos // x.Sync() and syncDir(...)-style calls whose error is not discarded
 	var creates []token.Pos  // os.Create/os.CreateTemp/os.OpenFile/x.Write*
+	// discarded holds calls whose results are dropped: a bare statement,
+	// an assignment to _ only, or a defer. A directory fsync whose error
+	// is dropped cannot stop a failed rename from being reported durable.
+	discarded := map[*ast.CallExpr]bool{}
 
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
+		var dropped ast.Expr
+		switch n := n.(type) {
+		case *ast.ExprStmt:
+			dropped = n.X
+		case *ast.DeferStmt:
+			dropped = n.Call
+		case *ast.AssignStmt:
+			if id, ok := n.Lhs[0].(*ast.Ident); ok && len(n.Lhs) == 1 && id.Name == "_" {
+				dropped = n.Rhs[0]
+			}
+		}
+		if call, ok := dropped.(*ast.CallExpr); ok {
+			discarded[call] = true
+		}
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
@@ -91,14 +109,14 @@ func checkRenameProtocol(pass *Pass, fn *ast.FuncDecl) {
 			isPkgFunc(pass.TypesInfo, call, "os", "WriteFile"):
 			creates = append(creates, call.Pos())
 		default:
-			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Sync" && len(call.Args) == 0 {
+			sel, isSel := call.Fun.(*ast.SelectorExpr)
+			id, isIdent := call.Fun.(*ast.Ident)
+			isSync := isSel && sel.Sel.Name == "Sync" && len(call.Args) == 0
+			if isSync {
 				syncs = append(syncs, call.Pos())
 			}
-			if id, ok := call.Fun.(*ast.Ident); ok && isDirSyncName(id.Name) {
-				syncDirs = append(syncDirs, call.Pos())
-			}
-			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && isDirSyncName(sel.Sel.Name) {
-				syncDirs = append(syncDirs, call.Pos())
+			if (isSync || isSel && isDirSyncName(sel.Sel.Name) || isIdent && isDirSyncName(id.Name)) && !discarded[call] {
+				dirSyncs = append(dirSyncs, call.Pos())
 			}
 		}
 		return true
@@ -131,15 +149,9 @@ func checkRenameProtocol(pass *Pass, fn *ast.FuncDecl) {
 		}
 
 		// Directory fsync after the rename, so the rename itself is
-		// durable.
+		// durable — and its error checked, so a failed one is reported.
 		after := false
-		for _, s := range syncs {
-			if s > r.end {
-				after = true
-				break
-			}
-		}
-		for _, s := range syncDirs {
+		for _, s := range dirSyncs {
 			if s > r.end {
 				after = true
 				break
@@ -147,7 +159,7 @@ func checkRenameProtocol(pass *Pass, fn *ast.FuncDecl) {
 		}
 		if !after {
 			pass.Reportf(r.pos,
-				"os.Rename is not followed by a directory fsync in this function: a crash can lose the rename (fsync the containing directory, e.g. syncDir)")
+				"os.Rename is not followed by a directory fsync in this function, or its error is discarded: a crash can lose the rename unreported (fsync the containing directory and check the error, e.g. syncDir)")
 		}
 	}
 }

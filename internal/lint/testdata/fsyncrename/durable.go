@@ -61,6 +61,34 @@ func missingDirSync(dir string) error {
 	return os.Rename(dir+"/seg.tmp", dir+"/seg.log") // want `os\.Rename is not followed by a directory fsync in this function`
 }
 
+func discardedDirSync(dir string) error {
+	f, err := os.Create(dir + "/checkpoint.tmp")
+	if err != nil {
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	f.Close()
+	if err := os.Rename(dir+"/checkpoint.tmp", dir+"/checkpoint.db"); err != nil { // want `os\.Rename is not followed by a directory fsync in this function, or its error is discarded`
+		return err
+	}
+	if d, err := os.Open(dir); err == nil {
+		_ = d.Sync()
+		d.Close()
+	}
+	return nil
+}
+
+func discardedSyncDir(dir string) error {
+	if err := os.Rename(dir+"/staged", dir+"/live"); err != nil { // want `os\.Rename is not followed by a directory fsync in this function, or its error is discarded`
+		return err
+	}
+	syncDir(dir)
+	return nil
+}
+
 func shuffleOnly(dir string) error {
 	// This function renames files it did not write (a finalize step over
 	// already-synced staging), so only the directory fsync is owed.

@@ -367,7 +367,6 @@ func (nullEngine) InsertBatch([]janus.Tuple) error { return nil }
 func (nullEngine) DeleteBatch(ids []int64) (int, error) {
 	return len(ids), nil
 }
-func (nullEngine) PumpCatchUp() bool { return false }
 func (nullEngine) Follow(context.Context, *janus.Broker, *janus.SyncState, time.Duration) int {
 	return 0
 }

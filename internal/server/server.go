@@ -73,8 +73,6 @@ type Engine interface {
 	InsertBatch(tuples []janus.Tuple) error
 	// DeleteBatch removes ids, reporting unknown ones via *BatchIDError.
 	DeleteBatch(ids []int64) (int, error)
-	// PumpCatchUp folds one background catch-up batch.
-	PumpCatchUp() bool
 	// Follow tails an external broker until ctx is canceled.
 	Follow(ctx context.Context, source *janus.Broker, state *janus.SyncState, interval time.Duration) int
 	// Stats snapshots engine-wide counters and per-template state.
@@ -95,16 +93,10 @@ var (
 
 // Options configures a Server.
 type Options struct {
-	// CatchUpInterval is the cadence of the background catch-up pump; the
-	// paper's catch-up thread. Zero disables the pump (tests drive
-	// PumpCatchUp directly).
-	CatchUpInterval time.Duration
 	// Follow, when non-nil, makes the server tail an external broker's
-	// topics via Engine.Follow in a background goroutine.
+	// topics via Engine.Follow in a background goroutine, polling every
+	// 10ms while the stream is idle.
 	Follow *janus.Broker
-	// FollowInterval is the idle poll interval of the follow loop
-	// (default 10ms).
-	FollowInterval time.Duration
 	// FollowState is where the follow loop starts consuming. A warm
 	// restart passes the recovered watermark (RecoveryInfo.Follow) so the
 	// loop resumes where the checkpoint left off instead of re-polling the
@@ -282,7 +274,7 @@ func New(eng Engine, opts Options) *Server {
 		reshardRowsCopied: reg.Counter("janusd_reshard_rows_copied_total", "Rows migrated into target layouts by reshard copies."),
 		reshardDualWrites: reg.Counter("janusd_reshard_dual_writes_total", "Records mirrored into target layouts by dual-writes during reshard copies."),
 		spanSeconds: reg.HistogramVec("janusd_engine_span_seconds", "span",
-			"Engine-internal span durations (insert_batch, trigger_eval, reinit, catchup, stream_apply, checkpoint_encode, checkpoint_fsync, compact_rotate, reshard_copy, reshard_build, reshard_cutover, merge)."),
+			"Engine-internal span durations (insert_batch, trigger_eval, reinit, stream_apply, checkpoint_encode, checkpoint_fsync, compact_rotate, reshard_copy, reshard_build, reshard_cutover, merge)."),
 		shardAnswer: reg.HistogramVec("janusd_shard_answer_seconds", "shard",
 			"Per-shard synopsis answer latency inside a query."),
 		logger:    opts.Logger,
@@ -327,22 +319,6 @@ func New(eng Engine, opts Options) *Server {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	s.cancel = cancel
-	if opts.CatchUpInterval > 0 {
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			t := time.NewTicker(opts.CatchUpInterval)
-			defer t.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-t.C:
-					eng.PumpCatchUp()
-				}
-			}
-		}()
-	}
 	if opts.Follow != nil {
 		s.wg.Add(1)
 		followPanics := reg.Counter("janusd_follow_panics_total",
@@ -361,7 +337,7 @@ func New(eng Engine, opts Options) *Server {
 							followPanics.Inc()
 						}
 					}()
-					eng.Follow(ctx, opts.Follow, &state, opts.FollowInterval)
+					eng.Follow(ctx, opts.Follow, &state, 0)
 				}()
 			}
 		}()
@@ -734,7 +710,7 @@ func (s *Server) Handler() http.Handler { return s.withRequestID(s.mux) }
 // its series through the same /metrics endpoint.
 func (s *Server) Registry() *metrics.Registry { return s.reg }
 
-// Close stops the background catch-up pump and follow loops and waits for
+// Close stops the background follow and checkpoint loops and waits for
 // them to exit.
 func (s *Server) Close() {
 	s.cancel()

@@ -78,20 +78,10 @@ func decodeInto(t testing.TB, raw []byte, v any) {
 // answer.
 func TestIntegrationSQLOverHTTP(t *testing.T) {
 	eng, tuples := newTestEngine(t, 20000)
-	srv := New(eng, Options{CatchUpInterval: time.Millisecond})
+	srv := New(eng, Options{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-
-	// Let the background pump finish catch-up so covered-node estimates
-	// tighten, as a long-running daemon's would.
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if st, err := eng.StatsFor("trips"); err != nil || st.CatchUpProgress >= 0.10 {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
 
 	lo, hi := 0.0, tuples[len(tuples)/2].Key[0] // first half of the timeline
 	var truth float64
@@ -522,7 +512,7 @@ func TestConcurrentQueryInsert(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	srv := New(eng, Options{CatchUpInterval: time.Millisecond})
+	srv := New(eng, Options{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -793,8 +783,6 @@ func newTestShardGroup(t testing.TB, rows, shards int) (*janus.ShardGroup, []jan
 		AggCols:  []string{"tripDistance", "fareAmount", "passengerCount"},
 	}); err != nil {
 		t.Fatal(err)
-	}
-	for group.PumpCatchUp() {
 	}
 	return group, tuples
 }

@@ -117,8 +117,8 @@ type Config struct {
 	SampleRate float64
 	// MinSamples floors the pooled sample size m (default 256).
 	MinSamples int
-	// CatchUpRate is the fraction of the base population the catch-up
-	// phase consumes before it stops (default 0.10).
+	// CatchUpRate is the fraction of the base population each synopsis
+	// build's catch-up phase consumes before it ends (default 0.10).
 	CatchUpRate float64
 	// Beta is the re-partitioning drift threshold (default 10).
 	Beta float64
@@ -128,9 +128,6 @@ type Config struct {
 	// AutoRepartition enables trigger-driven re-partitioning (Section 5.4).
 	// Disabled it yields the "DPT-only" baseline of the evaluation.
 	AutoRepartition bool
-	// CatchUpBatch is the number of snapshot tuples folded per catch-up
-	// pump (default 2048).
-	CatchUpBatch int
 	// TriggerCooldown is the minimum number of updates between candidate
 	// re-partitioning evaluations (default 1024).
 	TriggerCooldown int
@@ -159,9 +156,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Beta <= 1 {
 		c.Beta = 10
-	}
-	if c.CatchUpBatch <= 0 {
-		c.CatchUpBatch = 2048
 	}
 	if c.TriggerCooldown <= 0 {
 		c.TriggerCooldown = 1024

@@ -31,11 +31,10 @@ import (
 // the archive by replaying the full log, which therefore must not have
 // been compacted.
 //
-// A catch-up snapshot is NOT reconstructed: a restored synopsis keeps
-// its saved catch-up progress (and the interval widths it implies) but
-// folds no further catch-up samples until its next re-initialization
-// draws a fresh snapshot — resuming mid-stream over a different sample
-// population would bias the folded statistics.
+// No catch-up snapshot is saved, because none is held: a built synopsis
+// ends catch-up at its goal, and a restored one, like it, keeps that
+// progress (and the interval widths it implies) until its next
+// re-initialization draws a fresh snapshot.
 
 // SaveTemplate writes the named synopsis to w so a later process can
 // restore it with LoadTemplate instead of paying a full re-initialization.

@@ -130,7 +130,6 @@ func TestReshardRoutingProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := buildGroup(t, tuples, 3, reshardCfg())
-	drainCatchUp(g)
 	if _, err := g.Reshard(context.Background(), ReshardOptions{TargetShards: 5, Config: reshardCfg()}); err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +152,6 @@ func TestReshardLiveSplitMergeDrill(t *testing.T) {
 	}
 	cfg := reshardCfg()
 	g := buildGroup(t, tuples, 1, cfg)
-	drainCatchUp(g)
 
 	var mu sync.Mutex
 	live := make(map[int64]Tuple, len(tuples))
@@ -255,7 +253,6 @@ func TestReshardLiveSplitMergeDrill(t *testing.T) {
 		t.Fatalf("traffic failed during the drill")
 	}
 
-	drainCatchUp(g)
 	got := liveSet(t, g)
 	mu.Lock()
 	defer mu.Unlock()
@@ -280,8 +277,6 @@ func TestReshardEquivalenceDuringCopy(t *testing.T) {
 	cfg := reshardCfg()
 	single := buildGroup(t, tuples, 1, cfg)
 	group := buildGroup(t, tuples, 4, cfg)
-	drainCatchUp(single)
-	drainCatchUp(group)
 
 	ctx := context.Background()
 	checks := 0
@@ -332,7 +327,6 @@ func TestReshardCarriesFollowWatermark(t *testing.T) {
 	}
 	cfg := reshardCfg()
 	g := buildGroup(t, tuples, 2, cfg)
-	drainCatchUp(g)
 
 	source := NewBroker()
 	var followed sync.WaitGroup
@@ -395,7 +389,6 @@ func TestReshardRejectsBadOptions(t *testing.T) {
 	}
 	cfg := reshardCfg()
 	g := buildGroup(t, tuples, 2, cfg)
-	drainCatchUp(g)
 	ctx := context.Background()
 	if _, err := g.Reshard(ctx, ReshardOptions{TargetShards: 0, Config: cfg}); err == nil {
 		t.Fatal("TargetShards 0 accepted")
@@ -577,7 +570,6 @@ func TestReshardCrashDrill(t *testing.T) {
 			if got := liveSet(t, recovered); !reflect.DeepEqual(got, live) {
 				t.Fatalf("recovered %d live rows, acked ledger %d: acknowledged writes lost or resurrected", len(got), len(live))
 			}
-			drainCatchUp(recovered)
 			checkExactCovering(t, recovered, live, "recovered")
 
 			// Identical answers vs an uncrashed reference of the same width
@@ -587,7 +579,6 @@ func TestReshardCrashDrill(t *testing.T) {
 				refTuples = append(refTuples, tp)
 			}
 			ref := buildGroup(t, refTuples, tc.wantWidth, cfg)
-			drainCatchUp(ref)
 			for _, fn := range []Func{FuncCount, FuncSum} {
 				req := Request{Template: "trips", Query: Query{Func: fn, AggIndex: -1, Rect: Universe(1)}}
 				a, err := recovered.Do(ctx, req)
@@ -713,6 +704,5 @@ func TestReshardDurableHappyPath(t *testing.T) {
 		t.Fatalf("cold reopen holds %d rows, acked ledger %d", len(got), len(live))
 	}
 	verifyRouting(t, g2)
-	drainCatchUp(g2)
 	checkExactCovering(t, g2, live, "cold reopen")
 }

@@ -3,7 +3,6 @@ package janus
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -291,15 +290,6 @@ func (g *ShardGroup) Do(ctx context.Context, req Request) (Response, error) {
 	}, began)
 }
 
-// PumpCatchUp folds one catch-up batch on every shard in parallel,
-// reporting whether any shard did work.
-func (g *ShardGroup) PumpCatchUp() bool {
-	shards := g.engines()
-	worked := make([]bool, len(shards))
-	fanOut(len(shards), func(i int) { worked[i] = shards[i].PumpCatchUp() })
-	return slices.Contains(worked, true)
-}
-
 // Template returns the declaration of the named template.
 func (g *ShardGroup) Template(name string) (Template, bool) {
 	return g.layout.Load().router.Template(name)
@@ -475,10 +465,10 @@ func (g *ShardGroup) SyncContext(ctx context.Context, source *Broker, state *Syn
 }
 
 // Follow tails the source broker until ctx is canceled — the group form of
-// Engine.Follow: apply newly arrived records via SyncContext, fold catch-up
-// while idle, and poll at the given interval otherwise.
+// Engine.Follow: apply newly arrived records via SyncContext, and poll at
+// the given interval when there is nothing to do.
 func (g *ShardGroup) Follow(ctx context.Context, source *Broker, state *SyncState, interval time.Duration) int {
 	return followLoop(ctx, interval, func(ctx context.Context) int {
 		return g.SyncContext(ctx, source, state)
-	}, g.PumpCatchUp)
+	})
 }

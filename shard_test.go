@@ -34,12 +34,6 @@ func buildGroup(t *testing.T, tuples []Tuple, k int, cfg Config) *ShardGroup {
 	return g
 }
 
-// drainCatchUp pumps until every shard's catch-up target is met.
-func drainCatchUp(p interface{ PumpCatchUp() bool }) {
-	for p.PumpCatchUp() {
-	}
-}
-
 func TestShardIndexDeterministicAndSpread(t *testing.T) {
 	const n, k = 40000, 8
 	counts := make([]int, k)
@@ -78,8 +72,6 @@ func TestShardGroupCountSumExactVsSingleEngine(t *testing.T) {
 
 	single := buildGroup(t, tuples, 1, cfg)
 	group := buildGroup(t, tuples, 4, cfg)
-	drainCatchUp(single)
-	drainCatchUp(group)
 
 	live := make(map[int64]Tuple, len(tuples))
 	for _, tp := range tuples {
@@ -231,8 +223,6 @@ func TestShardGroupMinMaxMatchesSingleEngine(t *testing.T) {
 	cfg := Config{LeafNodes: 32, SampleRate: 0.05, CatchUpRate: 1.0, Seed: 5}
 	single := buildGroup(t, tuples, 1, cfg)
 	group := buildGroup(t, tuples, 4, cfg)
-	drainCatchUp(single)
-	drainCatchUp(group)
 	ctx := context.Background()
 	for _, f := range []Func{FuncMin, FuncMax} {
 		req := Request{Template: "trips", Query: Query{Func: f, AggIndex: -1, Rect: Universe(1)}}
@@ -256,7 +246,6 @@ func TestShardGroupSQLAndOnKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	group := buildGroup(t, tuples, 2, Config{LeafNodes: 32, SampleRate: 0.05, CatchUpRate: 1.0, Seed: 3})
-	drainCatchUp(group)
 	if err := group.RegisterSchema("trips", TableSchema{
 		Table:    "trips",
 		PredCols: []string{"pickupTime"},
@@ -346,7 +335,6 @@ func TestShardGroupParallelIngestDuringQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	group := buildGroup(t, tuples, 4, Config{LeafNodes: 32, SampleRate: 0.05, CatchUpRate: 1.0, Seed: 21})
-	drainCatchUp(group)
 	ctx := context.Background()
 
 	var muts, readers sync.WaitGroup
@@ -439,7 +427,6 @@ func TestShardGroupFollowReadYourWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	group := buildGroup(t, tuples, 2, Config{LeafNodes: 32, SampleRate: 0.05, CatchUpRate: 1.0, Seed: 31})
-	drainCatchUp(group)
 
 	source := NewBroker()
 	ctx, cancel := context.WithCancel(context.Background())

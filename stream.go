@@ -101,36 +101,31 @@ func (w *watermark) wait(ctx context.Context, min int64) error {
 }
 
 // followLoop is the shared daemon-side consumption loop: apply newly
-// arrived records via sync, fold catch-up while the stream is idle, and
-// poll at the given interval when there is nothing to do.
-func followLoop(ctx context.Context, interval time.Duration, sync func(context.Context) int, pump func() bool) int {
+// arrived records via sync, and poll at the given interval when there is
+// nothing to do.
+func followLoop(ctx context.Context, interval time.Duration, sync func(context.Context) int) int {
 	if interval <= 0 {
 		interval = 10 * time.Millisecond
 	}
 	total := 0
-	for {
-		select {
-		case <-ctx.Done():
-			return total
-		default:
-		}
+	for ctx.Err() == nil {
 		n := sync(ctx)
 		total += n
-		if n == 0 && !pump() {
+		if n == 0 {
 			select {
 			case <-ctx.Done():
-				return total
 			case <-time.After(interval):
 			}
 		}
 	}
+	return total
 }
 
 // Sync applies all records currently available on the source broker's
 // insert and delete topics, in per-topic arrival order, starting at the
 // offsets in state. It advances state and returns the number of records
-// applied. Call it in a loop (optionally interleaved with PumpCatchUp and
-// queries) to follow a live stream.
+// applied. Call it in a loop (optionally interleaved with queries) to
+// follow a live stream.
 //
 // Each polled batch is validated and applied under one acquisition of the
 // update lock — the same amortization as InsertBatch — and malformed
@@ -284,12 +279,11 @@ func (e *Engine) replayLogTail(state *SyncState) (inserts, deletes, rejected int
 }
 
 // Follow tails the source broker until ctx is canceled: it applies newly
-// arrived records via SyncContext, folds catch-up batches while the stream
-// is idle, and polls at the given interval when there is nothing to do —
-// the daemon-side consumption loop the paper's Kafka deployment runs. It
-// returns the total number of records applied.
+// arrived records via SyncContext and polls at the given interval when
+// there is nothing to do — the daemon-side consumption loop the paper's
+// Kafka deployment runs. It returns the total number of records applied.
 func (e *Engine) Follow(ctx context.Context, source *Broker, state *SyncState, interval time.Duration) int {
 	return followLoop(ctx, interval, func(ctx context.Context) int {
 		return e.SyncContext(ctx, source, state)
-	}, e.PumpCatchUp)
+	})
 }

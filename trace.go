@@ -9,7 +9,7 @@ import (
 // per-stage timing breakdown in Response.Trace, and an Engine (or every
 // shard of a ShardGroup) can carry a SpanObserver that receives the
 // durations of engine-internal work — ingest batches, trigger evaluation,
-// re-initialization, catch-up, checkpoint encoding — for export as
+// re-initialization, checkpoint encoding — for export as
 // labeled metrics. Both are strictly pay-for-use: an untraced request
 // takes the exact pre-existing path, and an engine with no observer pays
 // one atomic load per instrumented section.
@@ -46,7 +46,6 @@ const (
 	SpanDeleteBatch     = "delete_batch"
 	SpanTriggerEval     = "trigger_eval"
 	SpanReinit          = "reinit"
-	SpanCatchUp         = "catchup"
 	SpanStreamApply     = "stream_apply"
 	SpanShardAnswer     = "shard_answer"
 	SpanCheckpointSave  = "checkpoint_encode"
@@ -59,6 +58,11 @@ const (
 	SpanReshardCopy    = "reshard_copy"
 	SpanReshardBuild   = "reshard_build"
 	SpanReshardCutover = "reshard_cutover"
+
+	// SpanCatchUp is never emitted: catch-up runs inside each synopsis
+	// build (within SpanReinit on a re-initialization). The name stays
+	// because the benchmark module under bench/ reads it.
+	SpanCatchUp = "catchup"
 )
 
 // TraceStage is one timed stage of a traced request. Shard is the shard
