@@ -83,12 +83,6 @@ func BenchmarkAblationPartialRepartition(b *testing.B) {
 	runExperiment(b, experiments.RunAblationPartialRepartition)
 }
 
-// BenchmarkAblationHistogram compares a fixed equi-width histogram under
-// domain drift.
-func BenchmarkAblationHistogram(b *testing.B) {
-	runExperiment(b, experiments.RunAblationHistogram)
-}
-
 // --- micro-benchmarks -------------------------------------------------------
 
 func benchEngine(b *testing.B, rows int) (*janus.Engine, []janus.Tuple) {

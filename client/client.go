@@ -36,9 +36,6 @@ func Dial(addr string) *Client {
 	return &Client{rpc: transport.NewClient(addr)}
 }
 
-// Addr returns the daemon address the client dials.
-func (c *Client) Addr() string { return c.rpc.Addr() }
-
 // Close discards the pooled connections. Calls after Close fail with
 // transport.ErrClientClosed.
 func (c *Client) Close() { c.rpc.Close() }

@@ -9,8 +9,7 @@
 //	janusbench -list
 //
 // Experiments: table2, fig5, fig6, fig7, fig8, fig9, fig10, table3,
-// table4, ablation-beta, ablation-catchup, ablation-partial,
-// ablation-histogram.
+// table4, ablation-beta, ablation-catchup, ablation-partial.
 //
 // Serving performance (latency, throughput, restart, per-layer cost) is
 // measured by the repository benchmark instead: see bench/README.md and
@@ -21,35 +20,29 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"time"
 
 	"janusaqp/internal/experiments"
 )
 
-type runner func(experiments.Options) (*experiments.Table, error)
-
-var registry = map[string]runner{
-	"table2":             experiments.RunTable2,
-	"fig5":               experiments.RunFigure5,
-	"fig6":               experiments.RunFigure6,
-	"fig7":               experiments.RunFigure7,
-	"fig8":               experiments.RunFigure8,
-	"fig9":               experiments.RunFigure9,
-	"fig10":              experiments.RunFigure10,
-	"table3":             experiments.RunTable3,
-	"table4":             experiments.RunTable4,
-	"ablation-beta":      experiments.RunAblationBeta,
-	"ablation-catchup":   experiments.RunAblationCatchupSeed,
-	"ablation-partial":   experiments.RunAblationPartialRepartition,
-	"ablation-histogram": experiments.RunAblationHistogram,
-}
-
-// order fixes the printing sequence for -exp all.
-var order = []string{
-	"table2", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
-	"table3", "table4", "ablation-beta", "ablation-catchup",
-	"ablation-partial", "ablation-histogram",
+// experimentList is every experiment, in the order -exp all runs them and
+// -list prints them.
+var experimentList = []struct {
+	name string
+	run  func(experiments.Options) (*experiments.Table, error)
+}{
+	{"table2", experiments.RunTable2},
+	{"fig5", experiments.RunFigure5},
+	{"fig6", experiments.RunFigure6},
+	{"fig7", experiments.RunFigure7},
+	{"fig8", experiments.RunFigure8},
+	{"fig9", experiments.RunFigure9},
+	{"fig10", experiments.RunFigure10},
+	{"table3", experiments.RunTable3},
+	{"table4", experiments.RunTable4},
+	{"ablation-beta", experiments.RunAblationBeta},
+	{"ablation-catchup", experiments.RunAblationCatchupSeed},
+	{"ablation-partial", experiments.RunAblationPartialRepartition},
 }
 
 func main() {
@@ -62,36 +55,30 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		names := make([]string, 0, len(registry))
-		for name := range registry {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			fmt.Println(n)
+		for _, e := range experimentList {
+			fmt.Println(e.name)
 		}
 		return
 	}
 
 	opts := experiments.Options{Rows: *rows, Queries: *queries, Seed: *seed, Quick: *quick}
-	var names []string
-	if *exp == "all" {
-		names = order
-	} else {
-		if _, ok := registry[*exp]; !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q; use -list\n", *exp)
-			os.Exit(2)
+	ran := false
+	for _, e := range experimentList {
+		if *exp != "all" && *exp != e.name {
+			continue
 		}
-		names = []string{*exp}
-	}
-	for _, name := range names {
+		ran = true
 		start := time.Now()
-		tbl, err := registry[name](opts)
+		tbl, err := e.run(opts)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.name, err)
 			os.Exit(1)
 		}
 		tbl.Fprint(os.Stdout)
-		fmt.Printf("[%s completed in %.1fs]\n\n", name, time.Since(start).Seconds())
+		fmt.Printf("[%s completed in %.1fs]\n\n", e.name, time.Since(start).Seconds())
+	}
+	if !ran {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q; use -list\n", *exp)
+		os.Exit(2)
 	}
 }

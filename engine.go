@@ -100,7 +100,7 @@ type Engine struct {
 	upd sync.Mutex
 	rng *rand.Rand
 
-	// statsMu guards the exported counters below, separately from upd so
+	// statsMu guards the counters below, separately from upd so
 	// Stats() never parks behind a long re-initialization.
 	statsMu sync.Mutex
 
@@ -119,14 +119,14 @@ type Engine struct {
 	// observer installed every instrumented section costs one atomic load.
 	spans spanSink
 
-	// Reinits counts completed re-initializations across all templates.
-	Reinits int
-	// TriggersFired counts trigger evaluations that led to a candidate
+	// reinits counts completed re-initializations across all templates.
+	reinits int
+	// triggersFired counts trigger evaluations that led to a candidate
 	// partitioning being computed.
-	TriggersFired int
-	// TriggersRejected counts candidates whose improvement fell short of
+	triggersFired int
+	// triggersRejected counts candidates whose improvement fell short of
 	// the β bar and were discarded.
-	TriggersRejected int
+	triggersRejected int
 
 	updatesSinceTriggerCheck int
 }
@@ -156,9 +156,6 @@ func NewEngine(cfg Config, b *Broker) *Engine {
 
 // Broker returns the engine's streaming substrate.
 func (e *Engine) Broker() *Broker { return e.broker }
-
-// Config returns the configuration the engine was built with.
-func (e *Engine) Config() Config { return e.cfg }
 
 // lookup returns the named synopsis.
 func (e *Engine) lookup(name string) (*synopsis, bool) {
@@ -260,14 +257,14 @@ func (e *Engine) buildUpdLocked(t Template, numVals int, seed int64, bp *partiti
 // pointer swap.
 func (e *Engine) reinstallUpdLocked(s *synopsis, bp *partition.Blueprint) error {
 	sp := e.spans.start()
-	dpt, err := e.buildUpdLocked(s.tmpl, s.dpt.Config().NumVals, e.cfg.Seed+int64(e.Reinits)+1, bp)
+	dpt, err := e.buildUpdLocked(s.tmpl, s.dpt.Config().NumVals, e.cfg.Seed+int64(e.reinits)+1, bp)
 	if err != nil {
 		return err
 	}
 	s.mu.Lock()
 	s.dpt = dpt
 	s.mu.Unlock()
-	e.bumpCounter(&e.Reinits)
+	e.bumpCounter(&e.reinits)
 	e.spans.end(SpanReinit, 0, sp)
 	return nil
 }
@@ -490,18 +487,6 @@ func (e *Engine) DeleteBatch(ids []int64) (int, error) {
 // calls it; ROADMAP item 8's coordinated bench/ edit removes it.
 func (e *Engine) PumpCatchUp() bool { return false }
 
-// PartialRepartitions returns the total Appendix E subtree rebuilds across
-// all templates.
-func (e *Engine) PartialRepartitions() int {
-	total := 0
-	for _, s := range e.snapshotSyns() {
-		s.mu.RLock()
-		total += s.dpt.PartialRepartitions
-		s.mu.RUnlock()
-	}
-	return total
-}
-
 // TemplateStats is a point-in-time snapshot of one synopsis's state.
 type TemplateStats struct {
 	Name            string  `json:"name"`
@@ -558,14 +543,13 @@ type EngineStats struct {
 
 // Stats snapshots the engine counters and per-template state under the
 // appropriate locks — never upd, so it stays responsive while a
-// re-initialization runs. Prefer it over reading the exported counter
-// fields directly whenever updates may be running concurrently.
+// re-initialization runs.
 func (e *Engine) Stats() EngineStats {
 	e.statsMu.Lock()
 	st := EngineStats{
-		Reinits:          e.Reinits,
-		TriggersFired:    e.TriggersFired,
-		TriggersRejected: e.TriggersRejected,
+		Reinits:          e.reinits,
+		TriggersFired:    e.triggersFired,
+		TriggersRejected: e.triggersRejected,
 		StreamRejected:   e.streamRejected,
 	}
 	e.statsMu.Unlock()
@@ -607,7 +591,7 @@ func (e *Engine) evaluateTriggersUpdLocked(updates int) {
 		if !fired {
 			return
 		}
-		e.bumpCounter(&e.TriggersFired)
+		e.bumpCounter(&e.triggersFired)
 		if e.cfg.PartialRepartition {
 			// Appendix E: rebuild only the subtree around the leaf whose
 			// trigger fired, keeping every other node's statistics.
@@ -627,7 +611,7 @@ func (e *Engine) evaluateTriggersUpdLocked(updates int) {
 			// Not enough improvement: keep the partitioning but refresh the
 			// baselines so the same drift does not re-fire immediately.
 			s.apply(func(dpt *core.DPT) { dpt.RefreshBaselines() })
-			e.bumpCounter(&e.TriggersRejected)
+			e.bumpCounter(&e.triggersRejected)
 			return
 		}
 		// An empty archive has nothing to rebuild from: the old synopsis
@@ -640,7 +624,7 @@ func (e *Engine) evaluateTriggersUpdLocked(updates int) {
 // (the full procedure of Section 4.3, run synchronously under the update
 // lock), returning the wall-clock cost of the rebuild. The old synopsis
 // keeps serving until the swap. On an empty archive there is nothing to
-// rebuild from: the old synopsis stays, Reinits is not bumped, and the
+// rebuild from: the old synopsis stays, reinits is not bumped, and the
 // error says so.
 func (e *Engine) Reinitialize(template string) (time.Duration, error) {
 	e.upd.Lock()

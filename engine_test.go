@@ -219,8 +219,8 @@ func TestEngineReinitialize(t *testing.T) {
 	if d <= 0 {
 		t.Error("re-initialization should take measurable time")
 	}
-	if eng.Reinits != 1 {
-		t.Errorf("Reinits = %d, want 1", eng.Reinits)
+	if eng.Stats().Reinits != 1 {
+		t.Errorf("Reinits = %d, want 1", eng.Stats().Reinits)
 	}
 	if _, err := eng.Reinitialize("nope"); err == nil {
 		t.Error("unknown template must error")
@@ -277,14 +277,14 @@ func TestEngineAutoRepartitionOnSkew(t *testing.T) {
 			Vals: []float64{rng.Float64() * 500, 1, 1},
 		})
 		id++
-		if eng.Reinits > 0 && eng.TriggersFired > 0 {
+		if eng.Stats().Reinits > 0 && eng.Stats().TriggersFired > 0 {
 			return // repartitioning kicked in; that is the assertion
 		}
 	}
-	if eng.TriggersFired == 0 {
+	if eng.Stats().TriggersFired == 0 {
 		t.Error("no trigger fired under heavy skew")
 	}
-	if eng.Reinits == 0 {
+	if eng.Stats().Reinits == 0 {
 		t.Error("no re-partition adopted under heavy skew")
 	}
 }
@@ -396,15 +396,15 @@ func TestEnginePartialRepartitionMode(t *testing.T) {
 			Vals: []float64{rng.Float64() * 1000, 1, 1},
 		})
 		id++
-		if eng.PartialRepartitions() > 0 {
+		if eng.Stats().PartialRepartitions > 0 {
 			break
 		}
 	}
-	if eng.PartialRepartitions() == 0 {
+	if eng.Stats().PartialRepartitions == 0 {
 		t.Error("partial-repartition mode never rebuilt a subtree under skew")
 	}
-	if eng.Reinits != 0 {
-		t.Errorf("partial mode performed %d full re-inits; expected subtree rebuilds only", eng.Reinits)
+	if eng.Stats().Reinits != 0 {
+		t.Errorf("partial mode performed %d full re-inits; expected subtree rebuilds only", eng.Stats().Reinits)
 	}
 	// The engine still answers sanely afterwards.
 	res, err := query(eng, "trips", Query{Func: FuncCount, AggIndex: -1, Rect: Universe(1)})
@@ -473,8 +473,8 @@ func TestEngineTwoTemplatesReproducibleForFixedSeed(t *testing.T) {
 	}
 	for round := 0; round < 6; round++ {
 		a, b := build(), build()
-		if a.Reinits < 2 {
-			t.Fatalf("round %d: %d re-initializations; the stream must re-partition both templates to exercise the shared rng", round, a.Reinits)
+		if a.Stats().Reinits < 2 {
+			t.Fatalf("round %d: %d re-initializations; the stream must re-partition both templates to exercise the shared rng", round, a.Stats().Reinits)
 		}
 		for _, tmpl := range templates {
 			gen := workload.NewQueryGen(3, boot, tmpl.PredicateDims)

@@ -61,9 +61,6 @@ func (r *RS) Insert(t data.Tuple) { r.res.Insert(t) }
 // Delete implements System.
 func (r *RS) Delete(t data.Tuple) { r.res.Delete(t.ID) }
 
-// SampleSize returns |S|.
-func (r *RS) SampleSize() int { return r.res.Len() }
-
 // Answer estimates the query by scanning the sample — the classic
 // Horvitz–Thompson estimator with normal CIs.
 func (r *RS) Answer(q core.Query) (core.Result, error) {
@@ -182,15 +179,6 @@ func (s *SRS) Insert(t data.Tuple) { s.strata[s.stratumOf(t)].Insert(t) }
 
 // Delete implements System.
 func (s *SRS) Delete(t data.Tuple) { s.strata[s.stratumOf(t)].Delete(t.ID) }
-
-// SampleSize returns the total sample size across strata.
-func (s *SRS) SampleSize() int {
-	n := 0
-	for _, r := range s.strata {
-		n += r.Len()
-	}
-	return n
-}
 
 // Answer combines per-stratum estimates with the standard stratified
 // formulas.

@@ -144,12 +144,18 @@ func TestSRSInsertDeleteRouting(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	tuples := genTuples(rng, 2000, 0)
 	srs := NewSRS(4, 100, 6, sample(rng, tuples, 800), 2000, 0)
-	before := srs.SampleSize()
+	size := func() (n int) {
+		for _, r := range srs.strata {
+			n += r.Len()
+		}
+		return n
+	}
+	before := size()
 	fresh := genTuples(rng, 100, 10_000)
 	for _, tp := range fresh {
 		srs.Insert(tp)
 	}
-	if srs.SampleSize() < before {
+	if size() < before {
 		t.Error("inserts should not shrink the stratified sample")
 	}
 	for _, tp := range fresh {
@@ -167,7 +173,7 @@ func TestLearnedModelAccuracyAndStaleness(t *testing.T) {
 		t.Fatal("untrained model must refuse to answer")
 	}
 	l.Train(sample(rng, tuples, 4000), int64(len(tuples)))
-	if !l.Trained() {
+	if !l.trained {
 		t.Fatal("model should be trained")
 	}
 	var errs []float64

@@ -75,9 +75,6 @@ func (l *Learned) Insert(data.Tuple) {}
 // Delete implements System; the model ignores dynamic updates by design.
 func (l *Learned) Delete(data.Tuple) {}
 
-// Trained reports whether the model has been fit.
-func (l *Learned) Trained() bool { return l.trained }
-
 // Train fits the model from scratch on the training sample, scaling to the
 // given population. Training cost is real work proportional to
 // Epochs × |train|, reproducing the re-training cost curve of Figure 5.

@@ -363,7 +363,7 @@ func TestStrataConsistency(t *testing.T) {
 		db.delete(tp.ID)
 	}
 	check("after a re-draw")
-	if err := dpt.PartialRepartition(geom.Point{500}, 2); err != nil {
+	if err := dpt.partialRepartition(geom.Point{500}, 2); err != nil {
 		t.Fatal(err)
 	}
 	check("after a partial repartition")

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -344,6 +345,23 @@ func checkRootSplit(t *testing.T, d *DPT, a, c float64) {
 	}
 }
 
+// stateOutside renders, with every float as its exact hex form, the
+// statistics of each node of the tree at n that lies outside the subtree
+// rooted at skip: counts and moments, heaps, stratum, and the trigger and
+// anchor state.
+func stateOutside(n, skip *node) string {
+	if n == nil || n == skip {
+		return ""
+	}
+	s := fmt.Sprintf("[%x %x %x %x %x %v %x %v %v %x %x %v %x %x",
+		n.rect, n.catchup, n.ins, n.del, n.minHeap.Values(), n.minHeap.Exact(), n.maxHeap.Values(), n.maxHeap.Exact(),
+		n.isLeaf, n.m0, n.updates, n.isAnchor, n.anchorBase, n.localSeen)
+	if n.stratum != nil {
+		s += fmt.Sprintf(" %x %x %x", n.stratum.ids, n.stratum.keys, n.stratum.vals)
+	}
+	return s + stateOutside(n.left, skip) + stateOutside(n.right, skip) + "]"
+}
+
 // checkDecodedLikeSource asserts that the synopsis Encode → Decode restores
 // answers like its source: the same estimate and half-width bits and the
 // same Outer/Covered/Partial for every aggregate over the universe, each
@@ -377,7 +395,13 @@ func checkDecodedLikeSource(t *testing.T, d *DPT, rect geom.Rect) {
 			q := Query{Func: f, AggIndex: -1, Rect: r}
 			same("tree", q, func(s *DPT) (Result, error) { return s.Answer(q) })
 			if f == FuncSum || f == FuncCount || f == FuncAvg {
-				same("on-keys", q, func(s *DPT) (Result, error) { return s.AnswerUniform(q, []int{0}) })
+				same("on-keys", q, func(s *DPT) (Result, error) {
+					p, err := s.AnswerUniformPartial(q, []int{0})
+					if err != nil {
+						return Result{}, err
+					}
+					return MergePartials([]Partial{p}, q.Confidence)
+				})
 			}
 		}
 	}
@@ -540,10 +564,17 @@ func FuzzAnswerAlgebra(f *testing.F) {
 			}
 		}
 
-		// An Appendix E rebuild around the rect's low end: composition must
-		// survive anchored scaling.
-		if err := d.PartialRepartition(geom.Point{lo}, 1+int(ends[0])%3); err != nil {
+		// An Appendix E rebuild around the rect's low end: every node
+		// outside the rebuilt subtree keeps its statistics bit for bit, and
+		// composition must survive anchored scaling.
+		psi := 1 + int(ends[0])%3
+		u := rebuildRoot(d.route(geom.Point{lo}), psi)
+		before := stateOutside(d.root, u)
+		if err := d.partialRepartition(geom.Point{lo}, psi); err != nil {
 			t.Fatal(err)
+		}
+		if after := stateOutside(d.root, u); after != before {
+			t.Errorf("rebuilding the subtree at %v changed nodes outside it:\nbefore %s\nafter  %s", u.rect, before, after)
 		}
 		checkComposition(t, d, rect)
 		checkComposition(t, d, geom.Universe(1))

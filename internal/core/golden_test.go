@@ -223,7 +223,11 @@ func goldenLines(stage string, dpt *DPT) []string {
 		for _, f := range funcs {
 			for _, v := range variants {
 				key := fmt.Sprintf("%s keys%v %v agg=%d conf=%g %v", stage, dims[i], f, v.agg, v.conf, rect)
-				res, err := dpt.AnswerUniform(Query{Func: f, AggIndex: v.agg, Rect: rect, Confidence: v.conf}, dims[i])
+				var res Result
+				p, err := dpt.AnswerUniformPartial(Query{Func: f, AggIndex: v.agg, Rect: rect, Confidence: v.conf}, dims[i])
+				if err == nil {
+					res, err = MergePartials([]Partial{p}, v.conf)
+				}
 				out = append(out, render(key, res, err))
 			}
 		}

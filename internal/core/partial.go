@@ -22,25 +22,6 @@ import (
 // below anchors (the eras would otherwise mix); the exact insert/delete
 // deltas of new updates accumulate on the fresh nodes as usual.
 
-// PartialRepartition rebuilds the subtree psi levels above the leaf
-// containing p, re-optimizing its partitioning over the pooled samples in
-// that region. psi <= 0 rebuilds just the leaf's parent region; large psi
-// clamps at the root.
-func (t *DPT) PartialRepartition(p geom.Point, psi int) error {
-	if len(p) != t.cfg.Dims {
-		return fmt.Errorf("core: point dimensionality %d, synopsis %d", len(p), t.cfg.Dims)
-	}
-	leaf := t.route(p)
-	u := leaf
-	for i := 0; i < psi && u.parent != nil; i++ {
-		u = u.parent
-	}
-	if u.isLeaf && u.parent != nil {
-		u = u.parent
-	}
-	return t.repartitionSubtree(u)
-}
-
 // RepartitionPendingLeaf partially re-partitions around the leaf whose
 // trigger fired most recently; it is a no-op without a pending trigger.
 func (t *DPT) RepartitionPendingLeaf(psi int) error {
@@ -49,6 +30,22 @@ func (t *DPT) RepartitionPendingLeaf(psi int) error {
 	}
 	leaf := t.pendingLeaf
 	t.pendingLeaf = nil
+	return t.repartitionSubtree(rebuildRoot(leaf, psi))
+}
+
+// partialRepartition is RepartitionPendingLeaf around the leaf containing
+// p instead of the pending one.
+func (t *DPT) partialRepartition(p geom.Point, psi int) error {
+	if len(p) != t.cfg.Dims {
+		return fmt.Errorf("core: point dimensionality %d, synopsis %d", len(p), t.cfg.Dims)
+	}
+	return t.repartitionSubtree(rebuildRoot(t.route(p), psi))
+}
+
+// rebuildRoot returns the root of the subtree an Appendix E rebuild around
+// leaf re-optimizes: psi levels above it, at least the leaf's parent
+// region (psi <= 0), at most the tree root (large psi).
+func rebuildRoot(leaf *node, psi int) *node {
 	u := leaf
 	for i := 0; i < psi && u.parent != nil; i++ {
 		u = u.parent
@@ -56,7 +53,7 @@ func (t *DPT) RepartitionPendingLeaf(psi int) error {
 	if u.isLeaf && u.parent != nil {
 		u = u.parent
 	}
-	return t.repartitionSubtree(u)
+	return u
 }
 
 func (t *DPT) repartitionSubtree(u *node) error {

@@ -18,7 +18,7 @@ func TestPartialRepartitionPreservesConsistency(t *testing.T) {
 	dpt.CatchUpTarget(0.3)
 	leavesBefore := dpt.NumLeaves()
 
-	if err := dpt.PartialRepartition(geom.Point{500}, 2); err != nil {
+	if err := dpt.partialRepartition(geom.Point{500}, 2); err != nil {
 		t.Fatal(err)
 	}
 	if dpt.PartialRepartitions != 1 {
@@ -86,7 +86,7 @@ func TestPartialRepartitionAnchorsScaleEstimates(t *testing.T) {
 	dpt, db := buildDPT(t, tuples, cfg)
 	dpt.CatchUpTarget(1.0) // exact stats before the partial rebuild
 
-	if err := dpt.PartialRepartition(geom.Point{300}, 1); err != nil {
+	if err := dpt.partialRepartition(geom.Point{300}, 1); err != nil {
 		t.Fatal(err)
 	}
 	// Queries fully inside the rebuilt region rely on anchored estimates:
@@ -129,7 +129,7 @@ func TestPartialRepartitionSurvivesUpdates(t *testing.T) {
 	cfg.K = 16
 	dpt, db := buildDPT(t, tuples, cfg)
 	dpt.CatchUpTarget(0.5)
-	if err := dpt.PartialRepartition(geom.Point{500}, 2); err != nil {
+	if err := dpt.partialRepartition(geom.Point{500}, 2); err != nil {
 		t.Fatal(err)
 	}
 	// Insert and delete through the anchored region.
@@ -181,7 +181,7 @@ func TestPartialRepartitionDimMismatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	tuples := makeTuples(rng, 2000, 0)
 	dpt, _ := buildDPT(t, tuples, defaultCfg())
-	if err := dpt.PartialRepartition(geom.Point{1, 2}, 1); err == nil {
+	if err := dpt.partialRepartition(geom.Point{1, 2}, 1); err == nil {
 		t.Error("dimension mismatch must error")
 	}
 }
@@ -195,7 +195,7 @@ func TestPartialRepartitionAtRoot(t *testing.T) {
 	dpt.CatchUpTarget(1.0)
 	// A psi larger than the tree height clamps at the root: the whole tree
 	// is rebuilt from the pooled sample, and estimates must stay scaled.
-	if err := dpt.PartialRepartition(geom.Point{500}, 100); err != nil {
+	if err := dpt.partialRepartition(geom.Point{500}, 100); err != nil {
 		t.Fatal(err)
 	}
 	all := geom.Universe(1)

@@ -84,7 +84,7 @@ func TestEncodeDecodePreservesAnchors(t *testing.T) {
 	tuples := makeTuples(rng, 10000, 0)
 	dpt, _ := buildDPT(t, tuples, defaultCfg())
 	dpt.CatchUpTarget(0.5)
-	if err := dpt.PartialRepartition(geom.Point{400}, 2); err != nil {
+	if err := dpt.partialRepartition(geom.Point{400}, 2); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

@@ -38,13 +38,3 @@ func (t *DPT) AnswerUniformPartial(q Query, dims []int) (Partial, error) {
 	e.addStratum(matching, int64(t.res.Len()), float64(t.population), 1)
 	return e.partial(q.Func), nil
 }
-
-// AnswerUniform is the local form of AnswerUniformPartial: its Partial,
-// merged alone.
-func (t *DPT) AnswerUniform(q Query, dims []int) (Result, error) {
-	p, err := t.AnswerUniformPartial(q, dims)
-	if err != nil {
-		return Result{}, err
-	}
-	return MergePartials([]Partial{p}, q.Confidence)
-}

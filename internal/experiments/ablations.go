@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"janusaqp/internal/baselines"
 	"janusaqp/internal/core"
 	"janusaqp/internal/workload"
 
@@ -46,11 +45,12 @@ func RunAblationBeta(opts Options) (*Table, error) {
 			mustInsert(eng, tp)
 		}
 		res := evaluate(engineAnswerer(eng, "main", nil), queries, truth)
+		st := eng.Stats()
 		tbl.AddRow(
 			fmt.Sprintf("%g", beta),
-			fmt.Sprintf("%d", eng.Reinits),
-			fmt.Sprintf("%d", eng.TriggersFired),
-			fmt.Sprintf("%d", eng.TriggersRejected),
+			fmt.Sprintf("%d", st.Reinits),
+			fmt.Sprintf("%d", st.TriggersFired),
+			fmt.Sprintf("%d", st.TriggersRejected),
 			pct(res.P95RE),
 		)
 	}
@@ -130,9 +130,10 @@ func RunAblationPartialRepartition(opts Options) (*Table, error) {
 		}
 		elapsed := time.Since(start)
 		res := evaluate(engineAnswerer(eng, "main", nil), queries, truth)
+		st := eng.Stats()
 		tbl.AddRow(label,
-			fmt.Sprintf("%d", eng.Reinits),
-			fmt.Sprintf("%d", eng.PartialRepartitions()),
+			fmt.Sprintf("%d", st.Reinits),
+			fmt.Sprintf("%d", st.PartialRepartitions),
 			secs(elapsed),
 			pct(res.P95RE))
 		return nil
@@ -155,64 +156,4 @@ func RunAblationPartialRepartition(opts Options) (*Table, error) {
 	tbl.Notes = append(tbl.Notes,
 		"shape check: partial rebuilds process the stream faster than full re-initializations while keeping error in the same regime")
 	return tbl, nil
-}
-
-// RunAblationHistogram pits a classical dynamic equi-width histogram
-// against JanusAQP under domain drift (the arrival-ordered taxi stream of
-// Figure 10): the histogram's fixed bucket geometry goes blind to data
-// arriving outside its initial range, while JanusAQP re-partitions.
-func RunAblationHistogram(opts Options) (*Table, error) {
-	opts = opts.withDefaults()
-	spec := specFor(workload.NYCTaxi)
-	tuples, err := workload.Generate(spec.name, opts.Rows, 0, opts.Seed)
-	if err != nil {
-		return nil, err
-	}
-	tenth := len(tuples) / 10
-	hist := baselines.NewHistogram(128, spec.aggVal, projectAll(tuples[:tenth], spec))
-	eng, err := seedEngine(spec, tuples, tenth, janus.Config{
-		LeafNodes: 128, SampleRate: 0.01, CatchUpRate: 0.10, Seed: opts.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	gen := workload.NewQueryGen(opts.Seed+1, tuples, spec.predDims)
-	queries := gen.Workload(opts.Queries, core.FuncSum)
-	tbl := &Table{
-		Title:  "Ablation: fixed equi-width histogram vs JanusAQP under domain drift",
-		Header: []string{"progress", "Histogram", "JanusAQP", "hist outliers"},
-	}
-	inserted := tenth
-	for _, p := range []float64{0.5, 0.9} {
-		upto := int(p * float64(len(tuples)))
-		for ; inserted < upto; inserted++ {
-			tp := tuples[inserted]
-			pt := tp.Clone()
-			pt.Key = pt.Project(spec.predDims)
-			hist.Insert(pt)
-			mustInsert(eng, tp)
-		}
-		if _, err := eng.Reinitialize("main"); err != nil {
-			return nil, err
-		}
-		truth := newTruth(spec, tuples, upto)
-		hres := evaluate(hist.Answer, queries, truth)
-		jres := evaluate(engineAnswerer(eng, "main", nil), queries, truth)
-		tbl.AddRow(fmt.Sprintf("%.1f", p), pct(hres.MedianRE), pct(jres.MedianRE),
-			fmt.Sprintf("%.0f", hist.OutlierCount()))
-	}
-	tbl.Notes = append(tbl.Notes,
-		"shape check: the histogram's outlier mass grows with drift and its error explodes; JanusAQP re-partitions and stays accurate")
-	return tbl, nil
-}
-
-// projectAll projects every tuple's key onto the spec's predicate dims.
-func projectAll(tuples []workloadTuple, spec dsSpec) []workloadTuple {
-	out := make([]workloadTuple, len(tuples))
-	for i, t := range tuples {
-		c := t.Clone()
-		c.Key = c.Project(spec.predDims)
-		out[i] = c
-	}
-	return out
 }

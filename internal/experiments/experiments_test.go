@@ -287,19 +287,3 @@ func TestAblationPartialRepartition(t *testing.T) {
 		}
 	}
 }
-
-func TestAblationHistogram(t *testing.T) {
-	tbl, err := RunAblationHistogram(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + render(t, tbl))
-	last := tbl.Rows[len(tbl.Rows)-1]
-	histErr, janusErr := cell(t, last[1]), cell(t, last[2])
-	if histErr < janusErr {
-		t.Errorf("under drift the fixed histogram (%.2f%%) should lose to JanusAQP (%.2f%%)", histErr, janusErr)
-	}
-	if cell(t, last[3]) == 0 {
-		t.Error("expected outlier mass after domain drift")
-	}
-}

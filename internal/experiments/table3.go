@@ -110,3 +110,14 @@ func newSynopsis(bp *partition.Blueprint, k int, pooled []data.Tuple, tuples []d
 	}
 	return core.New(cfg, bp, pooled, int64(len(tuples)), projectAll(tuples, spec), nil)
 }
+
+// projectAll projects every tuple's key onto the spec's predicate dims.
+func projectAll(tuples []workloadTuple, spec dsSpec) []workloadTuple {
+	out := make([]workloadTuple, len(tuples))
+	for i, t := range tuples {
+		c := t.Clone()
+		c.Key = c.Project(spec.predDims)
+		out[i] = c
+	}
+	return out
+}

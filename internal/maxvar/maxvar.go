@@ -320,8 +320,8 @@ func (o *Oracle) avgVariance(q stats.Moments, m int64) float64 {
 }
 
 // BruteForce1D computes the exact maximum query variance inside rect by
-// enumerating every contiguous sample interval; exported for tests and the
-// ablation benchmarks (it is O(m²) and only valid for d = 1).
+// enumerating every contiguous sample interval: the reference the tests
+// compare MaxVariance against (it is O(m²) and only valid for d = 1).
 func (o *Oracle) BruteForce1D(rect geom.Rect) float64 {
 	var pts []kdindex.Entry
 	o.idx.Report(rect, func(e kdindex.Entry) bool {

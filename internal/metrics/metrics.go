@@ -87,34 +87,6 @@ func (h *Histogram) Count() uint64 {
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return h.sum.load() }
 
-// Quantile estimates the q-quantile (q in [0,1]) by linear interpolation
-// inside the owning bucket, the standard Prometheus histogram_quantile
-// estimate. It returns 0 with no observations.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.Count()
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	var cum uint64
-	for i, b := range h.bounds {
-		c := h.counts[i].Load()
-		if float64(cum)+float64(c) >= rank {
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			if c == 0 {
-				return b
-			}
-			frac := (rank - float64(cum)) / float64(c)
-			return lo + frac*(b-lo)
-		}
-		cum += c
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // atomicFloat is a float64 accumulated with CAS on its bit pattern.
 type atomicFloat struct {
 	bits atomic.Uint64

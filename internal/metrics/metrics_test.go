@@ -49,24 +49,6 @@ func TestHistogramCountSum(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram([]float64{1, 2, 3, 4})
-	for i := 0; i < 100; i++ {
-		h.Observe(float64(i%4) + 0.5)
-	}
-	med := h.Quantile(0.5)
-	if med < 1 || med > 3 {
-		t.Fatalf("Quantile(0.5) = %g, want in [1,3]", med)
-	}
-	if q := h.Quantile(0.5); q == 0 {
-		t.Fatal("Quantile returned 0 with observations present")
-	}
-	empty := NewHistogram(nil)
-	if q := empty.Quantile(0.99); q != 0 {
-		t.Fatalf("empty Quantile = %g, want 0", q)
-	}
-}
-
 func TestRegistryReusesMetrics(t *testing.T) {
 	r := NewRegistry()
 	c1 := r.Counter("reqs_total", "requests")

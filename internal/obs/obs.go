@@ -1,9 +1,9 @@
 // Package obs provides the lightweight observability primitives shared by
 // janusd and the engine tiers: request-ID generation, context plumbing for
-// those IDs, a slog-based component logger factory, a slow-query log, and a
-// zero-allocation span stopwatch. Everything here is deliberately tiny —
-// the hot path pays one atomic load when instrumentation is disabled, and
-// nothing in this package takes a lock on a per-request basis.
+// those IDs, a slog-based component logger factory, and a slow-query log.
+// Everything here is deliberately tiny — the hot path pays one atomic load
+// when instrumentation is disabled, and nothing in this package takes a
+// lock on a per-request basis.
 package obs
 
 import (
@@ -116,17 +116,3 @@ func (s *SlowQueryLog) Note(requestID, kind, source string, elapsed time.Duratio
 		"thresholdMicros", s.Threshold.Microseconds(),
 	)
 }
-
-// Span is a stopwatch for one named stage. It is a value type — no pool,
-// no allocation — started with Start and finished with Stop, which
-// returns the elapsed duration for the caller to record wherever it
-// belongs (a Trace slice, a metrics histogram, a SpanObserver).
-type Span struct {
-	start time.Time
-}
-
-// Start begins timing.
-func Start() Span { return Span{start: time.Now()} }
-
-// Stop ends timing and returns the elapsed duration.
-func (s Span) Stop() time.Duration { return time.Since(s.start) }

@@ -111,11 +111,3 @@ func TestSlowQueryLogDisabled(t *testing.T) {
 		t.Fatalf("zero-threshold slow-query log emitted: %q", buf.String())
 	}
 }
-
-func TestSpanMeasures(t *testing.T) {
-	sp := Start()
-	time.Sleep(2 * time.Millisecond)
-	if d := sp.Stop(); d < time.Millisecond {
-		t.Fatalf("span measured %v, want >= 1ms", d)
-	}
-}

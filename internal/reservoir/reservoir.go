@@ -78,9 +78,6 @@ func (s *Sample) Len() int { return len(s.items) }
 // Population returns the tracked database size |D|.
 func (s *Sample) Population() int64 { return s.population }
 
-// LowerBound returns m, the minimum sample size before a full re-draw.
-func (s *Sample) LowerBound() int { return s.m }
-
 // Contains reports whether the tuple with the given ID is sampled.
 func (s *Sample) Contains(id int64) bool {
 	_, ok := s.pos[id]
@@ -156,12 +153,6 @@ func (s *Sample) Delete(id int64) DeleteEvent {
 	// processed the deletion yet when the resampler runs.
 	s.redrawExcluding(id)
 	return DeleteEvent{Removed: true, Resampled: true}
-}
-
-// ForceResample discards the sample and re-draws 2m tuples from archival
-// storage; used by the re-initialization procedure of Section 4.3 (step 4).
-func (s *Sample) ForceResample() {
-	s.redrawExcluding(-1)
 }
 
 func (s *Sample) redrawExcluding(excludeID int64) {

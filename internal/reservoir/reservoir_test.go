@@ -201,25 +201,6 @@ func TestInvariantUnderMixedWorkload(t *testing.T) {
 	}
 }
 
-func TestForceResample(t *testing.T) {
-	resampler := func(n int) []data.Tuple {
-		out := make([]data.Tuple, n)
-		for i := range out {
-			out[i] = tup(int64(1000 + i))
-		}
-		return out
-	}
-	s := New(3, 6, resampler)
-	s.Init([]data.Tuple{tup(1), tup(2), tup(3)}, 50)
-	s.ForceResample()
-	if s.Contains(1) {
-		t.Error("old tuple survived forced resample")
-	}
-	if s.Len() != 6 {
-		t.Errorf("Len = %d, want 6", s.Len())
-	}
-}
-
 func TestInitTruncatesToCapacity(t *testing.T) {
 	s := New(2, 7, nil)
 	var many []data.Tuple

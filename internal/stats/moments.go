@@ -45,9 +45,6 @@ func (m *Moments) Unmerge(other Moments) {
 	m.SumSq -= other.SumSq
 }
 
-// Reset clears the accumulator.
-func (m *Moments) Reset() { *m = Moments{} }
-
 // Mean returns the sample mean, or 0 when empty.
 func (m Moments) Mean() float64 {
 	if m.N == 0 {
@@ -64,20 +61,6 @@ func (m Moments) Variance() float64 {
 	}
 	n := float64(m.N)
 	v := m.SumSq/n - (m.Sum/n)*(m.Sum/n)
-	if v < 0 {
-		return 0
-	}
-	return v
-}
-
-// SampleVariance returns the unbiased sample variance (1/(N-1)), or 0 when
-// fewer than two observations exist.
-func (m Moments) SampleVariance() float64 {
-	if m.N < 2 {
-		return 0
-	}
-	n := float64(m.N)
-	v := (m.SumSq - m.Sum*m.Sum/n) / (n - 1)
 	if v < 0 {
 		return 0
 	}

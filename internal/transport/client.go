@@ -43,9 +43,6 @@ func NewClient(addr string) *Client {
 	return &Client{addr: addr, DialTimeout: 2 * time.Second, CallTimeout: 5 * time.Second, MaxIdle: 4}
 }
 
-// Addr returns the node address the client dials.
-func (c *Client) Addr() string { return c.addr }
-
 // PoolStats is a point-in-time view of the client's connection pool, for
 // export as gauges.
 type PoolStats struct {

@@ -23,7 +23,7 @@ func TestQueryResultRoundTrip(t *testing.T) {
 		{Estimate: math.Inf(1), Lo: math.Inf(-1), Hi: math.Inf(1), Template: "t"},
 	}
 	for _, want := range results {
-		got, err := DecodeQueryResult(EncodeQueryResult(want))
+		got, err := DecodeQueryResult(AppendQueryResult(nil, want))
 		if err != nil {
 			t.Fatalf("decoding %+v: %v", want, err)
 		}
@@ -43,7 +43,7 @@ func TestQueryResultRoundTrip(t *testing.T) {
 	}
 
 	// Truncations must error, never panic.
-	full := EncodeQueryResult(results[1])
+	full := AppendQueryResult(nil, results[1])
 	for n := range full {
 		if _, err := DecodeQueryResult(full[:n]); err == nil {
 			t.Fatalf("truncation to %d/%d bytes decoded successfully", n, len(full))

@@ -294,11 +294,6 @@ func AppendQueryResult(buf []byte, res QueryResult) []byte {
 	return buf
 }
 
-// EncodeQueryResult encodes res into a fresh buffer.
-func EncodeQueryResult(res QueryResult) []byte {
-	return AppendQueryResult(make([]byte, 0, 96+len(res.Template)), res)
-}
-
 // DecodeQueryResult inverts AppendQueryResult.
 func DecodeQueryResult(p []byte) (QueryResult, error) {
 	r := &reader{p: p}

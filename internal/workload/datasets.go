@@ -35,29 +35,18 @@ const (
 	ETFPrices     = "etf"
 )
 
-// Column layout per dataset. Key columns are candidate predicate
-// attributes; Val columns are candidate aggregation attributes.
-var (
-	// IntelKeyCols: time.
-	IntelKeyCols = []string{"time"}
-	// IntelValCols: light, temperature, humidity, voltage.
-	IntelValCols = []string{"light", "temperature", "humidity", "voltage"}
-
-	// TaxiKeyCols: pickupTime, dropoffTime, pickupTimeOfDay.
-	TaxiKeyCols = []string{"pickupTime", "dropoffTime", "pickupTimeOfDay"}
-	// TaxiValCols: tripDistance, fareAmount, passengerCount.
-	TaxiValCols = []string{"tripDistance", "fareAmount", "passengerCount"}
-
-	// ETFKeyCols: date, open, high, low, close, volume.
-	ETFKeyCols = []string{"date", "open", "high", "low", "close", "volume"}
-	// ETFValCols: volume, close.
-	ETFValCols = []string{"volume", "close"}
-)
-
 // Generate produces n tuples of the named dataset with IDs starting at
 // startID, deterministically from the seed. Tuples are emitted in their
 // natural arrival order (by time attribute) — experiments that need skewed
 // arrival (Section 6.8) rely on this ordering.
+//
+// Key columns are the candidate predicate attributes and Val columns the
+// candidate aggregation attributes, in tuple order:
+//
+//   - intel: key time; vals light, temperature, humidity, voltage.
+//   - taxi: key pickupTime, dropoffTime, pickupTimeOfDay; vals
+//     tripDistance, fareAmount, passengerCount.
+//   - etf: key date, open, high, low, close, volume; vals volume, close.
 func Generate(name string, n int, startID, seed int64) ([]data.Tuple, error) {
 	rng := rand.New(rand.NewSource(seed))
 	switch name {

@@ -65,9 +65,6 @@ func NewQueryGen(seed int64, tuples []data.Tuple, dims []int) *QueryGen {
 	}
 }
 
-// Extent returns the data bounding box the generator draws from.
-func (g *QueryGen) Extent() geom.Rect { return g.extent.Clone() }
-
 // Next draws one random rectangular query for the given aggregate.
 func (g *QueryGen) Next(f core.Func) core.Query {
 	d := g.extent.Dims()

@@ -132,7 +132,7 @@ func TestETFVolumeSpansOrders(t *testing.T) {
 func TestQueryGenProducesInRangeQueries(t *testing.T) {
 	tuples, _ := Generate(NYCTaxi, 5000, 0, 13)
 	g := NewQueryGen(1, tuples, []int{0})
-	ext := g.Extent()
+	ext := g.extent
 	for i := 0; i < 200; i++ {
 		q := g.Next(core.FuncSum)
 		if q.Rect.Dims() != 1 {

@@ -24,9 +24,9 @@ import (
 // directory recovers to exactly one consistent layout holding every
 // acknowledged write.
 
-// LayoutManifestName is the shard-layout manifest file, kept in the data
+// layoutManifestName is the shard-layout manifest file, kept in the data
 // directory root.
-const LayoutManifestName = "layout.json"
+const layoutManifestName = "layout.json"
 
 // ShardLayout is the durable shard-layout manifest. Once a directory has
 // resharded it always carries one; Pending marks the window between the
@@ -57,11 +57,11 @@ var reshardTestHook func(stage string) error
 // errSimulatedCrash aborts a reshard without cleanup (test-only).
 var errSimulatedCrash = errors.New("janus: simulated crash")
 
-// ReadShardLayout reads ROOT/layout.json. ok is false when the directory
+// readShardLayout reads ROOT/layout.json. ok is false when the directory
 // has no manifest (a legacy layout: single-engine root files or bare
 // shard-k directories from first boot).
-func ReadShardLayout(root string) (ShardLayout, bool, error) {
-	raw, err := os.ReadFile(filepath.Join(root, LayoutManifestName))
+func readShardLayout(root string) (ShardLayout, bool, error) {
+	raw, err := os.ReadFile(filepath.Join(root, layoutManifestName))
 	if errors.Is(err, os.ErrNotExist) {
 		return ShardLayout{}, false, nil
 	}
@@ -70,7 +70,7 @@ func ReadShardLayout(root string) (ShardLayout, bool, error) {
 	}
 	var ly ShardLayout
 	if err := json.Unmarshal(raw, &ly); err != nil {
-		return ShardLayout{}, false, fmt.Errorf("janus: parsing %s: %w", LayoutManifestName, err)
+		return ShardLayout{}, false, fmt.Errorf("janus: parsing %s: %w", layoutManifestName, err)
 	}
 	if ly.Version != 1 {
 		return ShardLayout{}, false, fmt.Errorf("janus: unsupported layout manifest version %d", ly.Version)
@@ -88,7 +88,7 @@ func writeShardLayout(root string, ly ShardLayout) error {
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(root, LayoutManifestName+".tmp")
+	tmp := filepath.Join(root, layoutManifestName+".tmp")
 	f, err := os.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("janus: creating layout manifest: %w", err)
@@ -104,7 +104,7 @@ func writeShardLayout(root string, ly ShardLayout) error {
 		_ = os.Remove(tmp)
 		return fmt.Errorf("janus: writing layout manifest: %w", err)
 	}
-	if err := os.Rename(tmp, filepath.Join(root, LayoutManifestName)); err != nil {
+	if err := os.Rename(tmp, filepath.Join(root, layoutManifestName)); err != nil {
 		_ = os.Remove(tmp)
 		return fmt.Errorf("janus: publishing layout manifest: %w", err)
 	}
@@ -183,7 +183,7 @@ type LayoutRecovery struct {
 // or a manifest the directories contradict.
 func RecoverShardLayout(root string) (LayoutRecovery, error) {
 	var rec LayoutRecovery
-	ly, ok, err := ReadShardLayout(root)
+	ly, ok, err := readShardLayout(root)
 	if err != nil {
 		return rec, err
 	}
@@ -391,7 +391,7 @@ func ReshardDurable(ctx context.Context, g *ShardGroup, root string, oldStores [
 	if kNew < 1 {
 		return nil, nil, fmt.Errorf("janus: reshard target of %d shards; need at least 1", kNew)
 	}
-	prev, havePrev, err := ReadShardLayout(root)
+	prev, havePrev, err := readShardLayout(root)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -49,7 +49,7 @@ func mkLayout(t *testing.T, manifest string, entries ...string) string {
 		}
 	}
 	if manifest != "" {
-		if err := os.WriteFile(filepath.Join(dir, LayoutManifestName), []byte(manifest), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, layoutManifestName), []byte(manifest), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}

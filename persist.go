@@ -222,9 +222,9 @@ func (e *Engine) Checkpoint(w io.Writer) (CheckpointInfo, error) {
 	hdr.FollowInsertOffset = follow.InsertOffset
 	hdr.FollowDeleteOffset = follow.DeleteOffset
 	e.statsMu.Lock()
-	hdr.Reinits = e.Reinits
-	hdr.TriggersFired = e.TriggersFired
-	hdr.TriggersRejected = e.TriggersRejected
+	hdr.Reinits = e.reinits
+	hdr.TriggersFired = e.triggersFired
+	hdr.TriggersRejected = e.triggersRejected
 	hdr.StreamRejected = e.streamRejected
 	e.statsMu.Unlock()
 
@@ -401,9 +401,9 @@ func openCheckpoint(r io.Reader, cfg Config, b *Broker) (*Engine, SyncState, boo
 		}
 	}
 	e.statsMu.Lock()
-	e.Reinits = hdr.Reinits
-	e.TriggersFired = hdr.TriggersFired
-	e.TriggersRejected = hdr.TriggersRejected
+	e.reinits = hdr.Reinits
+	e.triggersFired = hdr.TriggersFired
+	e.triggersRejected = hdr.TriggersRejected
 	e.streamRejected = hdr.StreamRejected
 	e.statsMu.Unlock()
 	e.follow.restore(SyncState{InsertOffset: hdr.FollowInsertOffset, DeleteOffset: hdr.FollowDeleteOffset})

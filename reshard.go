@@ -117,9 +117,6 @@ func (g *ShardGroup) ReshardProgress() (ReshardProgress, bool) {
 	return *p, true
 }
 
-// Resharding reports whether a reshard is currently in flight.
-func (g *ShardGroup) Resharding() bool { return g.dual.Load() != nil }
-
 // reshardTarget is the in-flight target layout: per-target-shard slots
 // that serialize the copy against live mirrored writes.
 type reshardTarget struct {

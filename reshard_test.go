@@ -402,7 +402,7 @@ func TestReshardRejectsBadOptions(t *testing.T) {
 	if _, err := g.Reshard(canceled, ReshardOptions{TargetShards: 3, Config: cfg}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled reshard = %v", err)
 	}
-	if g.NumShards() != 2 || g.LayoutEpoch() != 0 || g.Resharding() {
+	if g.NumShards() != 2 || g.LayoutEpoch() != 0 || g.dual.Load() != nil {
 		t.Fatalf("aborted reshard mutated the group: %d shards, epoch %d", g.NumShards(), g.LayoutEpoch())
 	}
 	if p, ok := g.ReshardProgress(); !ok || p.Phase != "failed" {

@@ -190,10 +190,6 @@ func (g *ShardGroup) NumShards() int { return len(g.engines()) }
 // per-shard operations like durable checkpointing).
 func (g *ShardGroup) Shard(i int) *Engine { return g.engines()[i] }
 
-// ShardFor returns the shard index the tuple id routes to in the serving
-// layout.
-func (g *ShardGroup) ShardFor(id int64) int { return ShardIndex(id, len(g.engines())) }
-
 // AddTemplate builds the template's synopsis on every shard. Each shard
 // must hold bootstrap data (a synopsis cannot initialize from an empty
 // archive); hash partitioning spreads any non-trivial bootstrap across all
@@ -371,12 +367,6 @@ func MergeShardStats(parts []EngineStats) EngineStats {
 }
 
 // --- followed-stream consumption ---------------------------------------------
-
-// SyncedInsertOffset is the group's read-your-writes watermark: the highest
-// insert-topic offset of a followed broker the group has routed and applied.
-func (g *ShardGroup) SyncedInsertOffset() int64 {
-	return g.follow.insertOffset()
-}
 
 // Sync applies all records currently available on the source broker's
 // topics, routing each record to its home shard — the group form of

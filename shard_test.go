@@ -460,7 +460,7 @@ func TestShardGroupFollowReadYourWrites(t *testing.T) {
 	if re := stats.RelativeError(resp.Result.Estimate, want); re > 1e-9 {
 		t.Fatalf("read-your-writes COUNT %.3f, want exactly %.0f", resp.Result.Estimate, want)
 	}
-	if got := group.SyncedInsertOffset(); got < offset {
+	if got := group.Stats().SyncedInsertOffset; got < offset {
 		t.Fatalf("group watermark %d, want >= %d", got, offset)
 	}
 	cancel()
@@ -502,7 +502,7 @@ func TestShardGroupFollowReadYourWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rebuilt.SyncedInsertOffset(); got < offset {
+	if got := rebuilt.Stats().SyncedInsertOffset; got < offset {
 		t.Fatalf("rebuilt group watermark %d, want >= %d (read-your-writes must survive a restart)", got, offset)
 	}
 }
