@@ -387,9 +387,11 @@ func loadTestPackages(dir string) ([]*lint.Package, error) {
 	cmd := exec.Command("go", "list", "-test", "-export", "-deps",
 		"-json=ImportPath,Name,Dir,Export,ForTest,DepOnly,GoFiles,ImportMap,Error", "--", "./...")
 	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
 	out, err := cmd.Output()
 	if err != nil {
-		return nil, fmt.Errorf("go list -test: %w", err)
+		return nil, fmt.Errorf("go list -test: %w\n%s", err, stderr.Bytes())
 	}
 	type listed struct {
 		ImportPath, Name, Dir, Export, ForTest string
@@ -421,7 +423,7 @@ func loadTestPackages(dir string) ([]*lint.Package, error) {
 	var pkgs []*lint.Package
 	for _, p := range variants {
 		path := p.ForTest
-		if p.Name != "" && strings.HasSuffix(p.Name, "_test") {
+		if strings.HasSuffix(p.Name, "_test") {
 			path += "_test"
 		}
 		files := make([]string, len(p.GoFiles))
