@@ -342,7 +342,7 @@ var orphanAllowlist = map[string]string{
 	// Kept surface without a caller yet.
 	"janusaqp/internal/workload.LoadCSV":                   "the loader for the paper's real datasets, which wait until their files are in the repository",
 	"janusaqp/internal/baselines.System":                   "the shape every comparison system shares; its test pins RS, SRS and Learned to it",
-	"(*janusaqp/internal/cluster.Coordinator).Reshard":     "the cluster's online reshard driver, exercised by the cluster reshard tests; no daemon role serves it yet",
+	"(*janusaqp/internal/cluster.Coordinator).Reshard":     "the cluster's online reshard, exercised by the cluster reshard tests; no daemon role serves it yet",
 	"(*janusaqp/internal/cluster.Coordinator).NumShards":   "the layout size Coordinator.Reshard moves, which its tests check",
 	"(*janusaqp/internal/cluster.Coordinator).LayoutEpoch": "the layout generation Coordinator.Reshard advances, which its tests check",
 	"(*janusaqp/internal/cluster.Standby).Offsets":         "promotion readiness, which the standby failover tests wait on",
