@@ -153,24 +153,31 @@ func (d *daemon) stop(t *testing.T) {
 // serving waits for the daemon's one structured boot line and returns it.
 func (d *daemon) serving(t *testing.T) map[string]any {
 	t.Helper()
+	return d.waitLog(t, "serving")
+}
+
+// waitLog waits for the daemon's first log line with message msg and
+// returns it.
+func (d *daemon) waitLog(t *testing.T, msg string) map[string]any {
+	t.Helper()
 	for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
-		select {
-		case err := <-d.done:
-			d.done <- err
-			t.Fatalf("daemon exited before serving: %v", err)
-		default:
-		}
 		d.logMu.Lock()
 		lines := strings.Split(d.logs.String(), "\n")
 		d.logMu.Unlock()
 		for _, line := range lines {
 			var rec map[string]any
-			if json.Unmarshal([]byte(line), &rec) == nil && rec["msg"] == "serving" {
+			if json.Unmarshal([]byte(line), &rec) == nil && rec["msg"] == msg {
 				return rec
 			}
 		}
+		select {
+		case err := <-d.done:
+			d.done <- err
+			t.Fatalf("daemon exited before logging %q: %v", msg, err)
+		default:
+		}
 	}
-	t.Fatal("no serving line")
+	t.Fatalf("no %q line", msg)
 	return nil
 }
 
@@ -445,10 +452,10 @@ func TestRoleDirectoryTable(t *testing.T) {
 		if got := rpcProbe(t, sb.rpc, tuple()); got != 3001 {
 			t.Fatalf("promoted standby COUNT = %d, want 3001", got)
 		}
+		// The replication task notices the promotion on its next tick;
+		// stopping first could cancel it before it logs.
+		sb.waitLog(t, "promoted to primary")
 		sb.stop(t)
-		if !strings.Contains(sb.logs.String(), "promoted to primary") {
-			t.Error("the replication task did not report the promotion")
-		}
 	})
 }
 

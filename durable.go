@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"time"
 
 	"janusaqp/internal/broker"
 )
@@ -83,8 +84,12 @@ var ErrStoreClosed = broker.ErrLogClosed
 // valid prefix ends. Truncation is refused only when it would drop
 // records the latest checkpoint references: that log is not a torn tail
 // but a corrupt head, and destroying its bytes would turn a repairable
-// directory into silent acknowledged-write loss.
+// directory into silent acknowledged-write loss. A ReplaceStore swap a
+// crash interrupted is finished first.
 func OpenStore(dir string) (*Store, error) {
+	if err := finishInstall(dir); err != nil {
+		return nil, fmt.Errorf("janus: finishing an interrupted install: %w", err)
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("janus: creating data dir: %w", err)
 	}
@@ -93,7 +98,7 @@ func OpenStore(dir string) (*Store, error) {
 	for _, name := range []string{checkpointName, insertsLogName, deletesLogName} {
 		_ = os.Remove(filepath.Join(dir, name+".tmp"))
 	}
-	ckIns, ckDel, _, err := checkpointedOffsets(dir)
+	ck, _, err := checkpointedOffsets(dir)
 	if err != nil {
 		// The checkpoint exists but cannot be read, so the safe truncation
 		// bound for the logs is unknown: opening now could destroy
@@ -104,11 +109,11 @@ func OpenStore(dir string) (*Store, error) {
 		return nil, fmt.Errorf("janus: %s exists but is unreadable (%w): refusing to recover the segment logs against an unknown bound; restore or repair the checkpoint first", checkpointName, err)
 	}
 	st := &Store{dir: dir}
-	ins, insTopic, err := openLog(filepath.Join(dir, insertsLogName), ckIns)
+	ins, insTopic, err := openLog(filepath.Join(dir, insertsLogName), ck.InsertOffset)
 	if err != nil {
 		return nil, err
 	}
-	del, delTopic, err := openLog(filepath.Join(dir, deletesLogName), ckDel)
+	del, delTopic, err := openLog(filepath.Join(dir, deletesLogName), ck.DeleteOffset)
 	if err != nil {
 		_ = ins.Close()
 		return nil, err
@@ -118,35 +123,26 @@ func OpenStore(dir string) (*Store, error) {
 	return st, nil
 }
 
-// checkpointedOffsets reads the topic offsets the latest checkpoint
-// references, or zeros when there is no checkpoint — the log recovery
-// bound: records below these offsets must never be truncated away.
-// hasArchive reports whether that checkpoint carries a live-table
-// snapshot (Compact may only anchor on one that does). A checkpoint file
-// that exists but does not yield a sane header is an error, not a zero:
-// treating unreadable as absent would let openLog truncate bytes that
-// hold checkpointed records before Recover ever got the chance to
-// validate anything.
-func checkpointedOffsets(dir string) (ins, del int64, hasArchive bool, err error) {
+// checkpointedOffsets reads the header of the latest checkpoint: the
+// topic offsets it references are the log recovery bound — records below
+// them must never be truncated away — and HasArchive says whether it
+// carries a live-table snapshot (Compact may only anchor on one that
+// does). ok is false, with a zero header, when there is no checkpoint. A
+// checkpoint file that exists but does not yield a sane header is an
+// error, not a zero: treating unreadable as absent would let openLog
+// truncate bytes that hold checkpointed records before Recover ever got
+// the chance to validate anything.
+func checkpointedOffsets(dir string) (hdr checkpointHeader, ok bool, err error) {
 	f, err := os.Open(filepath.Join(dir, checkpointName))
 	if errors.Is(err, os.ErrNotExist) {
-		return 0, 0, false, nil
+		return hdr, false, nil
 	}
 	if err != nil {
-		return 0, 0, false, err
+		return hdr, false, err
 	}
 	defer func() { _ = f.Close() }()
-	var hdr checkpointHeader
-	if derr := gob.NewDecoder(f).Decode(&hdr); derr != nil {
-		return 0, 0, false, fmt.Errorf("decoding header: %w", derr)
-	}
-	if hdr.Version != 1 && hdr.Version != checkpointVersion {
-		return 0, 0, false, fmt.Errorf("unsupported checkpoint version %d", hdr.Version)
-	}
-	if hdr.InsertOffset < 0 || hdr.DeleteOffset < 0 {
-		return 0, 0, false, fmt.Errorf("negative checkpoint offsets %d/%d", hdr.InsertOffset, hdr.DeleteOffset)
-	}
-	return hdr.InsertOffset, hdr.DeleteOffset, hdr.HasArchive, nil
+	hdr, err = readCheckpointHeader(gob.NewDecoder(f))
+	return hdr, err == nil, err
 }
 
 // openLog opens one segment log file, truncates any invalid tail, and
@@ -275,14 +271,14 @@ func (st *Store) Compact() (CompactInfo, error) {
 	if st.closed {
 		return CompactInfo{}, ErrStoreClosed
 	}
-	ckIns, ckDel, hasArchive, err := checkpointedOffsets(st.dir)
+	ck, ok, err := checkpointedOffsets(st.dir)
 	if err != nil {
 		return CompactInfo{}, fmt.Errorf("janus: compaction anchor: %w", err)
 	}
-	if _, serr := os.Stat(filepath.Join(st.dir, checkpointName)); errors.Is(serr, os.ErrNotExist) {
+	if !ok {
 		return CompactInfo{}, ErrNoCheckpoint
 	}
-	if !hasArchive {
+	if !ck.HasArchive {
 		// A version-1 checkpoint carries no live-table snapshot: the log
 		// prefix is the ONLY copy of those records, and dropping it would
 		// be unrecoverable data loss dressed up as success. Write a fresh
@@ -292,17 +288,15 @@ func (st *Store) Compact() (CompactInfo, error) {
 	sp := st.spans.start()
 	defer func() { st.spans.end(SpanCompactRotate, 0, sp) }()
 	info := CompactInfo{LogBytesBefore: st.logBytes()}
-	insPath := filepath.Join(st.dir, insertsLogName)
-	delPath := filepath.Join(st.dir, deletesLogName)
 	// A rotation failing its directory fsync still hands back its new file.
-	f, stats, err := st.broker.Inserts.CompactTo(ckIns, insPath)
+	f, stats, err := st.broker.Inserts.CompactTo(ck.InsertOffset, filepath.Join(st.dir, insertsLogName))
 	if f != nil {
 		st.inserts, info.InsertsDropped = f, stats.Dropped
 	}
 	if err != nil {
 		return info, fmt.Errorf("janus: compacting %s: %w", insertsLogName, err)
 	}
-	f, stats, err = st.broker.Deletes.CompactTo(ckDel, delPath)
+	f, stats, err = st.broker.Deletes.CompactTo(ck.DeleteOffset, filepath.Join(st.dir, deletesLogName))
 	if f != nil {
 		st.deletes, info.DeletesDropped = f, stats.Dropped
 	}
@@ -338,45 +332,30 @@ func (st *Store) logBytes() int64 {
 //     counted by the offsets but not yet durable);
 //  3. atomically rename it over checkpoint.db and fsync the directory.
 //
-// A crash at any point leaves either the old checkpoint or the new one,
-// both consistent with the (fsynced) logs.
+// broker.PublishFile does 2 and 3, the log fsync running last inside its
+// write callback. A crash at any point leaves either the old checkpoint or
+// the new one, both consistent with the (fsynced) logs.
 func (st *Store) WriteCheckpoint(e *Engine) (CheckpointInfo, error) {
 	st.ckptMu.Lock()
 	defer st.ckptMu.Unlock()
 	if st.closed {
 		return CheckpointInfo{}, ErrStoreClosed
 	}
-	tmp := filepath.Join(st.dir, checkpointName+".tmp")
-	f, err := os.Create(tmp)
+	var info CheckpointInfo
+	var sp time.Time
+	err := publishFile(filepath.Join(st.dir, checkpointName), func(f *os.File) error {
+		var err error
+		if info, err = e.Checkpoint(f); err != nil {
+			return err
+		}
+		// The fsync span covers the durability half only — log sync,
+		// snapshot sync, rename, dir sync — the encoding above reports
+		// separately as SpanCheckpointSave.
+		sp = st.spans.start()
+		return st.Sync()
+	})
 	if err != nil {
-		return CheckpointInfo{}, fmt.Errorf("janus: creating checkpoint: %w", err)
-	}
-	info, err := e.Checkpoint(f)
-	// The fsync span covers the durability half only — log sync, snapshot
-	// sync, rename, dir sync — the encoding above reports separately as
-	// SpanCheckpointSave.
-	sp := st.spans.start()
-	if err == nil {
-		err = st.Sync()
-	}
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		_ = os.Remove(tmp)
 		return CheckpointInfo{}, fmt.Errorf("janus: writing checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(st.dir, checkpointName)); err != nil {
-		_ = os.Remove(tmp)
-		return CheckpointInfo{}, fmt.Errorf("janus: publishing checkpoint: %w", err)
-	}
-	if err := syncDir(st.dir); err != nil {
-		// A rename that may not survive a crash is no publish: report it,
-		// so the background checkpointer does not compact behind it.
-		return CheckpointInfo{}, fmt.Errorf("janus: syncing the checkpoint's directory: %w", err)
 	}
 	st.spans.end(SpanCheckpointFsync, 0, sp)
 	return info, nil
@@ -485,20 +464,15 @@ func (st *Store) CheckpointBytes() ([]byte, error) {
 // offsets; a standby then appends the primary's post-base log tail as it
 // streams in, and Recover works at any point after that.
 //
+// The image's header must pass Recover's checks; the rest is not decoded.
 // The directory must not already hold store files (a replica never
 // overwrites data — wipe explicitly and re-bootstrap instead). On error
 // the directory may hold partial files; the caller should remove it and
 // retry the bootstrap.
 func InitReplicaDir(dir string, checkpoint []byte) error {
-	var hdr checkpointHeader
-	if err := gob.NewDecoder(bytes.NewReader(checkpoint)).Decode(&hdr); err != nil {
-		return fmt.Errorf("janus: replica checkpoint image: decoding header: %w", err)
-	}
-	if hdr.Version != 1 && hdr.Version != checkpointVersion {
-		return fmt.Errorf("janus: replica checkpoint image: unsupported version %d", hdr.Version)
-	}
-	if hdr.InsertOffset < 0 || hdr.DeleteOffset < 0 {
-		return fmt.Errorf("janus: replica checkpoint image: negative offsets %d/%d", hdr.InsertOffset, hdr.DeleteOffset)
+	hdr, err := readCheckpointHeader(gob.NewDecoder(bytes.NewReader(checkpoint)))
+	if err != nil {
+		return fmt.Errorf("janus: replica checkpoint image: %w", err)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("janus: creating replica dir: %w", err)
@@ -508,55 +482,94 @@ func InitReplicaDir(dir string, checkpoint []byte) error {
 			return fmt.Errorf("janus: replica dir %s already holds %s: refusing to overwrite", dir, name)
 		}
 	}
-	writeLog := func(name string, base int64) error {
-		f, err := os.Create(filepath.Join(dir, name))
-		if err != nil {
-			return fmt.Errorf("janus: creating replica %s: %w", name, err)
-		}
-		err = broker.WriteSegmentHeader(f, base)
-		if err == nil {
-			err = f.Sync()
-		}
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fmt.Errorf("janus: writing replica %s header: %w", name, err)
-		}
-		return nil
+	logHeader := func(base int64) func(*os.File) error {
+		return func(f *os.File) error { return broker.WriteSegmentHeader(f, base) }
 	}
 	// Logs first, checkpoint last: the checkpoint's offsets must never
 	// reference logs that do not exist yet, mirroring WriteCheckpoint's
 	// fsync ordering. A crash in between leaves header-only logs and no
 	// checkpoint — an obviously half-made directory the caller wipes.
-	if err := writeLog(insertsLogName, hdr.InsertOffset); err != nil {
-		return err
-	}
-	if err := writeLog(deletesLogName, hdr.DeleteOffset); err != nil {
-		return err
-	}
-	tmp := filepath.Join(dir, checkpointName+".tmp")
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("janus: creating replica checkpoint: %w", err)
-	}
-	_, err = f.Write(checkpoint)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		_ = os.Remove(tmp)
-		return fmt.Errorf("janus: writing replica checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, checkpointName)); err != nil {
-		_ = os.Remove(tmp)
-		return fmt.Errorf("janus: publishing replica checkpoint: %w", err)
-	}
-	if err := syncDir(dir); err != nil {
-		return fmt.Errorf("janus: syncing the replica directory: %w", err)
+	for _, file := range []struct {
+		name  string
+		write func(*os.File) error
+	}{
+		{insertsLogName, logHeader(hdr.InsertOffset)},
+		{deletesLogName, logHeader(hdr.DeleteOffset)},
+		{checkpointName, func(f *os.File) error { _, err := f.Write(checkpoint); return err }},
+	} {
+		if err := publishFile(filepath.Join(dir, file.name), file.write); err != nil {
+			return fmt.Errorf("janus: writing replica %s: %w", file.name, err)
+		}
 	}
 	return nil
+}
+
+// publishFile is broker.PublishFile for a caller that keeps no handle on
+// the published file.
+func publishFile(path string, write func(*os.File) error) error {
+	f, err := broker.PublishFile(path, write)
+	if f != nil {
+		_ = f.Close() // fsynced and renamed already: a close error changes nothing
+	}
+	return err
+}
+
+// installStaging and installAside suffix a store directory during its
+// ReplaceStore swap: the incoming layout, then the replaced one.
+const installStaging, installAside = ".install", ".install-old"
+
+// ReplaceStore closes st and swaps a replica layout of checkpoint in for
+// its directory DIR — a node's install; the caller reopens DIR. The image
+// is staged in DIR.install (InitReplicaDir), DIR moves aside, the staged
+// directory takes its name and the old copy goes last, the parent fsynced
+// after each rename: a crash leaves the old state, or the new one once DIR
+// has moved aside (OpenStore finishes the swap). A failure before st
+// closes leaves st untouched. Decode the whole image (OpenCheckpoint)
+// first: InitReplicaDir reads only its header.
+func ReplaceStore(st *Store, checkpoint []byte) error {
+	dir := st.Dir()
+	// Clear what an earlier swap left, so nothing blocks this one.
+	if err := finishInstall(dir); err != nil {
+		return err
+	}
+	if err := InitReplicaDir(dir+installStaging, checkpoint); err != nil {
+		return err
+	}
+	if err := st.Close(); err != nil {
+		return err
+	}
+	if err := os.Rename(dir, dir+installAside); err != nil {
+		return err
+	}
+	// The move is durable before the staged directory takes DIR's name.
+	if err := broker.SyncDir(filepath.Dir(dir)); err != nil {
+		return err
+	}
+	return finishInstall(dir)
+}
+
+// finishInstall completes a ReplaceStore swap from wherever it stopped: a
+// missing dir takes the staged directory's name once that holds a
+// checkpoint (InitReplicaDir publishes it last); then, with dir in place,
+// whatever is left staged or aside is litter and goes.
+func finishInstall(dir string) error {
+	staging := dir + installStaging
+	if _, err := os.Stat(dir); err != nil {
+		if !errors.Is(err, os.ErrNotExist) {
+			return err
+		}
+		if _, err := os.Stat(filepath.Join(staging, checkpointName)); err != nil {
+			return nil
+		}
+		if err := os.Rename(staging, dir); err != nil {
+			return err
+		}
+		if err := broker.SyncDir(filepath.Dir(dir)); err != nil {
+			return err
+		}
+	}
+	if err := os.RemoveAll(staging); err != nil {
+		return err
+	}
+	return os.RemoveAll(dir + installAside)
 }

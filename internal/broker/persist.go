@@ -438,11 +438,9 @@ type CompactStats struct {
 // hold a durable checkpoint at or beyond newBase: the dropped prefix
 // survives only as the checkpoint's archive snapshot.
 //
-// The rewrite is crash-consistent the same way a checkpoint publish is:
-// the tail is streamed to path+".tmp" and fsynced, the temp file is
-// atomically renamed over path, and the directory is fsynced. A crash at
-// any point leaves either the full old segment or the complete compacted
-// one, never a mix. On success the returned file is the topic's new
+// The rewrite is published through PublishFile, like a checkpoint: a
+// crash at any point leaves either the full old segment or the complete
+// compacted one, never a mix. On success the returned file is the topic's new
 // write-through target (the old writer is closed) and the caller should
 // retain it for Close, even beside a directory-fsync error, which is also
 // latched as the topic's write error. A newBase at or below the current
@@ -476,54 +474,29 @@ func (t *Topic) CompactTo(newBase int64, path string) (*os.File, CompactStats, e
 			newBase, t.base+int64(t.persisted))
 	}
 
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return nil, CompactStats{}, fmt.Errorf("broker: creating compacted segment: %w", err)
-	}
-	fail := func(err error) (*os.File, CompactStats, error) {
-		f.Close()
-		os.Remove(tmp)
-		return nil, CompactStats{}, err
-	}
-	hdr := make([]byte, 0, len(logMagicV2)+logBaseLen)
-	hdr = append(hdr, logMagicV2...)
-	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(newBase))
-	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.ChecksumIEEE(hdr[len(logMagicV2):]))
-	if _, err := f.Write(hdr); err != nil {
-		return fail(fmt.Errorf("broker: writing compacted segment header: %w", err))
-	}
-	var buf []byte
-	for _, r := range t.recs[drop:] {
-		buf = frameRecord(buf, r)
-		if len(buf) > MaxTornBytes {
-			if _, err := f.Write(buf); err != nil {
-				return fail(fmt.Errorf("broker: writing compacted segment: %w", err))
+	var size int64
+	f, err := PublishFile(path, func(f *os.File) error {
+		if err := WriteSegmentHeader(f, newBase); err != nil {
+			return err
+		}
+		var buf []byte
+		for _, r := range t.recs[drop:] {
+			buf = frameRecord(buf, r)
+			if len(buf) > MaxTornBytes {
+				if _, err := f.Write(buf); err != nil {
+					return err
+				}
+				buf = buf[:0]
 			}
-			buf = buf[:0]
 		}
-	}
-	if len(buf) > 0 {
-		if _, err := f.Write(buf); err != nil {
-			return fail(fmt.Errorf("broker: writing compacted segment: %w", err))
+		_, err := f.Write(buf)
+		if err == nil {
+			size, err = f.Seek(0, io.SeekCurrent)
 		}
-	}
-	if err := f.Sync(); err != nil {
-		return fail(fmt.Errorf("broker: syncing compacted segment: %w", err))
-	}
-	size, err := f.Seek(0, io.SeekEnd)
-	if err != nil {
-		return fail(err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fail(fmt.Errorf("broker: publishing compacted segment: %w", err))
-	}
-	d, err := os.Open(filepath.Dir(path))
-	if err == nil {
-		err = d.Sync()
-		if cerr := d.Close(); err == nil {
-			err = cerr
-		}
+		return err
+	})
+	if f == nil {
+		return nil, CompactStats{}, fmt.Errorf("broker: writing compacted segment: %w", err)
 	}
 
 	// The renamed handle is the new write-through target; the old one is
@@ -542,6 +515,48 @@ func (t *Topic) CompactTo(newBase int64, path string) (*os.File, CompactStats, e
 		t.werr = fmt.Errorf("broker: syncing the compacted segment's directory: %w", err)
 	}
 	return f, CompactStats{Dropped: int64(drop), BytesAfter: size}, t.werr
+}
+
+// PublishFile atomically replaces path with what write puts into the file
+// it is handed — the one crash-safe publish behind every data-directory
+// artifact: write fills path+".tmp", which is fsynced, renamed over path,
+// and its directory fsynced, so a crash leaves the old path or the
+// complete new one. A failure before the rename removes the temp file,
+// leaves path untouched and returns a nil file. After the rename the
+// published file comes back open, where write left it, for the caller to
+// own — even beside an error, which is then the directory fsync's: the new
+// contents are in place, but the rename may not survive a crash.
+func PublishFile(path string, write func(f *os.File) error) (*os.File, error) {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return nil, err
+	}
+	if err = write(f); err == nil {
+		err = f.Sync()
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		_ = f.Close()
+		_ = os.Remove(tmp)
+		return nil, err
+	}
+	return f, SyncDir(filepath.Dir(path))
+}
+
+// SyncDir fsyncs the directory dir, so the renames in it survive a crash.
+func SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // WriteErr reports the latched write-through failure, if any, without

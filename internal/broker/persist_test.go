@@ -634,3 +634,52 @@ func TestRestoreArchivePartialPrefix(t *testing.T) {
 		t.Fatal("id 4's delete is past the prefix and must not apply")
 	}
 }
+
+// TestPublishFile pins the publish contract: success replaces the file
+// and leaves no temp file; a write error leaves the old contents byte for
+// byte, removes the temp file, and hands back no file.
+func TestPublishFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "artifact")
+	if err := os.WriteFile(path, []byte("old contents"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	assertNoTmp := func() {
+		t.Helper()
+		if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+			t.Fatalf("temp file left behind (%v)", err)
+		}
+	}
+
+	errWrite := errors.New("disk full")
+	f, err := PublishFile(path, func(f *os.File) error {
+		if _, err := f.WriteString("half of the new"); err != nil {
+			return err
+		}
+		return errWrite
+	})
+	if !errors.Is(err, errWrite) || f != nil {
+		t.Fatalf("failed write: file %v, err %v; want no file and the write's error", f, err)
+	}
+	if raw, _ := os.ReadFile(path); string(raw) != "old contents" {
+		t.Fatalf("failed publish changed the file to %q", raw)
+	}
+	assertNoTmp()
+
+	f, err = PublishFile(path, func(f *os.File) error {
+		_, err := f.WriteString("new contents")
+		return err
+	})
+	if err != nil || f == nil {
+		t.Fatalf("publish: file %v, err %v", f, err)
+	}
+	if _, err := f.WriteString(", appended"); err != nil {
+		t.Fatalf("the returned file is not the published one, still open: %v", err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if raw, _ := os.ReadFile(path); string(raw) != "new contents, appended" {
+		t.Fatalf("published file holds %q", raw)
+	}
+	assertNoTmp()
+}

@@ -13,8 +13,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -311,12 +309,13 @@ func (n *Node) serveIngest(f transport.Frame, w *transport.ResponseWriter) {
 
 // serveInstall replaces the node's entire local state with the shipped
 // checkpoint image — the node-join half of a coordinator-driven reshard.
-// A durable node rebuilds its data directory: the image is staged into
-// DIR.install as a fresh replica layout, the old directory is swapped out
-// wholesale, and the standard recovery path boots the new engine — a
-// crash mid-install leaves either the old directory or the staged one on
-// disk, never a blend of the two layouts. An ephemeral node just opens
-// the image in memory. The reply is the node's post-install status.
+// The image is decoded in full first, so one that cannot be served is
+// refused before anything changes. A durable node then rebuilds its data
+// directory through janus.ReplaceStore, which swaps a staged replica
+// layout in for the old directory — a crash mid-install leaves either the
+// old directory or the new one on disk, never a blend and never neither —
+// and the standard recovery path boots the new engine. An ephemeral node
+// serves the decoded engine. The reply is the node's post-install status.
 func (n *Node) serveInstall(f transport.Frame, w *transport.ResponseWriter) {
 	req, err := transport.DecodeInstallRequest(f.Body)
 	if err != nil {
@@ -329,55 +328,33 @@ func (n *Node) serveInstall(f transport.Frame, w *transport.ResponseWriter) {
 		w.Error(errStandby())
 		return
 	}
+	eng, _, err := janus.OpenCheckpoint(bytes.NewReader(req.Image), req.Config, janus.NewBroker())
+	if err != nil {
+		w.Error(fmt.Errorf("cluster: install: %w", err))
+		return
+	}
 	if n.store != nil {
 		if err := n.installDurableLocked(req); err != nil {
 			w.Error(err)
 			return
 		}
 	} else {
-		b := janus.NewBroker()
-		eng, _, err := janus.OpenCheckpoint(bytes.NewReader(req.Image), req.Config, b)
-		if err != nil {
-			w.Error(fmt.Errorf("cluster: install: %w", err))
-			return
-		}
 		n.eng = eng
 	}
 	n.instrumentLocked()
 	w.Reply(transport.EncodeStatus(n.status()))
 }
 
-// installDurableLocked stages, swaps, and recovers a durable install;
-// the caller holds n.mu. A failure before the old store closes leaves
-// the node serving its old state untouched; after that point the old
-// engine keeps serving reads from memory while the closed store refuses
-// further write acks — the coordinator sees the error and the operator
-// retries the install.
+// installDurableLocked swaps the image in for the store's directory and
+// recovers it; the caller holds n.mu and has decoded the image. A failure
+// before the old store closes leaves the node serving its old state
+// untouched; after that point the old engine keeps serving reads from
+// memory while the closed store refuses further write acks — the
+// coordinator sees the error and the operator retries the install.
 func (n *Node) installDurableLocked(req transport.InstallRequest) error {
 	dir := n.store.Dir()
-	staging := dir + ".install"
-	if err := os.RemoveAll(staging); err != nil {
-		return fmt.Errorf("cluster: install: clearing staging dir: %w", err)
-	}
-	if err := janus.InitReplicaDir(staging, req.Image); err != nil {
+	if err := janus.ReplaceStore(n.store, req.Image); err != nil {
 		return fmt.Errorf("cluster: install: %w", err)
-	}
-	if err := n.store.Close(); err != nil {
-		return fmt.Errorf("cluster: install: closing old store: %w", err)
-	}
-	if err := os.RemoveAll(dir); err != nil {
-		return fmt.Errorf("cluster: install: removing old state: %w", err)
-	}
-	if err := os.Rename(staging, dir); err != nil {
-		return fmt.Errorf("cluster: install: swapping in new state: %w", err)
-	}
-	parent, err := os.Open(filepath.Dir(dir))
-	if err == nil {
-		err = parent.Sync()
-		_ = parent.Close()
-	}
-	if err != nil {
-		return fmt.Errorf("cluster: install: syncing the swap: %w", err)
 	}
 	st, err := janus.OpenStore(dir)
 	if err != nil {

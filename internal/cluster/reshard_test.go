@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	janus "janusaqp"
+	"janusaqp/internal/transport"
 	"janusaqp/internal/workload"
 )
 
@@ -254,5 +256,71 @@ func TestClusterReshardJoinLeave(t *testing.T) {
 	}
 	if _, err := coord.Reshard(ctx, []string{""}, nil, cfg); err == nil {
 		t.Fatal("reshard to an empty address succeeded")
+	}
+}
+
+// TestInstallRejectsCorruptImage sends a durable node an install image cut
+// in half — its header is valid, its body is not — and checks the node
+// refuses it before touching the disk: checkpoint.db keeps its bytes, the
+// node still acknowledges ingest, and the directory still recovers.
+func TestInstallRejectsCorruptImage(t *testing.T) {
+	cfg := clusterConfig()
+	tuples, err := workload.Generate(workload.NYCTaxi, 3000, 0, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "node")
+	n, addr := bootReshardSource(t, dir, tuples[:2000], 0, cfg)
+	ckpt := filepath.Join(dir, "checkpoint.db")
+	before, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	b := janus.NewBroker()
+	b.PublishInsertBatch(tuples[2000:])
+	img := janus.NewEngine(cfg, b)
+	if err := img.AddTemplate(clusterTemplate()); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := img.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	body, err := transport.EncodeInstallRequest(transport.InstallRequest{Config: cfg, Image: buf.Bytes()[:buf.Len()/2]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := transport.NewClient(addr)
+	defer cl.Close()
+	if _, err := cl.Call(context.Background(), transport.MsgInstall, "", body); err == nil {
+		t.Fatal("a truncated install image was accepted")
+	}
+
+	if after, err := os.ReadFile(ckpt); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("the refused install changed checkpoint.db (%d -> %d bytes, %v)", len(before), len(after), err)
+	}
+	coord, err := NewCoordinator([]string{addr}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	extra, err := workload.Generate(workload.NYCTaxi, 10, 1<<20, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.InsertBatch(extra); err != nil {
+		t.Fatalf("ingest after the refused install: %v", err)
+	}
+	if err := n.Store().Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := janus.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if _, _, err := st.Recover(cfg); err != nil {
+		t.Fatalf("recovering after the refused install: %v", err)
 	}
 }

@@ -14,8 +14,9 @@ import (
 // crash publish a rename pointing at unwritten bytes; skipping the
 // directory fsync lets the rename itself vanish. The check is scoped to
 // the files that own that protocol — durable.go, persist.go, layout.go,
-// internal/broker, and internal/cluster/node.go (the install swap) —
-// where every os.Rename is a publication.
+// internal/broker, and internal/cluster/node.go — where every os.Rename
+// is a publication. broker.PublishFile is the protocol's one
+// implementation.
 var FsyncRename = &Analyzer{
 	Name: "fsyncrename",
 	Doc: "a rename publishing a durable artifact needs tmp-file fsync before and directory fsync after\n\n" +

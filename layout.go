@@ -10,6 +10,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"janusaqp/internal/broker"
 )
 
 // Durable resharding: the on-disk side of ShardGroup.Reshard. Target
@@ -81,46 +83,21 @@ func readShardLayout(root string) (ShardLayout, bool, error) {
 	return ly, true, nil
 }
 
-// writeShardLayout commits the manifest atomically: tmp + rename + dir
-// fsync, same discipline as checkpoint publication.
+// writeShardLayout commits the manifest atomically through
+// broker.PublishFile, same discipline as checkpoint publication.
 func writeShardLayout(root string, ly ShardLayout) error {
 	raw, err := json.Marshal(ly)
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(root, layoutManifestName+".tmp")
-	f, err := os.Create(tmp)
+	err = publishFile(filepath.Join(root, layoutManifestName), func(f *os.File) error {
+		_, err := f.Write(append(raw, '\n'))
+		return err
+	})
 	if err != nil {
-		return fmt.Errorf("janus: creating layout manifest: %w", err)
-	}
-	_, err = f.Write(append(raw, '\n'))
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		_ = os.Remove(tmp)
 		return fmt.Errorf("janus: writing layout manifest: %w", err)
 	}
-	if err := os.Rename(tmp, filepath.Join(root, layoutManifestName)); err != nil {
-		_ = os.Remove(tmp)
-		return fmt.Errorf("janus: publishing layout manifest: %w", err)
-	}
-	return syncDir(root)
-}
-
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return nil
 }
 
 // shardEntry parses a directory entry name as shard-K or shard-K.new.
@@ -238,7 +215,7 @@ func RecoverShardLayout(root string) (LayoutRecovery, error) {
 		}
 	}
 	if len(rec.RemovedNew) > 0 {
-		if err := syncDir(root); err != nil {
+		if err := broker.SyncDir(root); err != nil {
 			return rec, err
 		}
 	}
@@ -365,7 +342,7 @@ func finalizeLayoutDirs(root string, shards int) error {
 			return fmt.Errorf("layout manifest names %d shards but neither %s nor %s exists", shards, dir, newDir)
 		}
 	}
-	return syncDir(root)
+	return broker.SyncDir(root)
 }
 
 // ReshardDurable runs a live reshard of a durable layout rooted at root:

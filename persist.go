@@ -300,6 +300,24 @@ func (e *Engine) Checkpoint(w io.Writer) (CheckpointInfo, error) {
 	}, nil
 }
 
+// readCheckpointHeader decodes the header that opens a checkpoint stream
+// and applies the one rule set every reader of an image shares: a known
+// version, no negative count or offset, no archive rows without an archive.
+func readCheckpointHeader(dec *gob.Decoder) (checkpointHeader, error) {
+	var hdr checkpointHeader
+	if err := dec.Decode(&hdr); err != nil {
+		return hdr, fmt.Errorf("reading checkpoint header: %w", err)
+	}
+	if hdr.Version != 1 && hdr.Version != checkpointVersion {
+		return hdr, fmt.Errorf("unsupported checkpoint version %d", hdr.Version)
+	}
+	if hdr.Templates < 0 || hdr.InsertOffset < 0 || hdr.DeleteOffset < 0 ||
+		hdr.ArchiveRows < 0 || (!hdr.HasArchive && hdr.ArchiveRows != 0) {
+		return hdr, fmt.Errorf("corrupt checkpoint header")
+	}
+	return hdr, nil
+}
+
 // OpenCheckpoint restores an engine from a checkpoint written by
 // Checkpoint: a fresh engine over b with every template, schema, counter,
 // and watermark the image carries, plus — for a version-2 image — the
@@ -326,16 +344,9 @@ func openCheckpoint(r io.Reader, cfg Config, b *Broker) (*Engine, SyncState, boo
 		return nil, SyncState{}, false, err
 	}
 	dec := gob.NewDecoder(r)
-	var hdr checkpointHeader
-	if err := dec.Decode(&hdr); err != nil {
-		return fail(fmt.Errorf("janus: reading checkpoint header: %w", err))
-	}
-	if hdr.Version != 1 && hdr.Version != checkpointVersion {
-		return fail(fmt.Errorf("janus: unsupported checkpoint version %d", hdr.Version))
-	}
-	if hdr.Templates < 0 || hdr.InsertOffset < 0 || hdr.DeleteOffset < 0 ||
-		hdr.ArchiveRows < 0 || (!hdr.HasArchive && hdr.ArchiveRows != 0) {
-		return fail(fmt.Errorf("janus: corrupt checkpoint header"))
+	hdr, err := readCheckpointHeader(dec)
+	if err != nil {
+		return fail(fmt.Errorf("janus: %w", err))
 	}
 	e := NewEngine(cfg, b)
 	state := SyncState{InsertOffset: hdr.InsertOffset, DeleteOffset: hdr.DeleteOffset}
