@@ -36,7 +36,7 @@ type Request struct {
 	// MinSyncOffset, when positive, delays the answer until the engine has
 	// applied a followed broker's insert topic through that offset —
 	// read-your-writes for a producer that just published at offset
-	// MinSyncOffset-1 (see Engine.SyncedInsertOffset). The wait is bounded
+	// MinSyncOffset-1 (see Engine.FollowOffsets). The wait is bounded
 	// only by ctx, so pass a deadline: with no Follow/Sync loop running the
 	// watermark never advances.
 	MinSyncOffset int64

@@ -145,7 +145,7 @@ func TestDoReadYourWritesAcrossSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := eng.SyncedInsertOffset(); got < highWater {
+	if got := eng.FollowOffsets().InsertOffset; got < highWater {
 		t.Fatalf("SyncedInsertOffset = %d after Do, want >= %d", got, highWater)
 	}
 	want := float64(20000 + 3000)
@@ -239,35 +239,73 @@ func TestDeleteBatchReportsUnknownIDs(t *testing.T) {
 	}
 }
 
+// TestSyncSkipsMalformedRecordsWithoutPanic runs the one stream drain
+// behind both Sync forms: a malformed record is skipped and counted, the
+// offsets move past it, and a canceled ctx applies nothing.
 func TestSyncSkipsMalformedRecordsWithoutPanic(t *testing.T) {
-	eng, _ := v2Engine(t)
-	producer := NewBroker()
-	fresh, _ := workload.Generate(workload.NYCTaxi, 100, 3_000_000, 24)
-	for i, tp := range fresh {
-		if i == 50 {
-			// A keyless record lands on the stream between valid ones.
-			producer.PublishInsert(Tuple{ID: 9_000_000, Key: Point{}, Vals: []float64{1, 1, 1}})
+	type syncer interface {
+		Sync(ctx context.Context, source *Broker, state *SyncState) int
+		Stats() EngineStats
+	}
+	engine := func(t *testing.T) syncer { eng, _ := v2Engine(t); return eng }
+	group := func(t *testing.T) syncer {
+		tuples, err := workload.Generate(workload.NYCTaxi, 20000, 0, 42)
+		if err != nil {
+			t.Fatal(err)
 		}
-		producer.PublishInsert(tp)
+		return buildGroup(t, tuples, 2, Config{LeafNodes: 32, SampleRate: 0.05, CatchUpRate: 1.0, Seed: 21})
 	}
-	var st SyncState
-	applied := eng.Sync(producer, &st) // must not panic
-	if applied != 100 {
-		t.Errorf("Sync applied %d, want 100 (bad record skipped)", applied)
-	}
-	if got := eng.Stats().StreamRejected; got != 1 {
-		t.Errorf("StreamRejected = %d, want 1", got)
-	}
-	if st.InsertOffset != 101 {
-		t.Errorf("InsertOffset = %d, want 101 (past the bad record)", st.InsertOffset)
-	}
-	// The stream stays consumable after the bad record.
-	more, _ := workload.Generate(workload.NYCTaxi, 50, 4_000_000, 25)
-	for _, tp := range more {
-		producer.PublishInsert(tp)
-	}
-	if applied := eng.Sync(producer, &st); applied != 50 {
-		t.Errorf("second Sync applied %d, want 50", applied)
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name  string
+		build func(*testing.T) syncer
+		ctx   context.Context
+	}{
+		{"engine", engine, context.Background()},
+		{"group", group, context.Background()},
+		{"engine/canceled", engine, canceled},
+		{"group/canceled", group, canceled},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := tc.build(t)
+			producer := NewBroker()
+			fresh, _ := workload.Generate(workload.NYCTaxi, 100, 3_000_000, 24)
+			for i, tp := range fresh {
+				if i == 50 {
+					// A keyless record lands on the stream between valid ones.
+					producer.PublishInsert(Tuple{ID: 9_000_000, Key: Point{}, Vals: []float64{1, 1, 1}})
+				}
+				producer.PublishInsert(tp)
+			}
+			producer.PublishDelete(fresh[0].ID)
+			var st SyncState
+			applied := s.Sync(tc.ctx, producer, &st) // must not panic
+			if tc.ctx.Err() != nil {
+				if applied != 0 || st != (SyncState{}) || s.Stats().StreamRejected != 0 {
+					t.Fatalf("canceled Sync applied %d, state %+v, rejected %d; want 0, zero state, 0",
+						applied, st, s.Stats().StreamRejected)
+				}
+				return
+			}
+			if applied != 101 {
+				t.Errorf("Sync applied %d, want 101 (100 inserts, bad record skipped, 1 delete)", applied)
+			}
+			if got := s.Stats().StreamRejected; got != 1 {
+				t.Errorf("StreamRejected = %d, want 1", got)
+			}
+			if want := (SyncState{InsertOffset: 101, DeleteOffset: 1}); st != want {
+				t.Errorf("state = %+v, want %+v (past the bad record)", st, want)
+			}
+			// The stream stays consumable after the bad record.
+			more, _ := workload.Generate(workload.NYCTaxi, 50, 4_000_000, 25)
+			for _, tp := range more {
+				producer.PublishInsert(tp)
+			}
+			if applied := s.Sync(tc.ctx, producer, &st); applied != 50 {
+				t.Errorf("second Sync applied %d, want 50", applied)
+			}
+		})
 	}
 }
 

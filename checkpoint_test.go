@@ -107,7 +107,7 @@ func TestCheckpointRestoresCountersAndWatermark(t *testing.T) {
 	}
 	source.PublishDelete(fresh[0].ID)
 	var st SyncState
-	eng.Sync(source, &st)
+	eng.Sync(context.Background(), source, &st)
 
 	var buf bytes.Buffer
 	if _, err := eng.Checkpoint(&buf); err != nil {
@@ -126,7 +126,7 @@ func TestCheckpointRestoresCountersAndWatermark(t *testing.T) {
 	}
 	// Resuming Follow from the restored watermark applies nothing new.
 	st2 := follow
-	if n := restored.Sync(source, &st2); n != 0 {
+	if n := restored.Sync(context.Background(), source, &st2); n != 0 {
 		t.Fatalf("resumed Sync re-applied %d records", n)
 	}
 }

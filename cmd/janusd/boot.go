@@ -11,6 +11,7 @@ import (
 
 	janus "janusaqp"
 	"janusaqp/internal/cluster"
+	"janusaqp/internal/metrics"
 	"janusaqp/internal/server"
 	"janusaqp/internal/transport"
 	"janusaqp/internal/workload"
@@ -18,11 +19,10 @@ import (
 
 // local is one booted shard of a local layout.
 type local struct {
-	eng    *janus.Engine
-	st     *janus.Store    // nil without -data
-	cold   bool            // no checkpoint existed: the caller owes the initial one
-	tail   int64           // log-tail records a warm restart replayed
-	follow janus.SyncState // where a warm restart's follow loop resumes
+	eng  *janus.Engine
+	st   *janus.Store // nil without -data
+	cold bool         // no checkpoint existed: the caller owes the initial one
+	tail int64        // log-tail records a warm restart replayed
 }
 
 // bootShard is the one local boot. With a dir it opens the store there and
@@ -44,7 +44,7 @@ func bootShard(cfg janus.Config, dir string, rows func() ([]janus.Tuple, error))
 		b = l.st.Broker()
 		eng, rec, rerr := l.st.Recover(cfg)
 		if rerr == nil {
-			l.eng, l.tail, l.follow = eng, int64(rec.TailInserts+rec.TailDeletes), rec.Follow
+			l.eng, l.tail = eng, int64(rec.TailInserts+rec.TailDeletes)
 			return l, nil
 		}
 		if !errors.Is(rerr, janus.ErrNoCheckpoint) {
@@ -100,8 +100,8 @@ func (c daemonConfig) bootstrapRows(k int) (slices [][]janus.Tuple, rest []janus
 // directories, whatever a committed manifest names — as K bootShard calls,
 // shard i seeded WithShardSeed(i). A durable directory's recovered layout
 // decides K; only a fresh one materializes at -shards (root files for
-// -shards 1). It fills the serving-line counts and the role-independent
-// options.
+// -shards 1). It fills the serving-line counts, the -stream broker and the
+// role-independent options.
 func bootLocal(c daemonConfig, opts *server.Options, p *parts) (engines []*janus.Engine, stores []*janus.Store, ly janus.LayoutRecovery, err error) {
 	k, rootForm := c.shards, c.shards == 1
 	if c.dataDir != "" {
@@ -149,17 +149,15 @@ func bootLocal(c daemonConfig, opts *server.Options, p *parts) (engines []*janus
 		if l.cold {
 			p.cold++
 		}
-		if k == 1 {
-			opts.FollowState = l.follow
-		}
 	}
 	p.shards, p.warm = k, k-p.cold
 	opts.RecoveryTailRecords = p.tail
 	if len(rest) > 0 {
 		// The -stream demo producer: held-back rows arrive on a broker the
-		// server follows, the path an embedder tails an external stream by.
+		// role follows (parts.followStream), the path an embedder tails an
+		// external stream by.
 		source := janus.NewBroker()
-		opts.Follow = source
+		p.stream = source
 		go func() {
 			for _, t := range rest {
 				source.PublishInsert(t)
@@ -168,6 +166,30 @@ func bootLocal(c daemonConfig, opts *server.Options, p *parts) (engines []*janus
 		}()
 	}
 	return engines, stores, ly, nil
+}
+
+// followStream tails the -stream broker into the serving engine until ctx
+// ends, exporting the follow lag and the recovered-panic count on reg.
+func (p *parts) followStream(ctx context.Context, reg *metrics.Registry) {
+	reg.GaugeFunc("janusd_follow_lag_records",
+		"Records published on the followed broker's insert topic but not yet applied.",
+		func() float64 { return float64(max(0, p.stream.Inserts.Len()-p.http.Stats().SyncedInsertOffset)) })
+	panics := reg.Counter("janusd_follow_panics_total",
+		"Panics recovered in the broker-follow loop (bad stream records).")
+	var state janus.SyncState
+	// Sync skips malformed records (EngineStats.StreamRejected), so a panic
+	// here is a bug below the stream path; it must not take the daemon
+	// down, so recover and resume from the advanced offsets.
+	for ctx.Err() == nil {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					panics.Inc()
+				}
+			}()
+			p.follow(ctx, p.stream, &state, 0)
+		}()
+	}
 }
 
 // durable is the store-facing half of every durable role: the checkpoint,
@@ -277,7 +299,7 @@ func composeSingle(ctx context.Context, c daemonConfig, opts *server.Options) (p
 	if err != nil {
 		return p, err
 	}
-	p.http = group
+	p.http, p.follow = group, group.Follow
 	cfg := c.engineConfig()
 	opts.ReshardStatus = group.ReshardProgress
 	if c.dataDir == "" {
@@ -334,6 +356,9 @@ func composeShard(_ context.Context, c daemonConfig, opts *server.Options) (p pa
 	}
 	node := cluster.NewNode(engines[0], stores[0])
 	p.http, p.rpc = nodeEngine{node}, node
+	p.follow = func(ctx context.Context, source *janus.Broker, state *janus.SyncState, interval time.Duration) int {
+		return node.Engine().Follow(ctx, source, state, interval)
+	}
 	if c.dataDir == "" {
 		return p, nil
 	}
@@ -353,10 +378,7 @@ func (e nodeEngine) Do(ctx context.Context, req janus.Request) (janus.Response, 
 }
 func (e nodeEngine) InsertBatch(tuples []janus.Tuple) error { return e.n.Engine().InsertBatch(tuples) }
 func (e nodeEngine) DeleteBatch(ids []int64) (int, error)   { return e.n.Engine().DeleteBatch(ids) }
-func (e nodeEngine) Follow(ctx context.Context, source *janus.Broker, state *janus.SyncState, interval time.Duration) int {
-	return e.n.Engine().Follow(ctx, source, state, interval)
-}
-func (e nodeEngine) Stats() janus.EngineStats { return e.n.Engine().Stats() }
+func (e nodeEngine) Stats() janus.EngineStats               { return e.n.Engine().Stats() }
 func (e nodeEngine) StatsFor(template string) (janus.TemplateStats, error) {
 	return e.n.Engine().StatsFor(template)
 }

@@ -302,6 +302,10 @@ type parts struct {
 	durable *durable          // the live store set behind the admin hooks; nil: the role drives no stores
 	task    func(ctx context.Context) error
 	closers []func() // run in order once the servers have stopped
+	// stream is the -stream producer's broker, nil without -stream; follow
+	// tails a broker into what http serves.
+	stream *janus.Broker
+	follow func(ctx context.Context, source *janus.Broker, state *janus.SyncState, interval time.Duration) int
 	// For the serving line:
 	shards, warm, cold int
 	tail, rows         int64
@@ -345,6 +349,13 @@ func run(ctx context.Context, c daemonConfig, httpLn, rpcLn net.Listener) error 
 		}
 		httpSrv = &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 5 * time.Second}
 		go func() { errc <- httpSrv.Serve(httpLn) }()
+		if p.stream != nil {
+			task.Add(1)
+			go func() {
+				defer task.Done()
+				p.followStream(ctx, srv.Registry())
+			}()
+		}
 	}
 	if rpcLn != nil {
 		if p.rpc == nil {

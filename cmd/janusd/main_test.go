@@ -691,3 +691,46 @@ func TestBootDurableGroupReshardOnBoot(t *testing.T) {
 	}
 	ds.Close()
 }
+
+// TestDaemonFollowsStream boots each role that owns a local engine with
+// -stream: the held-back rows must all arrive through the role's follow
+// loop, leaving no follow lag and no recovered panic.
+func TestDaemonFollowsStream(t *testing.T) {
+	const args = "-addr 127.0.0.1:0 -rows 20000 -stream 0.2 -leaves 16 -sample-rate 0.05 -catchup-rate 1 -checkpoint-interval 0 "
+	for _, tc := range []struct{ name, args string }{
+		{"single", args},
+		{"shard", args + "-role shard -rpc 127.0.0.1:0"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := startDaemon(t, tc.args)
+			d.serving(t)
+			deadline := time.Now().Add(30 * time.Second)
+			var stats janus.EngineStats
+			for stats.ArchiveRows != 20000 {
+				if time.Now().After(deadline) {
+					t.Fatalf("archiveRows %d after 30s, want 20000", stats.ArchiveRows)
+				}
+				time.Sleep(10 * time.Millisecond)
+				resp, err := http.Get("http://" + d.http + "/v2/stats")
+				if err != nil {
+					t.Fatal(err)
+				}
+				err = json.NewDecoder(resp.Body).Decode(&stats)
+				resp.Body.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			// The watermark moves just after a batch lands in the archive.
+			for lag := metric(t, d.http, "janusd_follow_lag_records"); lag != "0"; lag = metric(t, d.http, "janusd_follow_lag_records") {
+				if time.Now().After(deadline) {
+					t.Fatalf("janusd_follow_lag_records %q with every row archived, want 0", lag)
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+			if got := metric(t, d.http, "janusd_follow_panics_total"); got != "0" {
+				t.Errorf("janusd_follow_panics_total %q, want 0", got)
+			}
+		})
+	}
+}

@@ -370,9 +370,6 @@ type RecoveryInfo struct {
 	// Tail replay: acknowledged writes recovered from the log beyond the
 	// checkpoint, and records the admission rules skipped.
 	TailInserts, TailDeletes, TailRejected int
-	// Follow is where the engine's supervisor should resume tailing an
-	// external broker (server.Options.FollowState).
-	Follow SyncState
 }
 
 // Recover performs the warm-restart read path over the store: it loads
@@ -431,7 +428,6 @@ func (st *Store) Recover(cfg Config) (*Engine, RecoveryInfo, error) {
 		}
 	}
 	info.TailInserts, info.TailDeletes, info.TailRejected = eng.replayLogTail(&state)
-	info.Follow = eng.FollowOffsets()
 	return eng, info, nil
 }
 

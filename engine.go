@@ -554,7 +554,7 @@ func (e *Engine) Stats() EngineStats {
 	}
 	e.statsMu.Unlock()
 	st.ArchiveRows = e.broker.Archive().Len()
-	st.SyncedInsertOffset = e.SyncedInsertOffset()
+	st.SyncedInsertOffset = e.follow.offsets().InsertOffset
 	for _, s := range e.snapshotSyns() {
 		s.mu.RLock()
 		st.PartialRepartitions += s.dpt.PartialRepartitions
@@ -656,21 +656,15 @@ func (e *Engine) Template(name string) (Template, bool) {
 	return s.tmpl, true
 }
 
-// SyncedInsertOffset is the read-your-writes watermark: the highest
-// insert-topic offset of a followed broker this engine has applied via
-// Sync/Follow. A producer that publishes at offset o observes its write in
-// query results once SyncedInsertOffset() >= o+1 — which Engine.Do can wait
-// for via Request.MinSyncOffset.
-func (e *Engine) SyncedInsertOffset() int64 {
-	return e.follow.insertOffset()
-}
-
 // FollowOffsets returns the followed-broker consumption watermark as a
 // SyncState: how far Sync/Follow have applied an external broker's insert
-// and delete topics. A checkpoint records it, and a recovered engine's
-// supervisor should resume Follow from it — records before the watermark
-// are already reflected in the checkpointed synopses, and records replayed
-// across it are deduplicated by the stream path's id validation
+// and delete topics. Its InsertOffset is the read-your-writes watermark: a
+// producer that publishes at insert offset o observes its write in query
+// results once InsertOffset >= o+1, which Engine.Do waits for via
+// Request.MinSyncOffset. A checkpoint records the watermark, and a
+// recovered engine's supervisor should resume Follow from it — records
+// before it are already reflected in the checkpointed synopses, and records
+// replayed across it are deduplicated by the stream path's id validation
 // (at-least-once delivery, idempotent application).
 func (e *Engine) FollowOffsets() SyncState {
 	return e.follow.offsets()

@@ -88,7 +88,7 @@ func main() {
 	cancel()
 	applied := <-followed
 	fmt.Printf("consumer applied %d streamed trips (synced offset %d)\n\n",
-		applied, eng.SyncedInsertOffset())
+		applied, eng.FollowOffsets().InsertOffset)
 	res := resp.Result
 	fmt.Printf("distance in second half of stream:  %12.0f ±%.0f\n", res.Estimate, res.Interval.HalfWidth)
 

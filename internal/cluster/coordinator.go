@@ -469,12 +469,6 @@ func (c *Coordinator) DeleteBatch(ids []int64) (int, error) {
 	return c.router().DeleteBatch(ids)
 }
 
-// Follow is a no-op: shard nodes tail their own brokers; a coordinator
-// has no local engine to route a stream into.
-func (c *Coordinator) Follow(ctx context.Context, source *janus.Broker, state *janus.SyncState, interval time.Duration) int {
-	return 0
-}
-
 // Stats gathers and merges every shard node's engine stats.
 func (c *Coordinator) Stats() janus.EngineStats { return c.router().Stats() }
 

@@ -328,8 +328,6 @@ var orphanAllowlist = map[string]string{
 	// Library surface of the root package.
 	"(*janusaqp.Engine).SaveTemplate": "library surface: saves one template's synopsis for a caller that keeps its own storage",
 	"(*janusaqp.Engine).LoadTemplate": "library surface: the inverse of SaveTemplate",
-	"(*janusaqp.Engine).Sync":         "library surface: SyncContext without a context; goes once ingest takes a context end to end",
-	"(*janusaqp.ShardGroup).Sync":     "library surface: SyncContext without a context; goes once ingest takes a context end to end",
 	"janusaqp.Count":                  "a focus aggregate Template.Agg can name; the enum stays whole",
 	"janusaqp.Avg":                    "a focus aggregate Template.Agg can name; the enum stays whole",
 
@@ -346,11 +344,6 @@ var orphanAllowlist = map[string]string{
 	"(*janusaqp/internal/cluster.Coordinator).NumShards":   "the layout size Coordinator.Reshard moves, which its tests check",
 	"(*janusaqp/internal/cluster.Coordinator).LayoutEpoch": "the layout generation Coordinator.Reshard advances, which its tests check",
 	"(*janusaqp/internal/cluster.Standby).Offsets":         "promotion readiness, which the standby failover tests wait on",
-	"(*janusaqp/internal/metrics.Registry).Gauge":          "a metric kind of the registry's exposition, whose format the metrics tests pin",
-	"(*janusaqp/internal/metrics.Gauge).Set":               "a metric kind of the registry's exposition, whose format the metrics tests pin",
-	"(*janusaqp/internal/metrics.Gauge).Add":               "a metric kind of the registry's exposition, whose format the metrics tests pin",
-	"(*janusaqp/internal/metrics.Registry).CounterVec":     "a metric kind of the registry's exposition, whose format the metrics tests pin",
-	"(*janusaqp/internal/metrics.CounterVec).With":         "a metric kind of the registry's exposition, whose format the metrics tests pin",
 }
 
 // objectKey names obj by package path and name, with its receiver for a

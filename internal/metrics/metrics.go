@@ -104,42 +104,9 @@ func (f *atomicFloat) add(v float64) {
 
 func (f *atomicFloat) load() float64 { return math.Float64frombits(f.bits.Load()) }
 
-func (f *atomicFloat) store(v float64) { f.bits.Store(math.Float64bits(v)) }
-
-// Gauge is a value that can go up and down — queue depths, resident
-// bytes, lag. Set and Add are lock-free atomics.
-type Gauge struct {
-	v atomicFloat
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.v.store(v) }
-
-// Add adjusts the gauge by delta (negative to decrease).
-func (g *Gauge) Add(delta float64) { g.v.add(delta) }
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() float64 { return g.v.load() }
-
-// CounterVec is a family of counters partitioned by one label. Series
+// HistogramVec is a family of histograms partitioned by one label. Series
 // lookup is a sync.Map load — lock-free once a series exists — so With
 // is safe on the query hot path.
-type CounterVec struct {
-	label  string
-	series sync.Map // label value -> *Counter
-}
-
-// With returns the counter for the given label value, creating the
-// series on first use.
-func (v *CounterVec) With(value string) *Counter {
-	if c, ok := v.series.Load(value); ok {
-		return c.(*Counter)
-	}
-	c, _ := v.series.LoadOrStore(value, &Counter{})
-	return c.(*Counter)
-}
-
-// HistogramVec is a family of histograms partitioned by one label.
 type HistogramVec struct {
 	label  string
 	series sync.Map // label value -> *Histogram
@@ -169,10 +136,8 @@ func escapeLabel(v string) string {
 type Registry struct {
 	mu            sync.Mutex
 	counters      map[string]*Counter
-	gauges        map[string]*Gauge
 	gaugeFuncs    map[string]func() float64
 	histograms    map[string]*Histogram
-	counterVecs   map[string]*CounterVec
 	histogramVecs map[string]*HistogramVec
 	help          map[string]string
 }
@@ -181,10 +146,8 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters:      make(map[string]*Counter),
-		gauges:        make(map[string]*Gauge),
 		gaugeFuncs:    make(map[string]func() float64),
 		histograms:    make(map[string]*Histogram),
-		counterVecs:   make(map[string]*CounterVec),
 		histogramVecs: make(map[string]*HistogramVec),
 		help:          make(map[string]string),
 	}
@@ -217,42 +180,15 @@ func (r *Registry) Histogram(name, help string) *Histogram {
 	return h
 }
 
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok := r.gauges[name]; ok {
-		return g
-	}
-	g := &Gauge{}
-	r.gauges[name] = g
-	r.help[name] = help
-	return g
-}
-
 // GaugeFunc registers a gauge whose value is computed by fn at scrape
 // time — for values the owner already maintains (archive rows, heap
-// bytes) where mirroring into a Gauge would just add a write path. fn
+// bytes), so the registry keeps no gauge state of its own. fn
 // must be safe for concurrent calls. Re-registering a name replaces fn.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.gaugeFuncs[name] = fn
 	r.help[name] = help
-}
-
-// CounterVec returns the named counter family with the given label name,
-// creating it on first use.
-func (r *Registry) CounterVec(name, label, help string) *CounterVec {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if v, ok := r.counterVecs[name]; ok {
-		return v
-	}
-	v := &CounterVec{label: label}
-	r.counterVecs[name] = v
-	r.help[name] = help
-	return v
 }
 
 // HistogramVec returns the named histogram family with the given label
@@ -269,24 +205,15 @@ func (r *Registry) HistogramVec(name, label, help string) *HistogramVec {
 	return v
 }
 
-// sortedSeries returns the (labelValue, entry) pairs of a sync.Map
-// sorted by label value for stable exposition output.
-func sortedSeries(m *sync.Map) []struct {
-	value string
-	entry any
-} {
-	var out []struct {
-		value string
-		entry any
-	}
-	m.Range(func(k, v any) bool {
-		out = append(out, struct {
-			value string
-			entry any
-		}{k.(string), v})
+// sortedValues returns the family's label values, sorted for stable
+// exposition output.
+func (v *HistogramVec) sortedValues() []string {
+	var out []string
+	v.series.Range(func(k, _ any) bool {
+		out = append(out, k.(string))
 		return true
 	})
-	sort.Slice(out, func(i, j int) bool { return out[i].value < out[j].value })
+	sort.Strings(out)
 	return out
 }
 
@@ -330,14 +257,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	for n, c := range r.counters {
 		counters[n] = c
 	}
-	counterVecs := make(map[string]*CounterVec, len(r.counterVecs))
-	for n, v := range r.counterVecs {
-		counterVecs[n] = v
-	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for n, g := range r.gauges {
-		gauges[n] = g
-	}
 	gaugeFuncs := make(map[string]func() float64, len(r.gaugeFuncs))
 	for n, f := range r.gaugeFuncs {
 		gaugeFuncs[n] = f
@@ -364,42 +283,23 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		fmt.Fprintf(&b, "# TYPE %s %s\n", name, typ)
 	}
 
-	cnames := make([]string, 0, len(counters)+len(counterVecs))
+	cnames := make([]string, 0, len(counters))
 	for n := range counters {
-		cnames = append(cnames, n)
-	}
-	for n := range counterVecs {
 		cnames = append(cnames, n)
 	}
 	sort.Strings(cnames)
 	for _, n := range cnames {
 		header(n, "counter")
-		if c, ok := counters[n]; ok {
-			fmt.Fprintf(&b, "%s %d\n", n, c.Value())
-			continue
-		}
-		v := counterVecs[n]
-		for _, s := range sortedSeries(&v.series) {
-			fmt.Fprintf(&b, "%s{%s=%q} %d\n", n, v.label, escapeLabel(s.value), s.entry.(*Counter).Value())
-		}
+		fmt.Fprintf(&b, "%s %d\n", n, counters[n].Value())
 	}
 
-	gnames := make([]string, 0, len(gauges)+len(gaugeFuncs))
-	for n := range gauges {
-		gnames = append(gnames, n)
-	}
+	gnames := make([]string, 0, len(gaugeFuncs))
 	for n := range gaugeFuncs {
-		if _, dup := gauges[n]; !dup {
-			gnames = append(gnames, n)
-		}
+		gnames = append(gnames, n)
 	}
 	sort.Strings(gnames)
 	for _, n := range gnames {
 		header(n, "gauge")
-		if g, ok := gauges[n]; ok {
-			fmt.Fprintf(&b, "%s %g\n", n, g.Value())
-			continue
-		}
 		fmt.Fprintf(&b, "%s %g\n", n, gaugeFuncs[n]())
 	}
 
@@ -418,9 +318,9 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			continue
 		}
 		v := histogramVecs[n]
-		for _, s := range sortedSeries(&v.series) {
-			labels := fmt.Sprintf("{%s=%q}", v.label, escapeLabel(s.value))
-			writeHistogramBody(&b, n, labels, s.entry.(*Histogram))
+		for _, value := range v.sortedValues() {
+			labels := fmt.Sprintf("{%s=%q}", v.label, escapeLabel(value))
+			writeHistogramBody(&b, n, labels, v.With(value))
 		}
 	}
 	_, err := io.WriteString(w, b.String())

@@ -102,52 +102,6 @@ func TestWritePrometheus(t *testing.T) {
 	}
 }
 
-func TestGauge(t *testing.T) {
-	var g Gauge
-	g.Set(42.5)
-	if got := g.Value(); got != 42.5 {
-		t.Fatalf("Value() = %g, want 42.5", got)
-	}
-	g.Add(-2.5)
-	if got := g.Value(); got != 40 {
-		t.Fatalf("Value() after Add = %g, want 40", got)
-	}
-}
-
-func TestGaugeConcurrent(t *testing.T) {
-	var g Gauge
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				g.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := g.Value(); got != 8000 {
-		t.Fatalf("Value() = %g, want 8000", got)
-	}
-}
-
-func TestCounterVecSeries(t *testing.T) {
-	r := NewRegistry()
-	v := r.CounterVec("janusd_queries_total", "kind", "queries by kind")
-	v.With("sql").Add(3)
-	v.With("structured").Inc()
-	if v.With("sql") != v.With("sql") {
-		t.Fatal("With returned distinct counters for one label value")
-	}
-	if got := v.With("sql").Value(); got != 3 {
-		t.Fatalf("sql series = %d, want 3", got)
-	}
-	if v2 := r.CounterVec("janusd_queries_total", "kind", "queries by kind"); v2 != v {
-		t.Fatal("CounterVec() returned distinct instances for one name")
-	}
-}
-
 func TestHistogramVecSeries(t *testing.T) {
 	r := NewRegistry()
 	v := r.HistogramVec("janusd_shard_seconds", "shard", "per-shard latency")
@@ -164,7 +118,7 @@ func TestHistogramVecSeries(t *testing.T) {
 
 func TestVecConcurrent(t *testing.T) {
 	r := NewRegistry()
-	v := r.CounterVec("conc_total", "k", "")
+	v := r.HistogramVec("conc_seconds", "k", "")
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -172,12 +126,12 @@ func TestVecConcurrent(t *testing.T) {
 			defer wg.Done()
 			key := strconv.Itoa(i % 2)
 			for j := 0; j < 1000; j++ {
-				v.With(key).Inc()
+				v.With(key).Observe(0.001)
 			}
 		}(i)
 	}
 	wg.Wait()
-	if got := v.With("0").Value() + v.With("1").Value(); got != 8000 {
+	if got := v.With("0").Count() + v.With("1").Count(); got != 8000 {
 		t.Fatalf("total across series = %d, want 8000", got)
 	}
 }
@@ -203,11 +157,7 @@ func TestEscapeLabel(t *testing.T) {
 func TestWritePrometheusGolden(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("t_reqs_total", "total requests").Add(3)
-	r.Gauge("t_depth", "queue depth").Set(2.5)
 	r.GaugeFunc("t_rows", "archive rows", func() float64 { return 120 })
-	cv := r.CounterVec("t_kind_total", "kind", "by kind")
-	cv.With("sql").Add(2)
-	cv.With("onKeys").Inc()
 	hv := r.HistogramVec("t_shard_seconds", "shard", "by shard")
 	hv.With("0").Observe(0.0002)
 
@@ -218,16 +168,9 @@ func TestWritePrometheusGolden(t *testing.T) {
 	out := b.String()
 
 	golden := []string{
-		"# HELP t_kind_total by kind",
-		"# TYPE t_kind_total counter",
-		`t_kind_total{kind="onKeys"} 1`,
-		`t_kind_total{kind="sql"} 2`,
 		"# HELP t_reqs_total total requests",
 		"# TYPE t_reqs_total counter",
 		"t_reqs_total 3",
-		"# HELP t_depth queue depth",
-		"# TYPE t_depth gauge",
-		"t_depth 2.5",
 		"# HELP t_rows archive rows",
 		"# TYPE t_rows gauge",
 		"t_rows 120",

@@ -143,7 +143,7 @@ func isBinary(r *http.Request) bool {
 
 // readBinaryBody slurps a binary request body under the server's body cap.
 func (s *Server) readBinaryBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, transport.MaxFrameBytes))
 	if err != nil {
 		s.writeBinaryError(w, http.StatusBadRequest, fmt.Errorf("reading request body: %w", err))
 		return nil, false

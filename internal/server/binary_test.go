@@ -10,8 +10,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strings"
 	"testing"
-	"time"
 
 	janus "janusaqp"
 	"janusaqp/internal/routertest"
@@ -355,6 +355,58 @@ func TestAnswerBinaryAllocs(t *testing.T) {
 	}
 }
 
+// TestIngestBodyCap sends /v2/ingest a body one byte over
+// transport.MaxFrameBytes on each codec: a valid batch whose padding
+// carries it past the cap must answer 400 and apply neither its insert
+// nor its delete.
+func TestIngestBodyCap(t *testing.T) {
+	eng, tuples := newTestEngine(t, 5000)
+	srv := New(eng, Options{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	fresh := janus.Tuple{ID: 9_000_001, Key: janus.Point{1}, Vals: []float64{1, 1, 1}}
+	victim := tuples[0].ID
+	pad := func(head []byte, tail string, fill byte) []byte {
+		body := append(head, bytes.Repeat([]byte{fill}, transport.MaxFrameBytes+1-len(head)-len(tail))...)
+		return append(body, tail...)
+	}
+	jsonHead := fmt.Sprintf(`{"tuples":[{"id":%d,"key":[1],"vals":[1,1,1]}],"deleteIds":[%d]`, fresh.ID, victim)
+	for _, tc := range []struct {
+		codec string
+		body  []byte
+	}{
+		{"application/json", pad([]byte(jsonHead), "}", ' ')},
+		{BinaryMediaType, pad(transport.EncodeIngestRequest([]janus.Tuple{fresh}, []int64{victim}), "", 0)},
+	} {
+		if len(tc.body) != transport.MaxFrameBytes+1 {
+			t.Fatalf("%s body is %d bytes, want %d", tc.codec, len(tc.body), transport.MaxFrameBytes+1)
+		}
+		resp, err := http.Post(ts.URL+"/v2/ingest", tc.codec, bytes.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		msg := string(out)
+		if tc.codec == BinaryMediaType {
+			msg = binaryErr(t, resp, out, http.StatusBadRequest).Error()
+		} else if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400 (body %q)", tc.codec, resp.StatusCode, out)
+		}
+		if !strings.Contains(msg, "request body too large") {
+			t.Errorf("%s: error %q, want \"request body too large\"", tc.codec, msg)
+		}
+		if _, ok := eng.Broker().Archive().Get(fresh.ID); ok {
+			t.Errorf("%s: the over-cap batch's insert landed", tc.codec)
+		}
+		if _, ok := eng.Broker().Archive().Get(victim); !ok {
+			t.Errorf("%s: the over-cap batch's delete landed", tc.codec)
+		}
+	}
+}
+
 // nullEngine satisfies Engine with no-op writes, isolating the serving
 // codec's own allocations from the synopsis maintenance the engine suites
 // benchmark separately.
@@ -366,9 +418,6 @@ func (nullEngine) Do(context.Context, janus.Request) (janus.Response, error) {
 func (nullEngine) InsertBatch([]janus.Tuple) error { return nil }
 func (nullEngine) DeleteBatch(ids []int64) (int, error) {
 	return len(ids), nil
-}
-func (nullEngine) Follow(context.Context, *janus.Broker, *janus.SyncState, time.Duration) int {
-	return 0
 }
 func (nullEngine) Stats() janus.EngineStats { return janus.EngineStats{} }
 func (nullEngine) StatsFor(string) (janus.TemplateStats, error) {

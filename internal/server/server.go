@@ -60,6 +60,7 @@ import (
 	janus "janusaqp"
 	"janusaqp/internal/metrics"
 	"janusaqp/internal/obs"
+	"janusaqp/internal/transport"
 )
 
 // Engine is the surface the server routes to. Both *janus.Engine (one
@@ -73,8 +74,6 @@ type Engine interface {
 	InsertBatch(tuples []janus.Tuple) error
 	// DeleteBatch removes ids, reporting unknown ones via *BatchIDError.
 	DeleteBatch(ids []int64) (int, error)
-	// Follow tails an external broker until ctx is canceled.
-	Follow(ctx context.Context, source *janus.Broker, state *janus.SyncState, interval time.Duration) int
 	// Stats snapshots engine-wide counters and per-template state.
 	Stats() janus.EngineStats
 	// StatsFor snapshots one template's synopsis state.
@@ -93,16 +92,6 @@ var (
 
 // Options configures a Server.
 type Options struct {
-	// Follow, when non-nil, makes the server tail an external broker's
-	// topics via Engine.Follow in a background goroutine, polling every
-	// 10ms while the stream is idle.
-	Follow *janus.Broker
-	// FollowState is where the follow loop starts consuming. A warm
-	// restart passes the recovered watermark (RecoveryInfo.Follow) so the
-	// loop resumes where the checkpoint left off instead of re-polling the
-	// whole stream; records replayed across the boundary are deduplicated
-	// by the stream path's id validation.
-	FollowState janus.SyncState
 	// Checkpoint, when non-nil, persists a point-in-time engine snapshot
 	// (typically Store.WriteCheckpoint). It powers POST
 	// /v2/admin/checkpoint and the background checkpointer.
@@ -128,8 +117,6 @@ type Options struct {
 	// provides, so acknowledged ingest turns into 503 from the failed
 	// batch onward.
 	WriteHealth func() error
-	// MaxBodyBytes caps request bodies (default 32 MiB).
-	MaxBodyBytes int64
 	// Logger receives the server's structured logs (request completions at
 	// debug level, slow queries at warn). nil disables logging entirely.
 	Logger *slog.Logger
@@ -219,8 +206,6 @@ type Server struct {
 	// never interleave their I/O.
 	checkpointMu sync.Mutex
 
-	maxBody int64
-
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 }
@@ -228,15 +213,11 @@ type Server struct {
 // New returns a server over the engine — a single *janus.Engine or a
 // *janus.ShardGroup — and starts any background loops the options request.
 func New(eng Engine, opts Options) *Server {
-	if opts.MaxBodyBytes <= 0 {
-		opts.MaxBodyBytes = 32 << 20
-	}
 	reg := metrics.NewRegistry()
 	s := &Server{
-		eng:     eng,
-		mux:     http.NewServeMux(),
-		reg:     reg,
-		maxBody: opts.MaxBodyBytes,
+		eng: eng,
+		mux: http.NewServeMux(),
+		reg: reg,
 		// Counters are resolved once here: the hot path must only touch
 		// lock-free atomics, never the registry mutex.
 		rowsInserted: reg.Counter("janusd_rows_inserted_total", "Total rows applied via /v2/ingest."),
@@ -319,29 +300,6 @@ func New(eng Engine, opts Options) *Server {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	s.cancel = cancel
-	if opts.Follow != nil {
-		s.wg.Add(1)
-		followPanics := reg.Counter("janusd_follow_panics_total",
-			"Panics recovered in the broker-follow loop (bad stream records).")
-		go func() {
-			defer s.wg.Done()
-			state := opts.FollowState
-			// A malformed stream record (duplicate ID, short key) panics out
-			// of Engine.Follow with every engine lock already released; one
-			// bad record must not take the daemon down, so recover and
-			// resume from the advanced offsets.
-			for ctx.Err() == nil {
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							followPanics.Inc()
-						}
-					}()
-					eng.Follow(ctx, opts.Follow, &state, 0)
-				}()
-			}
-		}()
-	}
 	if opts.Checkpoint != nil && opts.CheckpointInterval > 0 {
 		s.wg.Add(1)
 		go func() {
@@ -557,18 +515,6 @@ func (s *Server) registerGauges(opts Options) {
 	s.reg.GaugeFunc("janusd_synced_insert_offset",
 		"Followed-broker insert offset applied so far (read-your-writes watermark).",
 		func() float64 { return float64(s.cachedStats().SyncedInsertOffset) })
-	if opts.Follow != nil {
-		source := opts.Follow
-		s.reg.GaugeFunc("janusd_follow_lag_records",
-			"Records published on the followed broker's insert topic but not yet applied.",
-			func() float64 {
-				lag := source.Inserts.Len() - s.cachedStats().SyncedInsertOffset
-				if lag < 0 {
-					lag = 0
-				}
-				return float64(lag)
-			})
-	}
 	if opts.ReshardStatus != nil {
 		status := opts.ReshardStatus
 		s.reg.GaugeFunc("janusd_reshard_active",
@@ -710,8 +656,7 @@ func (s *Server) Handler() http.Handler { return s.withRequestID(s.mux) }
 // its series through the same /metrics endpoint.
 func (s *Server) Registry() *metrics.Registry { return s.reg }
 
-// Close stops the background follow and checkpoint loops and waits for
-// them to exit.
+// Close stops the background checkpoint loop and waits for it to exit.
 func (s *Server) Close() {
 	s.cancel()
 	s.wg.Wait()
@@ -737,7 +682,7 @@ func (s *Server) writeError(w http.ResponseWriter, status int, format string, ar
 }
 
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	body := http.MaxBytesReader(w, r.Body, s.maxBody)
+	body := http.MaxBytesReader(w, r.Body, transport.MaxFrameBytes)
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {

@@ -82,8 +82,8 @@ const (
 	FlagMore = byte(1 << 1)
 )
 
-// MaxFrameBytes caps one frame's payload. It matches the HTTP surface's
-// default body cap (32 MiB): any ingest batch the JSON front door accepts
+// MaxFrameBytes caps one frame's payload, and the HTTP surface caps every
+// request body at it too: any ingest batch the JSON front door accepts
 // fits one binary frame, and a corrupt length word can never demand a
 // larger allocation than a legitimate peer could.
 const MaxFrameBytes = 32 << 20

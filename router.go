@@ -306,7 +306,7 @@ func (r *Router) Stats() EngineStats {
 	fanOut(len(parts), func(i int) { parts[i] = r.backends[i].Stats() })
 	out := MergeShardStats(parts)
 	if r.follow != nil {
-		out.SyncedInsertOffset = r.follow.insertOffset()
+		out.SyncedInsertOffset = r.follow.offsets().InsertOffset
 	}
 	return out
 }

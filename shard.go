@@ -255,7 +255,7 @@ func (g *ShardGroup) DeleteBatch(ids []int64) (int, error) {
 // Do answers one Request by scatter-gather: resolve once (SQL compiles one
 // time, against shard 0's schemas — registration fans out identically) and
 // hand the structured form to Router.Do, which waits out MinSyncOffset on
-// the group's own follow watermark (see SyncContext) before the scatter.
+// the group's own follow watermark (see Sync) before the scatter.
 func (g *ShardGroup) Do(ctx context.Context, req Request) (Response, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -368,40 +368,23 @@ func MergeShardStats(parts []EngineStats) EngineStats {
 
 // --- followed-stream consumption ---------------------------------------------
 
-// Sync applies all records currently available on the source broker's
-// topics, routing each record to its home shard — the group form of
-// Engine.Sync. See SyncContext.
-func (g *ShardGroup) Sync(source *Broker, state *SyncState) int {
-	return g.SyncContext(context.Background(), source, state)
-}
-
-// SyncContext drains the source broker's insert and delete topics from the
-// offsets in state, hash-routing each polled batch across the shards and
-// applying the per-shard sub-batches in parallel — stream consumption at
-// the same K-way parallelism as direct ingest. Malformed records are
-// skipped and counted in the owning shard's StreamRejected, mirroring
-// Engine.Sync; the insert offset feeds the group watermark
-// Request.MinSyncOffset waits on.
-func (g *ShardGroup) SyncContext(ctx context.Context, source *Broker, state *SyncState) int {
-	applied := 0
-	const batch = 4096
-	for ctx.Err() == nil {
-		recs, next := source.Inserts.Poll(state.InsertOffset, batch)
-		if len(recs) == 0 {
-			break
-		}
-		tuples := make([]Tuple, 0, len(recs))
-		for _, r := range recs {
-			tuples = append(tuples, r.Tuple)
-		}
+// Sync drains the source broker's insert and delete topics from the
+// offsets in state — the group form of Engine.Sync — hash-routing each
+// polled batch across the shards and applying the per-shard sub-batches in
+// parallel: stream consumption at the same K-way parallelism as direct
+// ingest. Malformed records are skipped and counted in the owning shard's
+// StreamRejected, mirroring Engine.Sync; the insert offset feeds the group
+// watermark Request.MinSyncOffset waits on.
+func (g *ShardGroup) Sync(ctx context.Context, source *Broker, state *SyncState) int {
+	return drain(ctx, source, state, func(tuples []Tuple, next int64) int {
 		// The gate is taken per polled batch, not for the whole drain: a
 		// cutover can slot in between batches of a long catch-up without
 		// waiting out the entire stream backlog.
 		g.gate.RLock()
+		defer g.gate.RUnlock()
 		shards := g.engines()
-		parts := SplitByShard(tuples, len(shards))
 		goods := make([]int, len(shards))
-		fanOutParts(parts, func(i int, sub []Tuple) {
+		fanOutParts(SplitByShard(tuples, len(shards)), func(i int, sub []Tuple) {
 			var rejected int
 			goods[i], rejected = shards[i].applyStreamInserts(sub)
 			// Skips count on the owning shard, where the record was
@@ -414,7 +397,6 @@ func (g *ShardGroup) SyncContext(ctx context.Context, source *Broker, state *Syn
 			// the serving layout rejected is rejected there too.
 			d.mirrorInserts(tuples)
 		}
-		state.InsertOffset = next
 		// Every shard is consistent through next — records at or below it
 		// that hash to the shard have been applied — so advance each
 		// shard's own follow watermark too: per-shard checkpoints persist
@@ -424,41 +406,28 @@ func (g *ShardGroup) SyncContext(ctx context.Context, source *Broker, state *Syn
 			e.follow.note(next)
 		}
 		g.follow.note(next)
-		g.gate.RUnlock()
+		applied := 0
 		for _, n := range goods {
 			applied += n
 		}
-	}
-	for ctx.Err() == nil {
-		recs, next := source.Deletes.Poll(state.DeleteOffset, batch)
-		if len(recs) == 0 {
-			break
-		}
-		ids := make([]int64, 0, len(recs))
-		for _, r := range recs {
-			ids = append(ids, r.Tuple.ID)
-		}
+		return applied
+	}, func(ids []int64, next int64) {
 		// Unknown ids are routine on a delete stream; they do not fail it.
 		// DeleteBatch takes the write gate itself and mirrors into an
 		// active reshard target.
 		_, _ = g.DeleteBatch(ids)
-		state.DeleteOffset = next
 		g.gate.RLock()
+		defer g.gate.RUnlock()
 		for _, e := range g.engines() {
 			e.follow.noteDelete(next)
 		}
 		g.follow.noteDelete(next)
-		g.gate.RUnlock()
-		applied += len(recs)
-	}
-	return applied
+	})
 }
 
 // Follow tails the source broker until ctx is canceled — the group form of
-// Engine.Follow: apply newly arrived records via SyncContext, and poll at
-// the given interval when there is nothing to do.
+// Engine.Follow: apply newly arrived records via Sync, and poll at the
+// given interval when there is nothing to do.
 func (g *ShardGroup) Follow(ctx context.Context, source *Broker, state *SyncState, interval time.Duration) int {
-	return followLoop(ctx, interval, func(ctx context.Context) int {
-		return g.SyncContext(ctx, source, state)
-	})
+	return followLoop(ctx, source, state, interval, g.Sync)
 }

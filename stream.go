@@ -56,13 +56,6 @@ func (w *watermark) noteDelete(offset int64) {
 	w.mu.Unlock()
 }
 
-// insertOffset reads the insert watermark.
-func (w *watermark) insertOffset() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.insert
-}
-
 // offsets snapshots both halves.
 func (w *watermark) offsets() SyncState {
 	w.mu.Lock()
@@ -100,16 +93,56 @@ func (w *watermark) wait(ctx context.Context, min int64) error {
 	}
 }
 
+// drain is the one stream-consumption loop behind Engine.Sync and
+// ShardGroup.Sync: it polls the source's insert topic, then its delete
+// topic, from the offsets in state, hands each batch to the caller's apply
+// step together with the offset the batch ends at, and advances state after
+// each batch. It stops between batches once ctx ends, so a hot stream
+// cannot stall shutdown for longer than one batch. insert returns how many
+// tuples it applied; every delete counts as applied.
+func drain(ctx context.Context, source *Broker, state *SyncState,
+	insert func(tuples []Tuple, next int64) int, remove func(ids []int64, next int64)) int {
+	const batch = 4096
+	applied := 0
+	for ctx.Err() == nil {
+		recs, next := source.Inserts.Poll(state.InsertOffset, batch)
+		if len(recs) == 0 {
+			break
+		}
+		tuples := make([]Tuple, len(recs))
+		for i, r := range recs {
+			tuples[i] = r.Tuple
+		}
+		applied += insert(tuples, next)
+		state.InsertOffset = next
+	}
+	for ctx.Err() == nil {
+		recs, next := source.Deletes.Poll(state.DeleteOffset, batch)
+		if len(recs) == 0 {
+			break
+		}
+		ids := make([]int64, len(recs))
+		for i, r := range recs {
+			ids[i] = r.Tuple.ID
+		}
+		remove(ids, next)
+		state.DeleteOffset = next
+		applied += len(recs)
+	}
+	return applied
+}
+
 // followLoop is the shared daemon-side consumption loop: apply newly
 // arrived records via sync, and poll at the given interval when there is
 // nothing to do.
-func followLoop(ctx context.Context, interval time.Duration, sync func(context.Context) int) int {
+func followLoop(ctx context.Context, source *Broker, state *SyncState, interval time.Duration,
+	sync func(context.Context, *Broker, *SyncState) int) int {
 	if interval <= 0 {
 		interval = 10 * time.Millisecond
 	}
 	total := 0
 	for ctx.Err() == nil {
-		n := sync(ctx)
+		n := sync(ctx, source, state)
 		total += n
 		if n == 0 {
 			select {
@@ -124,62 +157,33 @@ func followLoop(ctx context.Context, interval time.Duration, sync func(context.C
 // Sync applies all records currently available on the source broker's
 // insert and delete topics, in per-topic arrival order, starting at the
 // offsets in state. It advances state and returns the number of records
-// applied. Call it in a loop (optionally interleaved with queries) to
-// follow a live stream.
+// applied. It stops between batches once ctx is canceled. Call it in a
+// loop (optionally interleaved with queries) to follow a live stream, or
+// let Follow do so.
 //
 // Each polled batch is validated and applied under one acquisition of the
 // update lock — the same amortization as InsertBatch — and malformed
 // records (schema mismatch, duplicate id) are skipped rather than panicking
 // the consumer; skips are counted in EngineStats.StreamRejected. As the
 // insert offset advances it feeds the read-your-writes watermark
-// (SyncedInsertOffset) that Request.MinSyncOffset waits on.
+// (FollowOffsets().InsertOffset) that Request.MinSyncOffset waits on.
 //
 // Ordering is per-topic only: each pass drains pending inserts before
 // pending deletes, so cross-topic sequences on the same ID (delete(x)
 // immediately followed by a re-insert of x) are not ordered. Producers
 // must assign fresh IDs — the same contract Archive.Insert enforces.
-func (e *Engine) Sync(source *Broker, state *SyncState) int {
-	return e.SyncContext(context.Background(), source, state)
-}
-
-// SyncContext is Sync bounded by a context: it stops draining between
-// batches once ctx is canceled, so a hot stream cannot stall shutdown for
-// longer than one batch.
-func (e *Engine) SyncContext(ctx context.Context, source *Broker, state *SyncState) int {
-	applied := 0
-	const batch = 4096
-	for ctx.Err() == nil {
-		recs, next := source.Inserts.Poll(state.InsertOffset, batch)
-		if len(recs) == 0 {
-			break
-		}
-		tuples := make([]Tuple, 0, len(recs))
-		for _, r := range recs {
-			tuples = append(tuples, r.Tuple)
-		}
+func (e *Engine) Sync(ctx context.Context, source *Broker, state *SyncState) int {
+	return drain(ctx, source, state, func(tuples []Tuple, next int64) int {
 		good, rejected := e.applyStreamInserts(tuples)
-		state.InsertOffset = next
-		e.follow.note(next)
-		applied += good
 		e.noteStreamRejected(rejected)
-	}
-	for ctx.Err() == nil {
-		recs, next := source.Deletes.Poll(state.DeleteOffset, batch)
-		if len(recs) == 0 {
-			break
-		}
-		ids := make([]int64, 0, len(recs))
-		for _, r := range recs {
-			ids = append(ids, r.Tuple.ID)
-		}
+		e.follow.note(next)
+		return good
+	}, func(ids []int64, next int64) {
 		// Unknown ids are routine on a delete stream (the row may never
 		// have reached this engine); they do not count as rejects.
 		e.DeleteBatch(ids)
-		state.DeleteOffset = next
 		e.follow.noteDelete(next)
-		applied += len(recs)
-	}
-	return applied
+	})
 }
 
 // noteStreamRejected counts stream records the admission rules skipped
@@ -279,11 +283,9 @@ func (e *Engine) replayLogTail(state *SyncState) (inserts, deletes, rejected int
 }
 
 // Follow tails the source broker until ctx is canceled: it applies newly
-// arrived records via SyncContext and polls at the given interval when
-// there is nothing to do — the daemon-side consumption loop the paper's
-// Kafka deployment runs. It returns the total number of records applied.
+// arrived records via Sync and polls at the given interval when there is
+// nothing to do — the daemon-side consumption loop the paper's Kafka
+// deployment runs. It returns the total number of records applied.
 func (e *Engine) Follow(ctx context.Context, source *Broker, state *SyncState, interval time.Duration) int {
-	return followLoop(ctx, interval, func(ctx context.Context) int {
-		return e.SyncContext(ctx, source, state)
-	})
+	return followLoop(ctx, source, state, interval, e.Sync)
 }

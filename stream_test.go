@@ -1,6 +1,7 @@
 package janus
 
 import (
+	"context"
 	"testing"
 
 	"janusaqp/internal/stats"
@@ -20,7 +21,7 @@ func TestSyncFollowsExternalStream(t *testing.T) {
 		producer.PublishInsert(tp)
 	}
 	var st SyncState
-	if n := eng.Sync(producer, &st); n != 2000 {
+	if n := eng.Sync(context.Background(), producer, &st); n != 2000 {
 		t.Fatalf("Sync applied %d, want 2000", n)
 	}
 	// More arrivals plus deletions of earlier tuples.
@@ -30,11 +31,11 @@ func TestSyncFollowsExternalStream(t *testing.T) {
 	for _, tp := range fresh[:500] {
 		producer.PublishDelete(tp.ID)
 	}
-	if n := eng.Sync(producer, &st); n != 2500 {
+	if n := eng.Sync(context.Background(), producer, &st); n != 2500 {
 		t.Fatalf("second Sync applied %d, want 2500", n)
 	}
 	// Idempotent when drained.
-	if n := eng.Sync(producer, &st); n != 0 {
+	if n := eng.Sync(context.Background(), producer, &st); n != 0 {
 		t.Fatalf("drained Sync applied %d, want 0", n)
 	}
 	res, err := query(eng, "trips", Query{Func: FuncCount, AggIndex: -1, Rect: Universe(1)})
