@@ -51,7 +51,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 
 	// Restore over an empty broker: answers come from the synopses alone.
-	restored, state, err := OpenCheckpoint(bytes.NewReader(buf.Bytes()), Config{LeafNodes: 32, Seed: 61}, NewBroker())
+	restored, state, _, err := openCheckpoint(bytes.NewReader(buf.Bytes()), Config{LeafNodes: 32, Seed: 61}, NewBroker())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestCheckpointRestoresCountersAndWatermark(t *testing.T) {
 	if _, err := eng.Checkpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, _, err := OpenCheckpoint(&buf, Config{LeafNodes: 16, Seed: 3}, NewBroker())
+	restored, _, _, err := openCheckpoint(&buf, Config{LeafNodes: 16, Seed: 3}, NewBroker())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,20 +161,20 @@ func TestOpenCheckpointRejectsMismatchedSchema(t *testing.T) {
 	// A stale schema with an extra aggregation column.
 	bad := taxiSchema()
 	bad.AggCols = append(bad.AggCols, "tips")
-	_, _, err := OpenCheckpoint(bytes.NewReader(forge(&bad, taxiTemplate())), Config{Seed: 5}, NewBroker())
+	_, _, _, err := openCheckpoint(bytes.NewReader(forge(&bad, taxiTemplate())), Config{Seed: 5}, NewBroker())
 	if !errors.Is(err, ErrSchemaMismatch) {
 		t.Fatalf("stale schema loaded: err = %v, want ErrSchemaMismatch", err)
 	}
 	// A stale schema with a missing predicate column.
 	bad = taxiSchema()
 	bad.PredCols = nil
-	_, _, err = OpenCheckpoint(bytes.NewReader(forge(&bad, taxiTemplate())), Config{Seed: 5}, NewBroker())
+	_, _, _, err = openCheckpoint(bytes.NewReader(forge(&bad, taxiTemplate())), Config{Seed: 5}, NewBroker())
 	if !errors.Is(err, ErrSchemaMismatch) {
 		t.Fatalf("schema without predicate columns loaded: err = %v", err)
 	}
 	// The valid schema still loads.
 	good := taxiSchema()
-	restored, _, err := OpenCheckpoint(bytes.NewReader(forge(&good, taxiTemplate())), Config{Seed: 5}, NewBroker())
+	restored, _, _, err := openCheckpoint(bytes.NewReader(forge(&good, taxiTemplate())), Config{Seed: 5}, NewBroker())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,12 +219,12 @@ func TestOpenCheckpointRejectsOutOfRangeTemplateOffsets(t *testing.T) {
 		{InsertOffset: 5000, DeleteOffset: -1},
 		{InsertOffset: 5000, DeleteOffset: 3},
 	} {
-		if _, _, err := OpenCheckpoint(bytes.NewReader(forge(sync)), Config{Seed: 11}, NewBroker()); err == nil {
+		if _, _, _, err := openCheckpoint(bytes.NewReader(forge(sync)), Config{Seed: 11}, NewBroker()); err == nil {
 			t.Fatalf("offsets %+v outside header 5000/0 loaded without error", sync)
 		}
 	}
 	// In-range offsets still load.
-	if _, _, err := OpenCheckpoint(bytes.NewReader(forge(SyncState{InsertOffset: 5000})), Config{Seed: 11}, NewBroker()); err != nil {
+	if _, _, _, err := openCheckpoint(bytes.NewReader(forge(SyncState{InsertOffset: 5000})), Config{Seed: 11}, NewBroker()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -377,7 +377,7 @@ func TestCheckpointUnderLoad(t *testing.T) {
 	wg.Wait()
 
 	for i, img := range images {
-		restored, state, err := OpenCheckpoint(bytes.NewReader(img.bytes), Config{Seed: 11}, NewBroker())
+		restored, state, _, err := openCheckpoint(bytes.NewReader(img.bytes), Config{Seed: 11}, NewBroker())
 		if err != nil {
 			t.Fatalf("image %d does not load: %v", i, err)
 		}

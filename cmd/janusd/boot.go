@@ -116,7 +116,7 @@ func bootLocal(c daemonConfig, opts *server.Options, p *parts) (engines []*janus
 			k, rootForm = ly.Shards, ly.RootForm
 		}
 		if roles[c.role].oneStore && !rootForm {
-			return nil, nil, ly, fmt.Errorf("data dir %s holds a %d-shard layout; a -role %s process serves one engine over a single-engine layout (grow the cluster through the coordinator instead)", c.dataDir, k, c.role)
+			return nil, nil, ly, fmt.Errorf("data dir %s holds a %d-shard layout; a -role %s process serves one engine over a single-engine layout (give each cluster member its own directory)", c.dataDir, k, c.role)
 		}
 	}
 	var slices [][]janus.Tuple // the bootstrap rows, generated at most once
@@ -195,11 +195,10 @@ func (p *parts) followStream(ctx context.Context, reg *metrics.Registry) {
 // durable is the store-facing half of every durable role: the checkpoint,
 // compaction, write-health, span-observer and shutdown-close hooks, over
 // the role's current stores and the engine serving beside store i. A live
-// reshard or a cluster install retires both under a running daemon, so
-// nothing in this package keeps one across calls; every hook reads stores
-// before engine, the order Node.Store asks for. The server's checkpoint
-// mutex serializes checkpoint, compact and reshard; writeHealth races a
-// swap on the ingest path, which the accessors' atomic loads make safe.
+// reshard retires both under a running daemon, so nothing in this package
+// keeps one across calls. The server's checkpoint mutex serializes
+// checkpoint, compact and reshard; writeHealth races a swap on the ingest
+// path, which the accessors' atomic loads make safe.
 type durable struct {
 	stores func() []*janus.Store
 	engine func(i int) *janus.Engine
@@ -345,46 +344,24 @@ func composeSingle(ctx context.Context, c daemonConfig, opts *server.Options) (p
 }
 
 // composeShard serves local engine 0 and its store behind a cluster.Node
-// on RPC, plus HTTP for per-shard observability. The coordinator reshards
-// across nodes by installing whole new states onto them, so opts.Reshard
-// stays nil. An ephemeral shard has a nil store: queries and ingest work,
-// but no standby can bootstrap from it.
+// on RPC, plus HTTP for per-shard observability. Its layout is fixed, so
+// opts.Reshard stays nil. An ephemeral shard has a nil store: queries and
+// ingest work, but no standby can bootstrap from it.
 func composeShard(_ context.Context, c daemonConfig, opts *server.Options) (p parts, err error) {
 	engines, stores, _, err := bootLocal(c, opts, &p)
 	if err != nil {
 		return p, err
 	}
-	node := cluster.NewNode(engines[0], stores[0])
-	p.http, p.rpc = nodeEngine{node}, node
-	p.follow = func(ctx context.Context, source *janus.Broker, state *janus.SyncState, interval time.Duration) int {
-		return node.Engine().Follow(ctx, source, state, interval)
-	}
+	eng := engines[0]
+	p.http, p.rpc, p.follow = eng, cluster.NewNode(eng, stores[0]), eng.Follow
 	if c.dataDir == "" {
 		return p, nil
 	}
 	return p, p.wireDurable(c, opts, &durable{
-		stores: func() []*janus.Store { return []*janus.Store{node.Store()} },
-		engine: func(int) *janus.Engine { return node.Engine() },
+		stores: func() []*janus.Store { return stores },
+		engine: func(int) *janus.Engine { return eng },
 	})
 }
-
-// nodeEngine is the server.Engine surface of a primary cluster.Node: each
-// call goes to the engine the node serves now, which a coordinator-driven
-// install replaces.
-type nodeEngine struct{ n *cluster.Node }
-
-func (e nodeEngine) Do(ctx context.Context, req janus.Request) (janus.Response, error) {
-	return e.n.Engine().Do(ctx, req)
-}
-func (e nodeEngine) InsertBatch(tuples []janus.Tuple) error { return e.n.Engine().InsertBatch(tuples) }
-func (e nodeEngine) DeleteBatch(ids []int64) (int, error)   { return e.n.Engine().DeleteBatch(ids) }
-func (e nodeEngine) Stats() janus.EngineStats               { return e.n.Engine().Stats() }
-func (e nodeEngine) StatsFor(template string) (janus.TemplateStats, error) {
-	return e.n.Engine().StatsFor(template)
-}
-func (e nodeEngine) Template(name string) (janus.Template, bool) { return e.n.Engine().Template(name) }
-func (e nodeEngine) Templates() []string                         { return e.n.Engine().Templates() }
-func (e nodeEngine) SetSpanObserver(fn janus.SpanObserver)       { e.n.SetSpanObserver(fn) }
 
 // composeCoordinator serves the full HTTP surface over remote shards:
 // ingest hash-routes by tuple id, queries scatter-gather, and a shard

@@ -43,9 +43,9 @@
 //	role         requires         serves                               stores (-data)
 //	single       —                HTTP over a local ShardGroup         root files or shard-k dirs;
 //	                              [+ client RPC when -rpc is set]      reshardable
-//	shard        —                node RPC + HTTP over one local       root files only; a coordinator-
-//	                              engine: slice -shard-index of        driven install replaces them
-//	                              -shard-count                         whole
+//	shard        —                node RPC + HTTP over one local       root files only; fixed
+//	                              engine: slice -shard-index of        layout
+//	                              -shard-count
 //	coordinator  -peers           HTTP routed over -peers, failing     none
 //	                              over to -standbys
 //	                              [+ client RPC when -rpc is set]

@@ -459,56 +459,41 @@ func TestRoleDirectoryTable(t *testing.T) {
 	})
 }
 
-// TestShardInstallThenCheckpoint is the cluster-reshard corruption drill:
-// a coordinator-driven install swaps a durable shard daemon's engine and
-// store under it, after which every hook the daemon wired at boot — the
-// HTTP surface, the checkpointer, the compactor, the shutdown checkpoint —
-// must drive the installed pair, never the retired engine over the closed
-// store (which used to rename a stale image over the installed
-// checkpoint.db).
-func TestShardInstallThenCheckpoint(t *testing.T) {
+// TestShardDaemonDurableHooks drives every hook a durable shard daemon
+// wires at boot — the HTTP surface, the checkpointer, the compactor, the
+// span observers, the shutdown checkpoint — over the engine and store it
+// serves, then reopens the directory to check the shutdown left an empty
+// log tail and exactly the booted and ingested rows.
+func TestShardDaemonDurableHooks(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "data")
 	args := localArgs + "-role shard -rpc 127.0.0.1:0 -data " + dir
 	d := startDaemon(t, args)
 	d.serving(t)
-
-	// The image a Coordinator.Reshard would ship: an engine over known rows.
 	c, err := parseFlags(strings.Fields(args))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := freshTuples(t, 700, 5_000_000)
-	b := janus.NewBroker()
-	b.PublishInsertBatch(rows)
-	img := janus.NewEngine(c.engineConfig(), b)
-	if err := registerBootstrap(img); err != nil {
-		t.Fatal(err)
-	}
-	wantStats, err := img.StatsFor("trips")
+	booted, _, err := c.bootstrapRows(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := img.Checkpoint(&buf); err != nil {
-		t.Fatal(err)
+	rows := append(booted[0], freshTuples(t, 700, 5_000_000)...)
+
+	ingest := server.IngestRequest{}
+	for _, tp := range rows[len(booted[0]):] {
+		ingest.Tuples = append(ingest.Tuples, server.WireTuple{ID: tp.ID, Key: tp.Key, Vals: tp.Vals})
 	}
-	body, err := transport.EncodeInstallRequest(transport.InstallRequest{Config: c.engineConfig(), Image: buf.Bytes()})
+	body, err := json.Marshal(ingest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl := transport.NewClient(d.rpc)
-	defer cl.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-	if _, err := cl.Call(ctx, transport.MsgInstall, "", body); err != nil {
-		t.Fatalf("install: %v", err)
-	}
+	postJSON(t, d.http, "/v2/ingest", string(body), nil)
 
 	// The wired hooks, through the admin endpoints that invoke them.
 	var ck janus.CheckpointInfo
 	postJSON(t, d.http, "/v2/admin/checkpoint", "", &ck)
 	if ck.ArchiveRows != int64(len(rows)) {
-		t.Errorf("checkpoint after install snapshotted %d rows, want the installed %d", ck.ArchiveRows, len(rows))
+		t.Errorf("checkpoint snapshotted %d rows, want %d", ck.ArchiveRows, len(rows))
 	}
 	postJSON(t, d.http, "/v2/admin/compact", "", nil)
 	resp, err := http.Get("http://" + d.http + "/v2/stats")
@@ -519,17 +504,18 @@ func TestShardInstallThenCheckpoint(t *testing.T) {
 	err = json.NewDecoder(resp.Body).Decode(&stats)
 	resp.Body.Close()
 	if err != nil || stats.ArchiveRows != int64(len(rows)) {
-		t.Fatalf("/v2/stats after install reports %d rows (%v), want the installed engine's %d", stats.ArchiveRows, err, len(rows))
+		t.Fatalf("/v2/stats reports %d rows (%v), want %d", stats.ArchiveRows, err, len(rows))
 	}
-	// An ingest through HTTP lands in the installed engine and its spans
-	// still reach this daemon's metrics.
+	// An ingest through HTTP lands in the served engine and its spans
+	// reach this daemon's metrics.
 	before := metric(t, d.http, `janusd_engine_span_seconds_count{span="insert_batch"}`)
 	extra := freshTuples(t, 1, 6_000_000)[0]
 	httpIngest(t, d.http, extra)
 	if after := metric(t, d.http, `janusd_engine_span_seconds_count{span="insert_batch"}`); after == before {
-		t.Errorf("insert_batch span count stayed %s across an ingest: the installed engine is not instrumented", before)
+		t.Errorf("insert_batch span count stayed %s across an ingest: the served engine is not instrumented", before)
 	}
-	d.stop(t) // shutdown checkpoint + compaction, over the installed pair
+	rows = append(rows, extra)
+	d.stop(t) // shutdown checkpoint + compaction
 
 	st, err := janus.OpenStore(dir)
 	if err != nil {
@@ -543,30 +529,30 @@ func TestShardInstallThenCheckpoint(t *testing.T) {
 	if rec.TailInserts+rec.TailDeletes != 0 {
 		t.Errorf("reopen replayed %d tail records after a clean shutdown", rec.TailInserts+rec.TailDeletes)
 	}
-	want := make(map[int64]bool, len(rows)+1)
-	for _, tp := range append(rows, extra) {
+	want := make(map[int64]bool, len(rows))
+	for _, tp := range rows {
 		want[tp.ID] = true
 	}
 	st.Broker().Archive().ForEach(func(tp janus.Tuple) bool {
 		if !want[tp.ID] {
-			t.Errorf("reopened archive holds row %d, which the installed image never had", tp.ID)
+			t.Errorf("reopened archive holds row %d, which was never booted or ingested", tp.ID)
 		}
 		delete(want, tp.ID)
 		return true
 	})
 	if len(want) != 0 {
-		t.Errorf("reopened archive is missing %d installed rows", len(want))
+		t.Errorf("reopened archive is missing %d acknowledged rows", len(want))
 	}
 	got, err := eng.StatsFor("trips")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Population != wantStats.Population+1 || got.NumVals != wantStats.NumVals {
-		t.Errorf("reopened StatsFor = %+v, want the installed image's %+v plus one row", got, wantStats)
+	if got.Population != int64(len(rows)) {
+		t.Errorf("reopened StatsFor population = %d, want %d", got.Population, len(rows))
 	}
 	ans, err := eng.Do(context.Background(), countReq)
-	if err != nil || int(ans.Result.Estimate+0.5) != len(rows)+1 {
-		t.Errorf("reopened universe COUNT = %v (%v), want %d", ans.Result.Estimate, err, len(rows)+1)
+	if err != nil || int(ans.Result.Estimate+0.5) != len(rows) {
+		t.Errorf("reopened universe COUNT = %v (%v), want %d", ans.Result.Estimate, err, len(rows))
 	}
 }
 

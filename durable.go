@@ -84,11 +84,17 @@ var ErrStoreClosed = broker.ErrLogClosed
 // valid prefix ends. Truncation is refused only when it would drop
 // records the latest checkpoint references: that log is not a torn tail
 // but a corrupt head, and destroying its bytes would turn a repairable
-// directory into silent acknowledged-write loss. A ReplaceStore swap a
-// crash interrupted is finished first.
+// directory into silent acknowledged-write loss. For the same reason a
+// DIR.install or DIR.install-old beside dir — what an older release's
+// interrupted node install left, possibly holding the only copy of the
+// data — is refused rather than booted over with an empty directory.
 func OpenStore(dir string) (*Store, error) {
-	if err := finishInstall(dir); err != nil {
-		return nil, fmt.Errorf("janus: finishing an interrupted install: %w", err)
+	for _, side := range []string{dir + ".install", dir + ".install-old"} {
+		if _, err := os.Lstat(side); err == nil {
+			return nil, fmt.Errorf("janus: %s exists: an interrupted install may have left this store's data there; move the right copy to %s by hand, then remove it", side, dir)
+		} else if !errors.Is(err, os.ErrNotExist) {
+			return nil, fmt.Errorf("janus: checking for an interrupted install: %w", err)
+		}
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("janus: creating data dir: %w", err)
@@ -508,64 +514,4 @@ func publishFile(path string, write func(*os.File) error) error {
 		_ = f.Close() // fsynced and renamed already: a close error changes nothing
 	}
 	return err
-}
-
-// installStaging and installAside suffix a store directory during its
-// ReplaceStore swap: the incoming layout, then the replaced one.
-const installStaging, installAside = ".install", ".install-old"
-
-// ReplaceStore closes st and swaps a replica layout of checkpoint in for
-// its directory DIR — a node's install; the caller reopens DIR. The image
-// is staged in DIR.install (InitReplicaDir), DIR moves aside, the staged
-// directory takes its name and the old copy goes last, the parent fsynced
-// after each rename: a crash leaves the old state, or the new one once DIR
-// has moved aside (OpenStore finishes the swap). A failure before st
-// closes leaves st untouched. Decode the whole image (OpenCheckpoint)
-// first: InitReplicaDir reads only its header.
-func ReplaceStore(st *Store, checkpoint []byte) error {
-	dir := st.Dir()
-	// Clear what an earlier swap left, so nothing blocks this one.
-	if err := finishInstall(dir); err != nil {
-		return err
-	}
-	if err := InitReplicaDir(dir+installStaging, checkpoint); err != nil {
-		return err
-	}
-	if err := st.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(dir, dir+installAside); err != nil {
-		return err
-	}
-	// The move is durable before the staged directory takes DIR's name.
-	if err := broker.SyncDir(filepath.Dir(dir)); err != nil {
-		return err
-	}
-	return finishInstall(dir)
-}
-
-// finishInstall completes a ReplaceStore swap from wherever it stopped: a
-// missing dir takes the staged directory's name once that holds a
-// checkpoint (InitReplicaDir publishes it last); then, with dir in place,
-// whatever is left staged or aside is litter and goes.
-func finishInstall(dir string) error {
-	staging := dir + installStaging
-	if _, err := os.Stat(dir); err != nil {
-		if !errors.Is(err, os.ErrNotExist) {
-			return err
-		}
-		if _, err := os.Stat(filepath.Join(staging, checkpointName)); err != nil {
-			return nil
-		}
-		if err := os.Rename(staging, dir); err != nil {
-			return err
-		}
-		if err := broker.SyncDir(filepath.Dir(dir)); err != nil {
-			return err
-		}
-	}
-	if err := os.RemoveAll(staging); err != nil {
-		return err
-	}
-	return os.RemoveAll(dir + installAside)
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/gob"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"janusaqp/internal/workload"
@@ -108,40 +110,90 @@ func TestInitReplicaDir(t *testing.T) {
 	}
 }
 
-// TestOpenStoreFinishesInstallSwap builds, by hand, the directory a crash
-// leaves between ReplaceStore's two renames — DIR moved aside, the
-// complete replica still staged — and checks OpenStore completes the swap:
-// the store recovers at the image's offsets and no staged or aside copy
-// is left.
-func TestOpenStoreFinishesInstallSwap(t *testing.T) {
-	img, info, cfg := replicaImage(t)
-	dir := filepath.Join(t.TempDir(), "data")
-	old, err := OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tuples, err := workload.Generate(workload.NYCTaxi, 300, 1<<20, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	old.Broker().PublishInsertBatch(tuples)
-	if _, err := old.WriteCheckpoint(NewEngine(cfg, old.Broker())); err != nil {
-		t.Fatal(err)
-	}
-	if err := old.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := InitReplicaDir(dir+installStaging, img); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Rename(dir, dir+installAside); err != nil {
-		t.Fatal(err)
-	}
+// TestOpenStoreRefusesInterruptedInstall builds, by hand, the directories
+// a crash in an older release's node install could leave — DIR moved
+// aside to DIR.install-old with the incoming replica staged in
+// DIR.install, and each of the two left alone — and checks OpenStore
+// refuses rather than boot an empty DIR over them, naming the path and
+// leaving every byte where it was.
+func TestOpenStoreRefusesInterruptedInstall(t *testing.T) {
+	img, _, cfg := replicaImage(t)
+	for _, tc := range []struct {
+		name          string
+		staged, aside bool
+	}{
+		{"between the renames", true, true},
+		{"staged only", true, false},
+		{"aside only", false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "data")
+			old, err := OpenStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tuples, err := workload.Generate(workload.NYCTaxi, 300, 1<<20, 9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			old.Broker().PublishInsertBatch(tuples)
+			if _, err := old.WriteCheckpoint(NewEngine(cfg, old.Broker())); err != nil {
+				t.Fatal(err)
+			}
+			if err := old.Close(); err != nil {
+				t.Fatal(err)
+			}
+			var sides []string
+			if tc.staged {
+				sides = append(sides, dir+".install")
+				if err := InitReplicaDir(dir+".install", img); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.aside {
+				sides = append(sides, dir+".install-old")
+				if err := os.Rename(dir, dir+".install-old"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := make([]map[string][]byte, len(sides))
+			for i, side := range sides {
+				before[i] = readTree(t, side)
+			}
 
-	recoverAt(t, dir, cfg, info)
-	for _, litter := range []string{dir + installStaging, dir + installAside} {
-		if _, err := os.Stat(litter); !os.IsNotExist(err) {
-			t.Errorf("%s survived the finished swap (%v)", filepath.Base(litter), err)
-		}
+			if st, err := OpenStore(dir); err == nil {
+				st.Close()
+				t.Fatal("OpenStore opened a store beside an interrupted install")
+			} else if !strings.Contains(err.Error(), sides[0]) {
+				t.Errorf("refusal %q does not name %s", err, sides[0])
+			}
+			for i, side := range sides {
+				if after := readTree(t, side); !reflect.DeepEqual(after, before[i]) {
+					t.Errorf("the refused open changed %s", filepath.Base(side))
+				}
+			}
+			if _, err := os.Stat(dir); tc.aside && !os.IsNotExist(err) {
+				t.Errorf("the refused open created %s (%v)", filepath.Base(dir), err)
+			}
+		})
 	}
+}
+
+// readTree returns every regular file under dir by its relative path.
+func readTree(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	files := map[string][]byte{}
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		rel, _ := filepath.Rel(dir, path)
+		files[rel] = b
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }

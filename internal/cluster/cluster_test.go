@@ -553,3 +553,17 @@ func TestCoordinatorRejectsMinSyncOffset(t *testing.T) {
 		t.Fatalf("MinSyncOffset through a coordinator = %v, want ErrInvalidRequest", err)
 	}
 }
+
+// TestNodeRefusesRetiredInstallType sends a node message type 11, the
+// retired install, and checks it answers "unknown message type": the
+// number stays unused, so a peer from before the retirement is refused
+// rather than misparsed.
+func TestNodeRefusesRetiredInstallType(t *testing.T) {
+	addr, _ := serveNode(t, NewNode(janus.NewEngine(clusterConfig(), janus.NewBroker()), nil))
+	cl := transport.NewClient(addr)
+	defer cl.Close()
+	_, err := cl.Call(context.Background(), 11, "", []byte("an old install body"))
+	if err == nil || !strings.Contains(err.Error(), "unknown message type 11") {
+		t.Fatalf("type 11 answered %v, want an unknown-message-type refusal", err)
+	}
+}

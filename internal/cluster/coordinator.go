@@ -23,8 +23,8 @@ import (
 // answers COUNT/SUM byte-identically to a group of the same K and the
 // whole v2 HTTP surface, tracing, and metrics run unchanged on top. What
 // the coordinator owns is what only a remote shard set has: the slots (the
-// router's remote backends), the per-call failure policy below, the gates
-// a reshard takes, and the RPC metrics.
+// router's remote backends), the per-call failure policy below, and the
+// RPC metrics.
 //
 // Failure policy, per shard call:
 //
@@ -43,36 +43,13 @@ import (
 //  4. what still fails wraps janus.ErrShardUnavailable with the shard
 //     index (503 on the HTTP surface).
 type Coordinator struct {
-	// layout is the serving slot set — one per shard — and the router over
-	// it, swapped wholesale by Reshard. Methods load it once and work over
-	// that snapshot, so a concurrent layout change never mutates a scatter
-	// mid-flight.
-	layout atomic.Pointer[layout]
-
-	// gate holds ingest out of a reshard: InsertBatch and DeleteBatch take
-	// the read side, Reshard the write side for the whole copy — cluster
-	// writes stall during a layout change while reads keep serving the old
-	// layout.
-	gate sync.RWMutex
-	// swapMu holds queries out of the brief install+swap window at the end
-	// of a reshard, when target nodes already carry new-layout state but
-	// the slot set still routes by the old one.
-	swapMu sync.RWMutex
-	// reshardMu serializes layout changes; a second concurrent Reshard
-	// fails fast with janus.ErrReshardInProgress.
-	reshardMu sync.Mutex
-	// epoch counts completed reshards — the serving layout's generation.
-	epoch atomic.Int64
+	// slots are the serving shards, one per peer, and router scatters over
+	// them; both are fixed at construction.
+	slots  []*slot
+	router *janus.Router
 
 	rpcSeconds *metrics.HistogramVec
 	failovers  *metrics.Counter
-}
-
-// layout is one immutable serving layout: the slots and the router over
-// them.
-type layout struct {
-	slots  []*slot
-	router *janus.Router
 }
 
 // slot is one shard's routing state — the serving client, the optional
@@ -90,7 +67,7 @@ type slot struct {
 
 	// tmplMu guards the lazily fetched template declarations
 	// (registrations are a boot-time affair on every node, so one fetch
-	// serves the slot's lifetime; a reshard builds fresh slots).
+	// serves the slot's lifetime).
 	tmplMu sync.Mutex
 	tmpls  []janus.Template
 }
@@ -99,18 +76,6 @@ type slot struct {
 // (index i serves hash-shard i). standbys maps a shard index to its warm
 // standby's address; shards without one simply cannot fail over.
 func NewCoordinator(peers []string, standbys map[int]string) (*Coordinator, error) {
-	c := &Coordinator{}
-	ly, err := c.newLayout(peers, standbys)
-	if err != nil {
-		return nil, err
-	}
-	c.layout.Store(ly)
-	return c, nil
-}
-
-// newLayout validates a peer list and builds its slots and their router
-// — shared by NewCoordinator and the reshard swap.
-func (c *Coordinator) newLayout(peers []string, standbys map[int]string) (*layout, error) {
 	if len(peers) == 0 {
 		return nil, errors.New("cluster: a coordinator needs at least one peer")
 	}
@@ -119,7 +84,7 @@ func (c *Coordinator) newLayout(peers []string, standbys map[int]string) (*layou
 			return nil, fmt.Errorf("cluster: standby index %d out of range (have %d peers)", i, len(peers))
 		}
 	}
-	slots := make([]*slot, len(peers))
+	c := &Coordinator{slots: make([]*slot, len(peers))}
 	backends := make([]janus.ShardBackend, len(peers))
 	for i, addr := range peers {
 		if addr == "" {
@@ -130,27 +95,27 @@ func (c *Coordinator) newLayout(peers []string, standbys map[int]string) (*layou
 		if sb, ok := standbys[i]; ok && sb != "" {
 			sl.standby = transport.NewClient(sb)
 		}
-		slots[i], backends[i] = sl, sl
+		c.slots[i], backends[i] = sl, sl
 	}
-	return &layout{slots: slots, router: janus.NewRouter(backends)}, nil
+	c.router = janus.NewRouter(backends)
+	return c, nil
 }
-
-func (c *Coordinator) shards() []*slot       { return c.layout.Load().slots }
-func (c *Coordinator) router() *janus.Router { return c.layout.Load().router }
 
 // The coordinator must keep satisfying the server's routing surface — the
 // point of the whole refactor.
 var _ server.Engine = (*Coordinator)(nil)
 
-// NumShards returns the cluster's shard count K.
-func (c *Coordinator) NumShards() int { return len(c.shards()) }
-
-// LayoutEpoch returns how many reshards this coordinator has completed —
-// the serving layout's generation.
-func (c *Coordinator) LayoutEpoch() int64 { return c.epoch.Load() }
-
 // Close discards every pooled connection.
-func (c *Coordinator) Close() { closeSlots(c.shards()) }
+func (c *Coordinator) Close() {
+	for _, sl := range c.slots {
+		sl.client.Load().Close()
+		sl.mu.Lock()
+		if sl.standby != nil {
+			sl.standby.Close()
+		}
+		sl.mu.Unlock()
+	}
+}
 
 // RegisterMetrics exports the coordinator's RPC latency histogram
 // (janusd_rpc_seconds by method), connection-pool gauges, and the
@@ -163,7 +128,7 @@ func (c *Coordinator) RegisterMetrics(reg *metrics.Registry) {
 	pool := func(f func(transport.PoolStats) float64) func() float64 {
 		return func() float64 {
 			var total float64
-			for _, sl := range c.shards() {
+			for _, sl := range c.slots {
 				total += f(sl.client.Load().Stats())
 			}
 			return total
@@ -430,7 +395,7 @@ func (sl *slot) Templates() []string {
 	return names
 }
 
-// --- server.Engine: gates around the router ---------------------------------
+// --- server.Engine: the router over the slots -------------------------------
 
 // Do scatter-gathers one query over every shard node (see janus.Router,
 // which also rejects MinSyncOffset: a coordinator's shard set has no
@@ -439,48 +404,33 @@ func (c *Coordinator) Do(ctx context.Context, req janus.Request) (janus.Response
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// Hold the swap gate shared: a reshard's install+swap window must not
-	// overlap a scatter, or a node reused across layouts could answer from
-	// the new layout while this merge still assumes the old one.
-	c.swapMu.RLock()
-	defer c.swapMu.RUnlock()
 	var began time.Time
 	if req.Trace {
 		began = time.Now()
 	}
-	return c.router().Do(ctx, req, began)
+	return c.router.Do(ctx, req, began)
 }
 
 // InsertBatch is janus.Router.InsertBatch over the shard nodes.
 func (c *Coordinator) InsertBatch(tuples []janus.Tuple) error {
-	// The ingest gate stalls writes for the duration of a reshard: an
-	// acknowledged write either precedes the state reconstruction (the
-	// copy carries it) or follows the swap (it lands in the new layout) —
-	// never in between, where it would be silently lost.
-	c.gate.RLock()
-	defer c.gate.RUnlock()
-	return c.router().InsertBatch(tuples, nil)
+	return c.router.InsertBatch(tuples, nil)
 }
 
 // DeleteBatch is janus.Router.DeleteBatch over the shard nodes.
-func (c *Coordinator) DeleteBatch(ids []int64) (int, error) {
-	c.gate.RLock()
-	defer c.gate.RUnlock()
-	return c.router().DeleteBatch(ids)
-}
+func (c *Coordinator) DeleteBatch(ids []int64) (int, error) { return c.router.DeleteBatch(ids) }
 
 // Stats gathers and merges every shard node's engine stats.
-func (c *Coordinator) Stats() janus.EngineStats { return c.router().Stats() }
+func (c *Coordinator) Stats() janus.EngineStats { return c.router.Stats() }
 
 // StatsFor gathers and merges one template's stats from every shard.
 func (c *Coordinator) StatsFor(template string) (janus.TemplateStats, error) {
-	return c.router().StatsFor(template)
+	return c.router.StatsFor(template)
 }
 
 // Template returns the declaration of the named template.
 func (c *Coordinator) Template(name string) (janus.Template, bool) {
-	return c.router().Template(name)
+	return c.router.Template(name)
 }
 
 // Templates lists the registered template names.
-func (c *Coordinator) Templates() []string { return c.router().Templates() }
+func (c *Coordinator) Templates() []string { return c.router.Templates() }

@@ -9,7 +9,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -35,9 +34,6 @@ type Node struct {
 	eng     *janus.Engine
 	store   *janus.Store // nil on an ephemeral node
 	standby *Standby     // non-nil while in the standby role
-	// observe is re-installed on every engine and store the node comes to
-	// serve, so an install or promotion keeps feeding the same metrics.
-	observe janus.SpanObserver
 
 	// Slow is the node's slow-query sink; the frame's request ID (minted
 	// coordinator-side) is stamped on each record, so coordinator and
@@ -64,34 +60,6 @@ func (n *Node) Engine() *janus.Engine {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	return n.eng
-}
-
-// Store returns the node's current durable store (nil on an ephemeral
-// node). An install swaps engine and store together; a caller pairing the
-// two must read Store first — the worst a racing install then leaves it
-// with is the retired, closed store, which refuses every publish.
-func (n *Node) Store() *janus.Store {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.store
-}
-
-// SetSpanObserver installs fn on the serving engine and store, and on
-// every pair a later install or promotion swaps in.
-func (n *Node) SetSpanObserver(fn janus.SpanObserver) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.observe = fn
-	n.instrumentLocked()
-}
-
-func (n *Node) instrumentLocked() {
-	if n.eng != nil {
-		n.eng.SetSpanObserver(n.observe)
-	}
-	if n.store != nil {
-		n.store.SetSpanObserver(n.observe)
-	}
 }
 
 // broker returns the node's broker regardless of role: the serving
@@ -129,7 +97,6 @@ func (n *Node) Promote() error {
 	n.eng = eng
 	n.store = n.standby.Store()
 	n.standby = nil
-	n.instrumentLocked()
 	return nil
 }
 
@@ -189,9 +156,6 @@ func (n *Node) ServeFrame(f transport.Frame, w *transport.ResponseWriter) {
 			}
 		}
 		replyJSON(w, decls)
-
-	case transport.MsgInstall:
-		n.serveInstall(f, w)
 
 	case transport.MsgStatsFor:
 		eng := n.Engine()
@@ -305,68 +269,6 @@ func (n *Node) serveIngest(f transport.Frame, w *transport.ResponseWriter) {
 	b := eng.Broker()
 	rep.InsLen, rep.DelLen = b.Inserts.Len(), b.Deletes.Len()
 	w.Reply(transport.EncodeIngestReply(rep))
-}
-
-// serveInstall replaces the node's entire local state with the shipped
-// checkpoint image — the node-join half of a coordinator-driven reshard.
-// The image is decoded in full first, so one that cannot be served is
-// refused before anything changes. A durable node then rebuilds its data
-// directory through janus.ReplaceStore, which swaps a staged replica
-// layout in for the old directory — a crash mid-install leaves either the
-// old directory or the new one on disk, never a blend and never neither —
-// and the standard recovery path boots the new engine. An ephemeral node
-// serves the decoded engine. The reply is the node's post-install status.
-func (n *Node) serveInstall(f transport.Frame, w *transport.ResponseWriter) {
-	req, err := transport.DecodeInstallRequest(f.Body)
-	if err != nil {
-		w.Error(fmt.Errorf("cluster: %w: %v", janus.ErrInvalidRequest, err))
-		return
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.standby != nil {
-		w.Error(errStandby())
-		return
-	}
-	eng, _, err := janus.OpenCheckpoint(bytes.NewReader(req.Image), req.Config, janus.NewBroker())
-	if err != nil {
-		w.Error(fmt.Errorf("cluster: install: %w", err))
-		return
-	}
-	if n.store != nil {
-		if err := n.installDurableLocked(req); err != nil {
-			w.Error(err)
-			return
-		}
-	} else {
-		n.eng = eng
-	}
-	n.instrumentLocked()
-	w.Reply(transport.EncodeStatus(n.status()))
-}
-
-// installDurableLocked swaps the image in for the store's directory and
-// recovers it; the caller holds n.mu and has decoded the image. A failure
-// before the old store closes leaves the node serving its old state
-// untouched; after that point the old engine keeps serving reads from
-// memory while the closed store refuses further write acks — the
-// coordinator sees the error and the operator retries the install.
-func (n *Node) installDurableLocked(req transport.InstallRequest) error {
-	dir := n.store.Dir()
-	if err := janus.ReplaceStore(n.store, req.Image); err != nil {
-		return fmt.Errorf("cluster: install: %w", err)
-	}
-	st, err := janus.OpenStore(dir)
-	if err != nil {
-		return fmt.Errorf("cluster: install: %w", err)
-	}
-	eng, _, err := st.Recover(req.Config)
-	if err != nil {
-		_ = st.Close()
-		return fmt.Errorf("cluster: install: %w", err)
-	}
-	n.eng, n.store = eng, st
-	return nil
 }
 
 // serveFetchCheckpoint streams the durable checkpoint image in bounded

@@ -1,6 +1,6 @@
 // File-in-package half of the fsyncrename fixture: the import path ends
-// in internal/cluster and this file is node.go — the install swap
-// publishes a whole data directory by rename, so it is in scope.
+// in internal/cluster and this file is node.go, so a rename here is a
+// publication and in scope.
 package cluster
 
 import "os"

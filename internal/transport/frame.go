@@ -67,11 +67,11 @@ const (
 	// MsgQuery, whose reply is a mergeable partial only a coordinator can
 	// use.
 	MsgClientQuery
-	// MsgInstall replaces a node's entire local state with a shipped
-	// checkpoint image (installReqBody; status reply) — the node-join half
-	// of a coordinator-driven cluster reshard. New message types append
-	// here: the constants are the wire format.
-	MsgInstall
+	// Type 11 was install, a removed coordinator-driven reshard's state
+	// transfer. It stays retired and must never be reused, so an old peer
+	// that sends it gets "unknown message type", not a misparse. New
+	// message types append here: the constants are the wire format.
+	_
 )
 
 // Frame flags.

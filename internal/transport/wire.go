@@ -2,7 +2,6 @@ package transport
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -705,48 +704,6 @@ func (e remoteError) As(target any) bool {
 	return false
 }
 
-// --- MsgInstall -------------------------------------------------------
-
-// InstallRequest carries one target shard's complete state during a
-// coordinator-driven cluster reshard: the checkpoint image the node's new
-// state boots from, plus the engine configuration (already carrying the
-// node's new shard seed) recovery rebuilds synopses with. The whole image
-// rides one frame, so an installable shard is bounded by MaxFrameBytes.
-type InstallRequest struct {
-	Config janus.Config
-	Image  []byte
-}
-
-// EncodeInstallRequest encodes req. The config travels as JSON — it is a
-// boot-time affair, not the data path.
-func EncodeInstallRequest(req InstallRequest) ([]byte, error) {
-	cfg, err := json.Marshal(req.Config)
-	if err != nil {
-		return nil, fmt.Errorf("transport: encoding install config: %w", err)
-	}
-	buf := make([]byte, 0, 8+len(cfg)+len(req.Image))
-	buf = appendBlob(buf, cfg)
-	buf = appendBlob(buf, req.Image)
-	return buf, nil
-}
-
-// DecodeInstallRequest inverts EncodeInstallRequest. The returned image
-// is copied out of p, so it survives the frame buffer's reuse.
-func DecodeInstallRequest(p []byte) (InstallRequest, error) {
-	r := &reader{p: p}
-	cfg := r.blob("install config")
-	img := r.blob("install image")
-	if err := r.done("install request"); err != nil {
-		return InstallRequest{}, err
-	}
-	var req InstallRequest
-	if err := json.Unmarshal(cfg, &req.Config); err != nil {
-		return InstallRequest{}, fmt.Errorf("transport: decoding install config: %w", err)
-	}
-	req.Image = append([]byte(nil), img...)
-	return req, nil
-}
-
 // MethodName names a message type for metrics labels and errors.
 func MethodName(typ byte) string {
 	switch typ {
@@ -770,8 +727,6 @@ func MethodName(typ byte) string {
 		return "stats_for"
 	case MsgClientQuery:
 		return "client_query"
-	case MsgInstall:
-		return "install"
 	default:
 		return fmt.Sprintf("unknown_%d", typ)
 	}

@@ -14,7 +14,7 @@ import (
 // Synopsis and engine persistence. Two granularities:
 //
 //   - SaveTemplate/LoadTemplate move one synopsis between processes;
-//   - Checkpoint/OpenCheckpoint snapshot and restore the whole engine —
+//   - Checkpoint/Store.Recover snapshot and restore the whole engine —
 //     every registered template, its SQL schema, the engine counters, and
 //     the broker offsets the snapshot is consistent with — under a single
 //     update-lock acquisition, so the image is point-in-time: it reflects
@@ -318,27 +318,19 @@ func readCheckpointHeader(dec *gob.Decoder) (checkpointHeader, error) {
 	return hdr, nil
 }
 
-// OpenCheckpoint restores an engine from a checkpoint written by
+// openCheckpoint restores an engine from a checkpoint written by
 // Checkpoint: a fresh engine over b with every template, schema, counter,
 // and watermark the image carries, plus — for a version-2 image — the
 // live-table archive snapshot installed into b's archive. It returns the
 // SyncState the image is consistent with — the engine broker offsets the
-// caller must replay the log tail from (Store.Recover does; for a
-// version-1 image it must first rebuild the archive by replaying the full
-// log prefix).
+// caller must replay the log tail from — and hasArchive, which tells
+// Store.Recover whether the archive was installed from the image
+// (bounded-tail recovery) or must be rebuilt by replaying the full log
+// prefix (version-1 images, which predate compaction).
 //
 // Every template rides the same validation as LoadTemplate and
 // RegisterSchema; corrupted synopsis bytes error (never panic), and a
 // mismatched schema or template declaration wraps ErrSchemaMismatch.
-func OpenCheckpoint(r io.Reader, cfg Config, b *Broker) (*Engine, SyncState, error) {
-	e, state, _, err := openCheckpoint(r, cfg, b)
-	return e, state, err
-}
-
-// openCheckpoint is OpenCheckpoint plus the snapshot manifest: hasArchive
-// tells Store.Recover whether the archive was installed from the image
-// (bounded-tail recovery) or must be rebuilt by replaying the full log
-// prefix (version-1 images, which predate compaction).
 func openCheckpoint(r io.Reader, cfg Config, b *Broker) (*Engine, SyncState, bool, error) {
 	fail := func(err error) (*Engine, SyncState, bool, error) {
 		return nil, SyncState{}, false, err
