@@ -207,6 +207,56 @@ func BenchmarkReinitialize(b *testing.B) {
 	}
 }
 
+// BenchmarkChurn measures the sliding-window write path with the
+// re-partitioning triggers on, over a 3-D and a 1-D template: each op is
+// InsertBatch(512 fresh) + DeleteBatch(512 oldest) + PumpCatchUp, the
+// engine-churn workload's op, so the update path, reservoir re-draws,
+// trigger evaluation and the oracle's median searches all run.
+func BenchmarkChurn(b *testing.B) {
+	const rows, batch = 50000, 512
+	tuples, err := workload.Generate(workload.NYCTaxi, rows, 0, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	br := janus.NewBroker()
+	br.PublishInsertBatch(tuples)
+	eng := janus.NewEngine(janus.Config{
+		LeafNodes: 128, SampleRate: 0.01, CatchUpRate: 0.10, AutoRepartition: true, Seed: 1,
+	}, br)
+	for _, tmpl := range []janus.Template{
+		{Name: "trips3d", PredicateDims: []int{0, 1, 2}, AggIndex: 0, Agg: janus.Sum},
+		{Name: "trips", PredicateDims: []int{0}, AggIndex: 0, Agg: janus.Sum},
+	} {
+		if err := eng.AddTemplate(tmpl); err != nil {
+			b.Fatal(err)
+		}
+	}
+	fresh, err := workload.Generate(workload.NYCTaxi, b.N*batch, 10_000_000, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	window := make([]int64, 0, rows+len(fresh))
+	for _, ts := range [][]janus.Tuple{tuples, fresh} {
+		for _, t := range ts {
+			window = append(window, t.ID)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := eng.InsertBatch(fresh[i*batch : (i+1)*batch]); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := eng.DeleteBatch(window[i*batch : (i+1)*batch]); err != nil {
+			b.Fatal(err)
+		}
+		eng.PumpCatchUp()
+	}
+	b.StopTimer()
+	if elapsed := b.Elapsed().Seconds(); elapsed > 0 {
+		b.ReportMetric(float64(2*b.N*batch)/elapsed, "updates/s")
+	}
+}
+
 // retainedTemplateHeap builds four templates over rows NYCTaxi rows and
 // returns the heap bytes the engine retains for them: HeapAlloc after two
 // collections, minus the same reading taken with only the table loaded.

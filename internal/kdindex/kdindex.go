@@ -10,9 +10,10 @@
 // updates:
 //
 //   - range aggregates: COUNT, Σa, Σa² of all points inside a rectangle,
-//   - rank / order-statistic search along any dimension within a rectangle
+//   - the k-th smallest coordinate along any dimension within a rectangle
 //     (used for the median splits of the k-d partitioner and the
-//     split-in-half max-variance oracle),
+//     split-in-half max-variance oracle): an order-statistic walk in one
+//     dimension, one point report plus a selection in more,
 //   - enumeration of canonical nodes (maximal subtrees fully inside a query
 //     rectangle), used by the AVG max-variance oracle,
 //   - point reporting inside a rectangle (used to materialize per-leaf
@@ -189,7 +190,7 @@ func (t *Tree) rebuildAll() {
 	}
 	entries := make([]Entry, 0, t.root.live)
 	collect(t.root, &entries)
-	t.root = t.build(entries, 0, nil)
+	t.root = t.buildAt(entries, 0, nil)
 }
 
 func (t *Tree) rebuildSubtree(s *node) {
@@ -223,11 +224,8 @@ func collect(n *node, out *[]Entry) {
 	collect(n.right, out)
 }
 
-// build constructs a balanced subtree cycling dimensions starting at dim 0.
-func (t *Tree) build(entries []Entry, dim int, parent *node) *node {
-	return t.buildAt(entries, dim, parent)
-}
-
+// buildAt constructs a balanced subtree whose root splits on dim, cycling
+// dimensions below it.
 func (t *Tree) buildAt(entries []Entry, dim int, parent *node) *node {
 	if len(entries) == 0 {
 		return nil
@@ -332,66 +330,35 @@ func (t *Tree) CountInRange(rect geom.Rect) int64 {
 
 // SelectCoord returns the k-th smallest (0-based) coordinate along dim among
 // live entries inside rect. ok is false when rect holds fewer than k+1
-// entries. The search walks the tree once per candidate refinement, costing
-// O(log · query); exactness comes from selecting among actual stored
-// coordinates rather than bisecting floats.
+// entries. In one dimension it is an order-statistic walk over subtree live
+// counts, O(depth + query). Otherwise it reports the r entries inside rect
+// once and selects among their stored coordinates, O(query + r log r).
 func (t *Tree) SelectCoord(rect geom.Rect, dim, k int) (float64, bool) {
-	total := t.CountInRange(rect)
-	if k < 0 || int64(k) >= total {
+	if k < 0 {
 		return 0, false
 	}
 	if t.dims == 1 {
+		if int64(k) >= t.CountInRange(rect) {
+			return 0, false
+		}
 		// One dimension: the k-d tree is an ordinary BST on the coordinate,
 		// so the k-th coordinate in [lo,hi] is the (rank(lo)+k)-th smallest
-		// overall — an O(depth) order-statistic walk instead of bisection.
+		// overall.
 		below := geom.Rect{Min: geom.Point{math.Inf(-1)},
 			Max: geom.Point{math.Nextafter(rect.Min[0], math.Inf(-1))}}
 		lowRank := t.CountInRange(below)
-		if v, ok := t.selectGlobal1D(int(lowRank) + k); ok {
-			return v, true
-		}
+		return t.selectGlobal1D(int(lowRank) + k)
+	}
+	var coords []float64
+	t.Report(rect, func(e Entry) bool {
+		coords = append(coords, e.Point[dim])
+		return true
+	})
+	if k >= len(coords) {
 		return 0, false
 	}
-	lo, hi := rect.Min[dim], rect.Max[dim]
-	// Bisect on coordinate values: countBelow(x) = live entries in rect with
-	// coord[dim] <= x. Converge to adjacent floats, then snap to the smallest
-	// stored coordinate with rank > k.
-	countThrough := func(x float64) int64 {
-		sub := rect.Clone()
-		if x < sub.Max[dim] {
-			sub.Max[dim] = x
-		}
-		return t.CountInRange(sub)
-	}
-	if math.IsInf(lo, -1) || math.IsInf(hi, 1) {
-		// Clamp to the data's extent along dim for finite bisection.
-		dlo, dhi, ok := t.extentAlong(rect, dim)
-		if !ok {
-			return 0, false
-		}
-		if math.IsInf(lo, -1) {
-			lo = dlo
-		}
-		if math.IsInf(hi, 1) {
-			hi = dhi
-		}
-	}
-	for i := 0; i < 100 && lo < hi; i++ {
-		mid := lo + (hi-lo)/2
-		if mid <= lo || mid >= hi {
-			break
-		}
-		if countThrough(mid) <= int64(k) {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	// hi is now (close to) the k-th coordinate; verify both ends.
-	if countThrough(lo) > int64(k) {
-		return lo, true
-	}
-	return hi, true
+	sort.Float64s(coords)
+	return coords[k], true
 }
 
 // selectGlobal1D returns the k-th smallest (0-based) live coordinate of a
@@ -417,25 +384,6 @@ func (t *Tree) selectGlobal1D(k int) (float64, bool) {
 		n = n.right
 	}
 	return 0, false
-}
-
-// extentAlong returns the min and max coordinate along dim of live entries
-// inside rect.
-func (t *Tree) extentAlong(rect geom.Rect, dim int) (lo, hi float64, ok bool) {
-	lo, hi = math.Inf(1), math.Inf(-1)
-	t.Report(rect, func(e Entry) bool {
-		if c := e.Point[dim]; c < lo {
-			lo = c
-		}
-		if c := e.Point[dim]; c > hi {
-			hi = c
-		}
-		return true
-	})
-	if lo > hi {
-		return 0, 0, false
-	}
-	return lo, hi, true
 }
 
 // CanonicalNode is a maximal subtree region fully inside a query rectangle.

@@ -147,31 +147,81 @@ func TestDuplicateIDPanics(t *testing.T) {
 }
 
 func TestSelectCoordMatchesSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	entries := randomEntries(rng, 400, 2)
+	for _, d := range []int{1, 2, 3, 5} {
+		rng := rand.New(rand.NewSource(int64(9 + d)))
+		entries := randomEntries(rng, 300, d)
+		for i := range entries {
+			if i%3 == 0 { // a third of the points share coarse coordinates
+				for j := range entries[i].Point {
+					entries[i].Point[j] = math.Floor(entries[i].Point[j] / 10)
+				}
+			}
+		}
+		tr := New(d)
+		for _, e := range entries {
+			tr.Insert(e)
+		}
+		live := make(map[int64]bool, len(entries))
+		for _, e := range entries {
+			live[e.ID] = true
+		}
+		for _, e := range entries[:len(entries)/4] { // tombstones, below the rebuild limit
+			tr.Delete(e.ID)
+			delete(live, e.ID)
+		}
+		// The universe, a rect with one infinite side per dimension, and
+		// two finite ones.
+		rects := []geom.Rect{geom.Universe(d), geom.Universe(d)}
+		for j := 0; j < d; j++ {
+			if j%2 == 0 {
+				rects[1].Max[j] = 90
+			} else {
+				rects[1].Min[j] = 5
+			}
+		}
+		for _, side := range [][2]float64{{10, 90}, {20, 40}} {
+			r := geom.Universe(d)
+			for j := 0; j < d; j++ {
+				r.Min[j], r.Max[j] = side[0], side[1]
+			}
+			rects = append(rects, r)
+		}
+		for _, rect := range rects {
+			for dim := 0; dim < d; dim++ {
+				var coords []float64
+				for _, e := range entries {
+					if live[e.ID] && rect.Contains(e.Point) {
+						coords = append(coords, e.Point[dim])
+					}
+				}
+				sort.Float64s(coords)
+				for k, want := range coords {
+					got, ok := tr.SelectCoord(rect, dim, k)
+					if !ok || got != want {
+						t.Fatalf("d=%d %v dim=%d: SelectCoord(k=%d) = %g ok=%v, want %g",
+							d, rect, dim, k, got, ok, want)
+					}
+				}
+				if _, ok := tr.SelectCoord(rect, dim, len(coords)); ok {
+					t.Fatalf("d=%d %v dim=%d: SelectCoord past the end must fail", d, rect, dim)
+				}
+			}
+		}
+	}
+}
+
+// TestSelectCoordReturnsStoredCoordinate pins a median hundreds of binary
+// orders of magnitude from its neighbours: a hundred steps of bisecting
+// float values stop short of it, on a float no entry holds. The answer is
+// the stored 1e-200 exactly.
+func TestSelectCoordReturnsStoredCoordinate(t *testing.T) {
 	tr := New(2)
-	for _, e := range entries {
-		tr.Insert(e)
+	for i, x := range []float64{-1, 1e-200, 1} {
+		tr.Insert(Entry{Point: geom.Point{x, 0}, ID: int64(i)})
 	}
-	rect := geom.NewRect(geom.Point{10, 10}, geom.Point{90, 90})
-	var coords []float64
-	for _, e := range entries {
-		if rect.Contains(e.Point) {
-			coords = append(coords, e.Point[0])
-		}
-	}
-	sort.Float64s(coords)
-	for _, k := range []int{0, 1, len(coords) / 2, len(coords) - 1} {
-		got, ok := tr.SelectCoord(rect, 0, k)
-		if !ok {
-			t.Fatalf("SelectCoord k=%d failed", k)
-		}
-		if got != coords[k] {
-			t.Errorf("SelectCoord(k=%d) = %g, want %g", k, got, coords[k])
-		}
-	}
-	if _, ok := tr.SelectCoord(rect, 0, len(coords)); ok {
-		t.Error("SelectCoord past the end must fail")
+	rect := geom.NewRect(geom.Point{-1, -1}, geom.Point{1, 1})
+	if got, ok := tr.SelectCoord(rect, 0, 1); !ok || got != 1e-200 {
+		t.Errorf("SelectCoord(k=1) = %v ok=%v, want 1e-200", got, ok)
 	}
 }
 
@@ -301,5 +351,32 @@ func TestDuplicateCoordinatesSurviveRebuild(t *testing.T) {
 				t.Fatalf("point query (%d,%d) found %d, want 100", x, y, got)
 			}
 		}
+	}
+}
+
+// BenchmarkSelectCoord3D measures the median search of the k-d partitioner
+// and the SUM oracle over a 1k-point 3-D tree, on a leaf-sized and a
+// root-sized rectangle.
+func BenchmarkSelectCoord3D(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	tr := New(3)
+	for _, e := range randomEntries(rng, 1000, 3) {
+		tr.Insert(e)
+	}
+	for _, bc := range []struct {
+		name string
+		rect geom.Rect
+	}{
+		{"leaf", geom.NewRect(geom.Point{40, 40, 40}, geom.Point{60, 60, 60})},
+		{"root", geom.Universe(3)},
+	} {
+		k := int(tr.CountInRange(bc.rect)/2) - 1
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, ok := tr.SelectCoord(bc.rect, i%3, k); !ok {
+					b.Fatal("SelectCoord failed")
+				}
+			}
+		})
 	}
 }

@@ -149,7 +149,7 @@ func (o *Oracle) maxVarSum(rect geom.Rect) float64 {
 	// dimension; any dimension preserves the 1/4 bound, so pick the widest
 	// finite side (the most informative cut) and fall back to dim 0.
 	dim := widestFiniteDim(rect)
-	half, ok := o.splitHalf(rect, dim, whole.N)
+	half, ok := o.splitHalf(rect, dim, whole)
 	if !ok {
 		return 0
 	}
@@ -170,9 +170,9 @@ func widestFiniteDim(rect geom.Rect) int {
 }
 
 // splitHalf returns the moments of the half of rect (split at the sample
-// median along dim) with the larger Σa².
-func (o *Oracle) splitHalf(rect geom.Rect, dim int, m int64) (stats.Moments, bool) {
-	medianIdx := int(m/2) - 1
+// median along dim) with the larger Σa²; whole holds rect's moments.
+func (o *Oracle) splitHalf(rect geom.Rect, dim int, whole stats.Moments) (stats.Moments, bool) {
+	medianIdx := int(whole.N/2) - 1
 	if medianIdx < 0 {
 		return stats.Moments{}, false
 	}
@@ -185,7 +185,6 @@ func (o *Oracle) splitHalf(rect geom.Rect, dim int, m int64) (stats.Moments, boo
 		left.Max[dim] = x
 	}
 	lm := o.idx.RangeMoments(left)
-	whole := o.idx.RangeMoments(rect)
 	rm := whole
 	rm.Unmerge(lm)
 	if lm.SumSq >= rm.SumSq {

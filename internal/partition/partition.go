@@ -493,7 +493,8 @@ type splitResult struct {
 }
 
 // splitAtMedian cuts rect at the sample median along dim, requiring both
-// halves to be non-empty.
+// halves to be non-empty. The left half holds the median's point, so only
+// the right one needs counting.
 func splitAtMedian(idx *kdindex.Tree, rect geom.Rect, dim int) (splitResult, bool) {
 	n := idx.CountInRange(rect)
 	if n < 2 {
@@ -504,7 +505,7 @@ func splitAtMedian(idx *kdindex.Tree, rect geom.Rect, dim int) (splitResult, boo
 		return splitResult{}, false
 	}
 	left, right := rect.SplitAt(dim, med)
-	if idx.CountInRange(left) == 0 || idx.CountInRange(right) == 0 {
+	if idx.CountInRange(right) == 0 {
 		return splitResult{}, false
 	}
 	return splitResult{left: left, right: right}, true
