@@ -7,7 +7,10 @@ package janus
 import (
 	"context"
 	"errors"
+	"fmt"
 	"janusaqp/internal/broker"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -216,6 +219,81 @@ func TestInsertBatchTypedErrorsAndAtomicity(t *testing.T) {
 	})
 	if re := stats.RelativeError(final.Result.Estimate, before.Result.Estimate+500); re > 1e-9 {
 		t.Errorf("COUNT after valid batch = %g, want %g", final.Result.Estimate, before.Result.Estimate+500)
+	}
+}
+
+// TestNonFiniteAttributesRejected: a NaN or infinite key or value would
+// poison every moment it is folded into, and deleting the tuple again
+// cannot undo it (NaN - NaN is NaN). Both ingest paths refuse it at
+// admission: InsertBatch rejects its whole batch with ErrInvalidRequest
+// naming the tuple and the attribute, and the stream path counts the
+// record as rejected.
+func TestNonFiniteAttributesRejected(t *testing.T) {
+	sumAll := func(eng *Engine) float64 {
+		t.Helper()
+		resp, err := eng.Do(context.Background(), Request{
+			Template: "trips", Query: Query{Func: FuncSum, AggIndex: 0, Rect: Universe(1)},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.Result.Estimate
+	}
+	ok := func(id int64) Tuple { return Tuple{ID: id, Key: Point{100, 200, 300}, Vals: []float64{1, 2, 3}} }
+
+	eng, _ := v2Engine(t)
+	before := sumAll(eng)
+	for i, tc := range []struct {
+		attr string
+		set  func(*Tuple, float64)
+	}{
+		{"key[0]", func(tp *Tuple, v float64) { tp.Key[0] = v }},
+		{"key[2]", func(tp *Tuple, v float64) { tp.Key[2] = v }},
+		{"vals[0]", func(tp *Tuple, v float64) { tp.Vals[0] = v }},
+		{"vals[2]", func(tp *Tuple, v float64) { tp.Vals[2] = v }},
+	} {
+		for j, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			base := int64(7_000_000 + 10*(3*i+j))
+			bad := ok(base + 1)
+			tc.set(&bad, v)
+			err := eng.InsertBatch([]Tuple{ok(base), bad, ok(base + 2)})
+			if !errors.Is(err, ErrInvalidRequest) {
+				t.Fatalf("%s = %g: err = %v, want ErrInvalidRequest", tc.attr, v, err)
+			}
+			if msg := err.Error(); !strings.Contains(msg, fmt.Sprint(base+1)) || !strings.Contains(msg, tc.attr) {
+				t.Errorf("%s = %g: error %q does not name tuple %d and %s", tc.attr, v, msg, base+1, tc.attr)
+			}
+			for _, id := range []int64{base, base + 1, base + 2} {
+				if _, live := eng.Broker().Archive().Get(id); live {
+					t.Fatalf("%s = %g: tuple %d of the rejected batch reached the archive", tc.attr, v, id)
+				}
+			}
+		}
+	}
+	if after := sumAll(eng); math.Float64bits(after) != math.Float64bits(before) {
+		t.Fatalf("SUM moved %g -> %g across rejected batches", before, after)
+	}
+
+	// The stream path skips the record, counts it, and applies the rest.
+	producer := NewBroker()
+	fresh, _ := workload.Generate(workload.NYCTaxi, 20, 8_000_000, 26)
+	for i, tp := range fresh {
+		if i == 10 {
+			poisoned := ok(8_900_000)
+			poisoned.Vals[0] = math.NaN()
+			producer.PublishInsert(poisoned)
+		}
+		producer.PublishInsert(tp)
+	}
+	var st SyncState
+	if applied := eng.Sync(context.Background(), producer, &st); applied != len(fresh) {
+		t.Errorf("Sync applied %d, want %d", applied, len(fresh))
+	}
+	if got := eng.Stats().StreamRejected; got != 1 {
+		t.Errorf("StreamRejected = %d, want 1", got)
+	}
+	if got := sumAll(eng); math.IsNaN(got) || math.IsInf(got, 0) {
+		t.Fatalf("SUM = %g after the stream carried a NaN value", got)
 	}
 }
 

@@ -85,7 +85,7 @@ func BenchmarkAblationPartialRepartition(b *testing.B) {
 
 // --- micro-benchmarks -------------------------------------------------------
 
-func benchEngine(b *testing.B, rows int) (*janus.Engine, []janus.Tuple) {
+func benchEngine(b testing.TB, rows int) (*janus.Engine, []janus.Tuple) {
 	b.Helper()
 	tuples, err := workload.Generate(workload.NYCTaxi, rows, 0, 1)
 	if err != nil {
@@ -152,6 +152,28 @@ func BenchmarkInsertBatch(b *testing.B) {
 	elapsed := b.Elapsed().Seconds()
 	if elapsed > 0 {
 		b.ReportMetric(float64(b.N*batch)/elapsed, "tuples/sec")
+	}
+}
+
+// TestInsertBatchAllocs pins BenchmarkInsertBatch's op at a small constant
+// number of allocations per tuple: fresh tuples walk root-to-leaf paths
+// whose MIN/MAX heaps are full, and a heap push must not allocate.
+func TestInsertBatchAllocs(t *testing.T) {
+	const batch, runs = 512, 4
+	eng, _ := benchEngine(t, 50000)
+	fresh, err := workload.Generate(workload.NYCTaxi, (runs+1)*batch, 10_000_000, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if err := eng.InsertBatch(fresh[i*batch : (i+1)*batch]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if perTuple := allocs / batch; perTuple > 2 {
+		t.Fatalf("InsertBatch allocates %.2f per tuple, want at most 2", perTuple)
 	}
 }
 
@@ -250,6 +272,46 @@ func BenchmarkChurn(b *testing.B) {
 			b.Fatal(err)
 		}
 		eng.PumpCatchUp()
+	}
+	b.StopTimer()
+	if elapsed := b.Elapsed().Seconds(); elapsed > 0 {
+		b.ReportMetric(float64(2*b.N*batch)/elapsed, "updates/s")
+	}
+}
+
+// BenchmarkWindow3D measures the engine-scan3d workload's writer: a 3-D
+// template over 200k NYCTaxi rows at SampleRate 0.05 with the triggers off,
+// each op InsertBatch(512 fresh) + DeleteBatch(512 oldest). Fresh rows
+// arrive in pickup-time order, so this is bare synopsis maintenance: the
+// MIN/MAX heaps on every insert path and the oracle index's scapegoat
+// rebuilds along its right spine.
+func BenchmarkWindow3D(b *testing.B) {
+	const rows, batch = 200_000, 512
+	all, err := workload.Generate(workload.NYCTaxi, rows+b.N*batch, 0, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	br := janus.NewBroker()
+	br.PublishInsertBatch(all[:rows])
+	eng := janus.NewEngine(janus.Config{LeafNodes: 128, SampleRate: 0.05, CatchUpRate: 0.10, Seed: 1}, br)
+	if err := eng.AddTemplate(janus.Template{
+		Name: "trips3d", PredicateDims: []int{0, 1, 2}, AggIndex: 0, Agg: janus.Sum,
+	}); err != nil {
+		b.Fatal(err)
+	}
+	window := make([]int64, len(all))
+	for i, t := range all {
+		window[i] = t.ID
+	}
+	fresh := all[rows:]
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := eng.InsertBatch(fresh[i*batch : (i+1)*batch]); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := eng.DeleteBatch(window[i*batch : (i+1)*batch]); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.StopTimer()
 	if elapsed := b.Elapsed().Seconds(); elapsed > 0 {

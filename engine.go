@@ -3,6 +3,7 @@ package janus
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -112,7 +113,8 @@ type Engine struct {
 	follow watermark
 
 	// streamRejected counts stream records Sync skipped because they failed
-	// validation (schema mismatch, duplicate id) — guarded by statsMu.
+	// validation (schema mismatch, non-finite attribute, duplicate id) —
+	// guarded by statsMu.
 	streamRejected int64
 
 	// spans is the atomically swappable SpanObserver slot; with no
@@ -303,8 +305,9 @@ func (e *Engine) resampler() func(n int) []data.Tuple {
 // round-trip and trigger check per tuple).
 //
 // Validation errors wrap ErrSchemaMismatch (a Key or Vals arity short of a
-// registered template) or ErrDuplicateID (an id already live, or repeated
-// within the batch); on error no state is mutated. Validation runs before
+// registered template), ErrInvalidRequest (a NaN or infinite Key or Vals
+// attribute) or ErrDuplicateID (an id already live, or repeated within the
+// batch); on error no state is mutated. Validation runs before
 // any mutation because a half-applied batch would leave the archive, the
 // topic, and the synopses divergent — a corruption a recovering supervisor
 // (janusd) would then keep serving. Vals arity matters as much as key
@@ -363,6 +366,12 @@ func (e *Engine) admitUpdLocked(t Tuple, arities []arity) error {
 		return fmt.Errorf("janus: %w: tuple %d has %d attributes; one record caps at %d",
 			ErrSchemaMismatch, t.ID, len(t.Key)+len(t.Vals), broker.MaxTupleAttrs)
 	}
+	if err := requireFinite(t.ID, "key", t.Key); err != nil {
+		return err
+	}
+	if err := requireFinite(t.ID, "vals", t.Vals); err != nil {
+		return err
+	}
 	for _, a := range arities {
 		if len(t.Key) <= a.maxDim {
 			return fmt.Errorf("janus: %w: tuple %d has %d key attributes; template %q projects dimension %d",
@@ -371,6 +380,19 @@ func (e *Engine) admitUpdLocked(t Tuple, arities []arity) error {
 		if len(t.Vals) < a.numVals {
 			return fmt.Errorf("janus: %w: tuple %d has %d aggregation attributes; template %q tracks %d",
 				ErrSchemaMismatch, t.ID, len(t.Vals), a.name, a.numVals)
+		}
+	}
+	return nil
+}
+
+// requireFinite rejects a NaN or infinite attribute. One would poison
+// every moment it is folded into for good: deleting the tuple again
+// subtracts NaN or Inf, which leaves NaN behind.
+func requireFinite(id int64, name string, attrs []float64) error {
+	for i, v := range attrs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("janus: %w: tuple %d has %s[%d] = %g; attributes must be finite",
+				ErrInvalidRequest, id, name, i, v)
 		}
 	}
 	return nil

@@ -5,15 +5,17 @@
 // A nested d-level range tree has Θ(m·log^{d-1} m) space, which is
 // impractical at d = 5 even over sample sets; this package substitutes a
 // k-d tree with subtree aggregates, tombstoned deletions, and
-// scapegoat-style partial rebuilding. It supports the same oracle
-// operations the paper's algorithms require, with amortized logarithmic
-// updates:
+// scapegoat-style partial rebuilding. A rebuild relinks the subtree's live
+// nodes level by level around a median found by selection, O(s log s) for
+// s entries, so time-ordered inserts that keep rebuilding the right spine
+// stay cheap. It supports the same oracle operations the paper's
+// algorithms require, with amortized logarithmic updates:
 //
 //   - range aggregates: COUNT, Σa, Σa² of all points inside a rectangle,
 //   - the k-th smallest coordinate along any dimension within a rectangle
 //     (used for the median splits of the k-d partitioner and the
 //     split-in-half max-variance oracle): an order-statistic walk in one
-//     dimension, one point report plus a selection in more,
+//     dimension, one point report plus a quickselect in more,
 //   - enumeration of canonical nodes (maximal subtrees fully inside a query
 //     rectangle), used by the AVG max-variance oracle,
 //   - point reporting inside a rectangle (used to materialize per-leaf
@@ -23,7 +25,6 @@ package kdindex
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"janusaqp/internal/geom"
 	"janusaqp/internal/stats"
@@ -188,20 +189,16 @@ func (t *Tree) rebuildAll() {
 	if t.root == nil {
 		return
 	}
-	entries := make([]Entry, 0, t.root.live)
-	collect(t.root, &entries)
-	t.root = t.buildAt(entries, 0, nil)
+	t.root = t.rebuild(t.root, 0, nil)
 }
 
 func (t *Tree) rebuildSubtree(s *node) {
-	entries := make([]Entry, 0, s.live)
-	collect(s, &entries)
 	parent := s.parent
 	dim := 0
 	if parent != nil {
 		dim = (parent.dim + 1) % t.dims
 	}
-	nn := t.buildAt(entries, dim, parent)
+	nn := t.rebuild(s, dim, parent)
 	switch {
 	case parent == nil:
 		t.root = nn
@@ -213,44 +210,114 @@ func (t *Tree) rebuildSubtree(s *node) {
 	t.bubbleUp(parent)
 }
 
-func collect(n *node, out *[]Entry) {
-	if n == nil {
-		return
-	}
-	collect(n.left, out)
-	if !n.dead {
-		*out = append(*out, n.e)
-	}
-	collect(n.right, out)
+// rebuild relinks the live nodes of the subtree at s into a balanced
+// subtree whose root splits on dim, dropping its tombstones. Live nodes
+// are reused, so byID stays valid and a rebuild allocates only its two
+// scratch slices.
+func (t *Tree) rebuild(s *node, dim int, parent *node) *node {
+	nodes := appendLive(make([]*node, 0, s.live), s)
+	return t.buildAt(nodes, make([]float64, len(nodes)), dim, parent)
 }
 
-// buildAt constructs a balanced subtree whose root splits on dim, cycling
-// dimensions below it.
-func (t *Tree) buildAt(entries []Entry, dim int, parent *node) *node {
-	if len(entries) == 0 {
+func appendLive(out []*node, n *node) []*node {
+	if n == nil {
+		return out
+	}
+	if !n.dead {
+		out = append(out, n)
+	}
+	return appendLive(appendLive(out, n.left), n.right)
+}
+
+// buildAt links nodes into a balanced subtree whose root splits on dim,
+// cycling dimensions below it. keys is scratch parallel to nodes.
+//
+// The root is the node of largest ID among those whose dim coordinate
+// equals c, the coordinate of rank len/2; every other node at or below c
+// goes left and every node above c goes right. That keeps the region
+// invariant "left subtree <= split < right subtree", and it is exactly the
+// split a sort by (coordinate, ID) would pick, so the tree is a function of
+// the entry set alone. One selection per level instead of a sort makes a
+// rebuild of s entries O(s log s).
+func (t *Tree) buildAt(nodes []*node, keys []float64, dim int, parent *node) *node {
+	if len(nodes) == 0 {
 		return nil
 	}
-	mid := len(entries) / 2
-	// Median along dim; nth_element style via full sort is fine at rebuild
-	// granularity (amortized against the updates that triggered it).
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].Point[dim] != entries[j].Point[dim] {
-			return entries[i].Point[dim] < entries[j].Point[dim]
-		}
-		return entries[i].ID < entries[j].ID
-	})
-	// Keep the region invariant "left subtree <= split < right subtree":
-	// duplicates of the median coordinate must all land at or left of mid.
-	for mid+1 < len(entries) && entries[mid+1].Point[dim] == entries[mid].Point[dim] {
-		mid++
+	for i, n := range nodes {
+		keys[i] = n.e.Point[dim]
 	}
-	n := &node{e: entries[mid], dim: dim, parent: parent}
-	t.byID[n.e.ID] = n
+	lt, gt := selectRank(keys, nodes, len(nodes)/2)
+	top := lt
+	for i := lt + 1; i < gt; i++ {
+		if nodes[i].e.ID > nodes[top].e.ID {
+			top = i
+		}
+	}
+	mid := gt - 1
+	nodes[top], nodes[mid] = nodes[mid], nodes[top]
+	n := nodes[mid]
+	n.dim, n.parent = dim, parent
 	next := (dim + 1) % t.dims
-	n.left = t.buildAt(entries[:mid], next, n)
-	n.right = t.buildAt(entries[mid+1:], next, n)
+	n.left = t.buildAt(nodes[:mid], keys[:mid], next, n)
+	n.right = t.buildAt(nodes[gt:], keys[gt:], next, n)
 	n.recompute()
 	return n
+}
+
+// selectRank partially orders keys, moving nodes in step when it is not
+// nil, so that with c the k-th smallest key (0-based), keys[:lt] < c,
+// keys[lt:gt] == c and keys[gt:] > c, where lt <= k < gt. The order is
+// sort.Float64s's, NaN before every number, so it is total on any input.
+// It is a quickselect with three-way partitioning: expected O(len(keys)).
+func selectRank(keys []float64, nodes []*node, k int) (lt, gt int) {
+	swap := func(i, j int) {
+		keys[i], keys[j] = keys[j], keys[i]
+		if nodes != nil {
+			nodes[i], nodes[j] = nodes[j], nodes[i]
+		}
+	}
+	lo, hi := 0, len(keys)
+	for {
+		p := medianOf3(keys[lo], keys[lo+(hi-lo)/2], keys[hi-1])
+		lt, gt = lo, hi
+		for i := lo; i < gt; {
+			switch {
+			case keyLess(keys[i], p):
+				swap(lt, i)
+				lt++
+				i++
+			case keyLess(p, keys[i]):
+				gt--
+				swap(i, gt)
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return lt, gt
+		}
+	}
+}
+
+// keyLess is sort.Float64s's order: NaN sorts before every number.
+func keyLess(a, b float64) bool { return a < b || (a != a && b == b) }
+
+func medianOf3(a, b, c float64) float64 {
+	if keyLess(b, a) {
+		a, b = b, a
+	}
+	if keyLess(c, b) {
+		b = c
+		if keyLess(b, a) {
+			b = a
+		}
+	}
+	return b
 }
 
 // RangeMoments returns the aggregates (count, Σval, Σval²) of live entries
@@ -332,7 +399,7 @@ func (t *Tree) CountInRange(rect geom.Rect) int64 {
 // live entries inside rect. ok is false when rect holds fewer than k+1
 // entries. In one dimension it is an order-statistic walk over subtree live
 // counts, O(depth + query). Otherwise it reports the r entries inside rect
-// once and selects among their stored coordinates, O(query + r log r).
+// once and selects among their stored coordinates, O(query + r) expected.
 func (t *Tree) SelectCoord(rect geom.Rect, dim, k int) (float64, bool) {
 	if k < 0 {
 		return 0, false
@@ -357,7 +424,7 @@ func (t *Tree) SelectCoord(rect geom.Rect, dim, k int) (float64, bool) {
 	if k >= len(coords) {
 		return 0, false
 	}
-	sort.Float64s(coords)
+	selectRank(coords, nil, k)
 	return coords[k], true
 }
 

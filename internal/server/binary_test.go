@@ -183,6 +183,32 @@ func TestBinaryIngestMatchesJSON(t *testing.T) {
 	}
 }
 
+// TestBinaryIngestRejectsNaN: the binary codec carries raw float64 bits,
+// so unlike JSON it can deliver a NaN attribute. The engine's admission
+// refuses it; the server must answer 400 with ErrInvalidRequest restored
+// from the binary error body, and apply nothing of the batch.
+func TestBinaryIngestRejectsNaN(t *testing.T) {
+	eng, tuples := newTestEngine(t, 4000)
+	srv := New(eng, Options{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	fresh, err := workload.Generate(workload.NYCTaxi, 3, 5_000_000, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh[1].Vals[0] = math.NaN()
+	before := eng.Stats().ArchiveRows
+	resp, out := postBinary(t, ts.URL+"/v2/ingest", transport.EncodeIngestRequest(fresh, []int64{tuples[0].ID}))
+	if err := binaryErr(t, resp, out, http.StatusBadRequest); !errors.Is(err, janus.ErrInvalidRequest) {
+		t.Fatalf("NaN ingest error %v, want ErrInvalidRequest", err)
+	}
+	if after := eng.Stats().ArchiveRows; after != before {
+		t.Fatalf("archive rows %d -> %d: a rejected batch was applied", before, after)
+	}
+}
+
 // sentinelForStatus is the JSON client's view of an error: the body is
 // text, so the status is what says which sentinel it was.
 func sentinelForStatus(status int, msg string) error {

@@ -163,10 +163,11 @@ func followLoop(ctx context.Context, source *Broker, state *SyncState, interval 
 //
 // Each polled batch is validated and applied under one acquisition of the
 // update lock — the same amortization as InsertBatch — and malformed
-// records (schema mismatch, duplicate id) are skipped rather than panicking
-// the consumer; skips are counted in EngineStats.StreamRejected. As the
-// insert offset advances it feeds the read-your-writes watermark
-// (FollowOffsets().InsertOffset) that Request.MinSyncOffset waits on.
+// records (schema mismatch, non-finite attribute, duplicate id) are
+// skipped rather than panicking the consumer; skips are counted in
+// EngineStats.StreamRejected. As the insert offset advances it feeds the
+// read-your-writes watermark (FollowOffsets().InsertOffset) that
+// Request.MinSyncOffset waits on.
 //
 // Ordering is per-topic only: each pass drains pending inserts before
 // pending deletes, so cross-topic sequences on the same ID (delete(x)
