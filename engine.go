@@ -3,6 +3,7 @@ package janus
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"slices"
@@ -129,6 +130,9 @@ type Engine struct {
 	// triggersRejected counts candidates whose improvement fell short of
 	// the β bar and were discarded.
 	triggersRejected int
+	// triggersByReason splits both counts by the reason the trigger fired
+	// (core.TriggerReason's String), since this engine was opened.
+	triggersByReason map[string]TriggerTally
 
 	updatesSinceTriggerCheck int
 }
@@ -556,11 +560,23 @@ type EngineStats struct {
 	StreamRejected      int64           `json:"streamRejected"`
 	SyncedInsertOffset  int64           `json:"syncedInsertOffset"`
 	Templates           []TemplateStats `json:"templates"`
+	// TriggersByReason splits TriggersFired and TriggersRejected by the
+	// Section 5.4 test that fired: "under-represented", "variance-drift"
+	// or "flat-leaf-variance". Unlike the totals it is not checkpointed,
+	// so it counts from when the engine was opened.
+	TriggersByReason map[string]TriggerTally `json:"triggersByReason,omitempty"`
 	// Shards carries each shard's own un-merged snapshot when this stats
 	// object came from a ShardGroup — the per-shard breakdown that makes
 	// stragglers and skewed hash placement diagnosable. Empty on a single
 	// engine.
 	Shards []EngineStats `json:"shards,omitempty"`
+}
+
+// TriggerTally counts one trigger reason's firings and the candidate
+// partitionings it led to that were turned down.
+type TriggerTally struct {
+	Fired    int `json:"fired"`
+	Rejected int `json:"rejected"`
 }
 
 // Stats snapshots the engine counters and per-template state under the
@@ -573,6 +589,7 @@ func (e *Engine) Stats() EngineStats {
 		TriggersFired:    e.triggersFired,
 		TriggersRejected: e.triggersRejected,
 		StreamRejected:   e.streamRejected,
+		TriggersByReason: maps.Clone(e.triggersByReason),
 	}
 	e.statsMu.Unlock()
 	st.ArchiveRows = e.broker.Archive().Len()
@@ -609,11 +626,11 @@ func (e *Engine) evaluateTriggersUpdLocked(updates int) {
 	sp := e.spans.start()
 	defer func() { e.spans.end(SpanTriggerEval, 0, sp) }()
 	e.forEachSynUpdLocked(func(s *synopsis) {
-		fired, _ := s.dpt.TriggerPending()
-		if !fired {
+		reason := s.dpt.TriggerPending()
+		if reason == core.TriggerNone {
 			return
 		}
-		e.bumpCounter(&e.triggersFired)
+		e.countTrigger(reason, false)
 		if e.cfg.PartialRepartition {
 			// Appendix E: rebuild only the subtree around the leaf whose
 			// trigger fired, keeping every other node's statistics.
@@ -633,7 +650,7 @@ func (e *Engine) evaluateTriggersUpdLocked(updates int) {
 			// Not enough improvement: keep the partitioning but refresh the
 			// baselines so the same drift does not re-fire immediately.
 			s.apply(func(dpt *core.DPT) { dpt.RefreshBaselines() })
-			e.bumpCounter(&e.triggersRejected)
+			e.countTrigger(reason, true)
 			return
 		}
 		// An empty archive has nothing to rebuild from: the old synopsis
@@ -660,6 +677,25 @@ func (e *Engine) Reinitialize(template string) (time.Duration, error) {
 		return 0, err
 	}
 	return time.Since(start), nil
+}
+
+// countTrigger counts a trigger that fired for reason or, when rejected,
+// the candidate it led to being turned down, under statsMu.
+func (e *Engine) countTrigger(reason core.TriggerReason, rejected bool) {
+	e.statsMu.Lock()
+	defer e.statsMu.Unlock()
+	if e.triggersByReason == nil {
+		e.triggersByReason = make(map[string]TriggerTally)
+	}
+	tally := e.triggersByReason[reason.String()]
+	if rejected {
+		e.triggersRejected++
+		tally.Rejected++
+	} else {
+		e.triggersFired++
+		tally.Fired++
+	}
+	e.triggersByReason[reason.String()] = tally
 }
 
 // bumpCounter increments one of the exported counters under statsMu.

@@ -2,6 +2,7 @@ package janus
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -286,6 +287,69 @@ func TestEngineAutoRepartitionOnSkew(t *testing.T) {
 	}
 	if eng.Stats().Reinits == 0 {
 		t.Error("no re-partition adopted under heavy skew")
+	}
+}
+
+// TestTriggerCountsByReason checks that Stats splits trigger firings and
+// rejected candidates by the reason the trigger fired, that on a fresh
+// engine the split adds up to the totals, and that MergeShardStats sums it
+// across shards.
+func TestTriggerCountsByReason(t *testing.T) {
+	// TestRebuildGolden's churn: a sliding window skewed into a narrow
+	// future pickup window, which both adopts and turns down candidates.
+	b, tuples := seedBroker(t, workload.NYCTaxi, 6000)
+	eng := NewEngine(Config{
+		LeafNodes: 16, SampleRate: 0.03, CatchUpRate: 0.3, Beta: 2,
+		AutoRepartition: true, TriggerCooldown: 200, Seed: 28,
+	}, b)
+	for _, tm := range rebuildTemplates {
+		if err := eng.AddTemplate(tm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(29))
+	nextID := int64(1_000_000)
+	for k := range 40 {
+		batch := make([]Tuple, 50)
+		ids := make([]int64, len(batch))
+		for j := range batch {
+			x := 1e6 + rng.Float64()*1000
+			batch[j] = Tuple{ID: nextID, Key: Point{x, x + 600, math.Mod(x, 86400)}, Vals: []float64{rng.Float64() * 500, rng.Float64() * 200, 1}}
+			nextID++
+			ids[j] = tuples[k*len(batch)+j].ID
+		}
+		if err := eng.InsertBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.DeleteBatch(ids); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := eng.Stats()
+	if st.TriggersFired == 0 || st.TriggersRejected == 0 {
+		t.Fatalf("test setup: %d triggers fired, %d rejected; want both > 0", st.TriggersFired, st.TriggersRejected)
+	}
+	t.Logf("by reason: %+v", st.TriggersByReason)
+	var fired, rejected int
+	for reason, tally := range st.TriggersByReason {
+		switch reason {
+		case "under-represented", "variance-drift", "flat-leaf-variance":
+		default:
+			t.Errorf("unknown trigger reason %q", reason)
+		}
+		if tally.Fired == 0 || tally.Rejected > tally.Fired {
+			t.Errorf("%s: %d fired, %d rejected", reason, tally.Fired, tally.Rejected)
+		}
+		fired, rejected = fired+tally.Fired, rejected+tally.Rejected
+	}
+	if fired != st.TriggersFired || rejected != st.TriggersRejected {
+		t.Errorf("by reason: %d fired, %d rejected; totals %d, %d (%+v)", fired, rejected, st.TriggersFired, st.TriggersRejected, st.TriggersByReason)
+	}
+	merged := MergeShardStats([]EngineStats{st, st})
+	for reason, tally := range st.TriggersByReason {
+		if got, want := merged.TriggersByReason[reason], (TriggerTally{Fired: 2 * tally.Fired, Rejected: 2 * tally.Rejected}); got != want {
+			t.Errorf("merged %s: %+v, want %+v", reason, got, want)
+		}
 	}
 }
 

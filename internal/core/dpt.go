@@ -27,6 +27,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 
@@ -141,15 +142,27 @@ type node struct {
 // with it every floating-point sum — is a deterministic function of the
 // operation history; persistence keeps it, so a recovered engine answers
 // byte-identically. The full tuples live in the reservoir (stratumTuples).
+//
+// lo and hi bound the keys per dimension — a zone map the scan reads before
+// any sample. add widens them; remove leaves them as they are, so they stay
+// a superset that tightens again when the stratum is rebuilt (every re-draw,
+// Decode and App. E rebuild goes through newStratum and add). They are
+// derived state: never encoded, not counted in MemoryFootprint.
 type stratum struct {
 	d, nv      int
 	ids        []int64
 	keys, vals []float64
 	pos        map[int64]int
+	lo, hi     []float64
 }
 
 func newStratum(cfg Config) *stratum {
-	return &stratum{d: cfg.Dims, nv: cfg.NumVals, pos: make(map[int64]int)}
+	s := &stratum{d: cfg.Dims, nv: cfg.NumVals, pos: make(map[int64]int),
+		lo: make([]float64, cfg.Dims), hi: make([]float64, cfg.Dims)}
+	for j := range s.d {
+		s.lo[j], s.hi[j] = math.Inf(1), math.Inf(-1)
+	}
+	return s
 }
 
 // add stores tp under key, its projection onto the predicate dims,
@@ -164,6 +177,9 @@ func (s *stratum) add(tp data.Tuple, key geom.Point) {
 		s.vals = slices.Grow(s.vals, s.nv)[:len(s.vals)+s.nv]
 	}
 	copy(s.keys[i*s.d:], key[:s.d])
+	for j, v := range key[:s.d] {
+		s.lo[j], s.hi[j] = min(s.lo[j], v), max(s.hi[j], v)
+	}
 	for a := range s.nv {
 		s.vals[i*s.nv+a] = tp.Val(a)
 	}
@@ -217,10 +233,9 @@ type DPT struct {
 	seen       map[int64]bool
 	exactStats bool // true once the entire snapshot has been consumed
 
-	// Trigger state.
-	pendingTrigger bool
-	triggerReason  string
-	pendingLeaf    *node
+	// Trigger state: why a trigger fired, and on which leaf.
+	trigger     TriggerReason
+	pendingLeaf *node
 
 	// PartialRepartitions counts Appendix E subtree rebuilds.
 	PartialRepartitions int

@@ -405,7 +405,7 @@ func TestTriggerFiresOnSkewedInserts(t *testing.T) {
 			Vals: []float64{100000 + rng.Float64()*50000, 1},
 		})
 		id++
-		if fired, _ := dpt.TriggerPending(); fired {
+		if dpt.TriggerPending() != TriggerNone {
 			return
 		}
 	}
@@ -416,10 +416,9 @@ func TestTriggerResets(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	tuples := makeTuples(rng, 5000, 0)
 	dpt, _ := buildDPT(t, tuples, defaultCfg())
-	dpt.pendingTrigger = true
-	dpt.triggerReason = "test"
+	dpt.trigger, dpt.pendingLeaf = triggerVarianceDrift, dpt.leaves[0]
 	dpt.ResetTrigger()
-	if fired, reason := dpt.TriggerPending(); fired || reason != "" {
+	if reason := dpt.TriggerPending(); reason != TriggerNone || dpt.pendingLeaf != nil {
 		t.Error("ResetTrigger did not clear state")
 	}
 }

@@ -259,21 +259,81 @@ func (e *terms) partial(f Func) Partial {
 	}
 }
 
+// scanBlock is how many sample indices scan narrows at a time, in a
+// candidate list that lives on the stack.
+const scanBlock = 256
+
 // scan is the one pass over a stratum's samples: it returns the moments of
-// the aggIdx values of those whose projected key falls inside rect.
+// the aggIdx values of those whose projected key falls inside rect, folded
+// in index order. The stratum's key bounds decide each dimension before any
+// sample is read: a dimension rect misses ends the scan, one it spans needs
+// no per-sample test, and the rest are cut dimensions. Block by block, the
+// most selective cut dimension (the smallest overlap share of the bounds)
+// seeds a candidate list, each other one compacts it in place, and the
+// survivors are folded. Selection never reorders, so every floating-point
+// sum matches a plain pass; the per-sample test !(v < lo) && !(v > hi) is
+// the exact negation of that pass's reject, so ±Inf and NaN behave alike.
 func (s *stratum) scan(rect geom.Rect, aggIdx int, ext *stats.ExtremeMerge) (matching stats.Moments) {
 	d, nv := s.d, s.nv
 	lo, hi := rect.Min[:d], rect.Max[:d]
-samples:
-	for i := range s.ids {
-		for j, v := range s.keys[i*d : i*d+d] {
-			if v < lo[j] || v > hi[j] {
-				continue samples
+	seed, share := -1, 0.0
+	for j := range d {
+		if s.hi[j] < lo[j] || s.lo[j] > hi[j] {
+			return matching
+		}
+		if lo[j] <= s.lo[j] && s.hi[j] <= hi[j] {
+			continue
+		}
+		f := (min(hi[j], s.hi[j]) - max(lo[j], s.lo[j])) / (s.hi[j] - s.lo[j])
+		if seed < 0 || f < share {
+			seed, share = j, f
+		}
+	}
+	n := len(s.ids)
+	var buf [scanBlock]int
+	for base := 0; base < n; base += scanBlock {
+		end := min(base+scanBlock, n)
+		k := 0
+		if seed < 0 {
+			for i := base; i < end; i++ {
+				buf[k] = i
+				k++
+			}
+		} else {
+			l, h := lo[seed], hi[seed]
+			for i := base; i < end; i++ {
+				v := s.keys[i*d+seed]
+				buf[k] = i
+				k += b2i(!(v < l)) & b2i(!(v > h))
+			}
+			for j := range d {
+				l, h := lo[j], hi[j]
+				if j == seed || l <= s.lo[j] && s.hi[j] <= h {
+					continue
+				}
+				m := 0
+				for _, i := range buf[:k] {
+					v := s.keys[i*d+j]
+					buf[m] = i
+					m += b2i(!(v < l)) & b2i(!(v > h))
+				}
+				k = m
 			}
 		}
-		fold(&matching, ext, s.vals[i*nv+aggIdx])
+		for _, i := range buf[:k] {
+			fold(&matching, ext, s.vals[i*nv+aggIdx])
+		}
 	}
 	return matching
+}
+
+// b2i is 1 for true and 0 for false; the compiler lowers it to a flag
+// set, so the narrowing passes above do not branch per sample.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // fold adds a matching sample's value to the moments and, if wanted, ext.

@@ -21,12 +21,27 @@ import (
 //
 //	go test -run '^$' -bench AnswerPartialScan3D ./internal/core
 func BenchmarkAnswerPartialScan3D(b *testing.B) {
-	const rows, m = 200_000, 10_000
+	benchAnswerPartial(b, 200_000, 10_000, []int{0, 1, 2})
+}
+
+// BenchmarkAnswerPartialScan1D is the same over a synopsis shaped like the
+// engine-sql1d workload's: 100k taxi rows, a 1% sample (2k pooled) on the
+// 1-D template {0}, 128 leaves from the 1-D partitioner, the same mix.
+//
+//	go test -run '^$' -bench AnswerPartialScan1D ./internal/core
+func BenchmarkAnswerPartialScan1D(b *testing.B) {
+	benchAnswerPartial(b, 100_000, 1_000, []int{0})
+}
+
+// benchAnswerPartial builds a synopsis over rows taxi tuples with m as the
+// sample lower bound (2m pooled), partitioned by the partitioner the
+// engine uses for len(dims), and times AnswerPartial over generated
+// queries.
+func benchAnswerPartial(b *testing.B, rows, m int, dims []int) {
 	tuples, err := workload.Generate(workload.NYCTaxi, rows, 0, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	dims := []int{0, 1, 2}
 	cfg := core.Config{PredicateDims: dims, Dims: len(dims), NumVals: 3, Agg: maxvar.Sum, K: 128, SampleLowerBound: m, Seed: 1}
 	rng := rand.New(rand.NewSource(2))
 	pooled := make([]data.Tuple, 2*m)
@@ -34,12 +49,18 @@ func BenchmarkAnswerPartialScan3D(b *testing.B) {
 		pooled[i] = tuples[j]
 	}
 	o := maxvar.New(cfg.Agg, cfg.Dims, 0.05)
-	o.SetSamplingRate(float64(len(pooled)) / rows)
+	o.SetSamplingRate(float64(len(pooled)) / float64(rows))
 	for _, s := range pooled {
 		o.Insert(kdindex.Entry{Point: s.Project(dims), Val: s.Val(0), ID: s.ID})
 	}
-	bp := partition.KD(o, partition.Options{K: cfg.K, Population: rows})
-	dpt := core.New(cfg, bp, pooled, rows, slices.Clone(tuples), nil)
+	opts := partition.Options{K: cfg.K, Population: int64(rows)}
+	var bp *partition.Blueprint
+	if len(dims) == 1 {
+		bp = partition.BinarySearch1D(o, opts)
+	} else {
+		bp = partition.KD(o, opts)
+	}
+	dpt := core.New(cfg, bp, pooled, int64(rows), slices.Clone(tuples), nil)
 	dpt.CatchUpTarget(0.10)
 
 	mix := []core.Func{core.FuncSum, core.FuncSum, core.FuncSum, core.FuncSum, core.FuncCount,

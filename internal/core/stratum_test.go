@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -13,7 +14,8 @@ import (
 // checkFlatStrata asserts that every stratum's flat store mirrors the
 // reservoir: each id is sampled, indexed by pos, and carries its reservoir
 // tuple's key projected onto the predicate dims and its NumVals values
-// (Tuple.Val, so 0 past the tuple's own).
+// (Tuple.Val, so 0 past the tuple's own), and every key lies within its
+// stratum's [lo, hi] bounds.
 func checkFlatStrata(t *testing.T, dpt *DPT, when string) {
 	t.Helper()
 	d, nv := dpt.cfg.Dims, dpt.cfg.NumVals
@@ -22,6 +24,7 @@ func checkFlatStrata(t *testing.T, dpt *DPT, when string) {
 		if len(s.keys) != len(s.ids)*d || len(s.vals) != len(s.ids)*nv || len(s.pos) != len(s.ids) {
 			t.Fatalf("%s: leaf %d holds %d ids, %d keys, %d vals, %d positions", when, li, len(s.ids), len(s.keys), len(s.vals), len(s.pos))
 		}
+		checkBounds(t, s, fmt.Sprintf("%s: leaf %d", when, li))
 		for i, id := range s.ids {
 			tp, ok := dpt.res.Get(id)
 			if !ok {

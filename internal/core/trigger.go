@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"janusaqp/internal/partition"
@@ -20,8 +19,38 @@ func (t *DPT) noteUpdate(leaf *node) {
 	t.checkLeafTriggers(leaf)
 }
 
+// TriggerReason names the Section 5.4 test that fired a leaf's trigger.
+type TriggerReason uint8
+
+const (
+	// TriggerNone means no trigger is pending.
+	TriggerNone TriggerReason = iota
+	// triggerUnderRepresented: the stratum holds far fewer samples than
+	// the leaf's population calls for.
+	triggerUnderRepresented
+	// triggerVarianceDrift: the leaf's max variance left [M_i/β, β·M_i].
+	triggerVarianceDrift
+	// triggerFlatLeafVariance: a leaf built with no measurable variance
+	// has some now.
+	triggerFlatLeafVariance
+)
+
+func (r TriggerReason) String() string {
+	switch r {
+	case TriggerNone:
+		return "none"
+	case triggerUnderRepresented:
+		return "under-represented"
+	case triggerVarianceDrift:
+		return "variance-drift"
+	case triggerFlatLeafVariance:
+		return "flat-leaf-variance"
+	}
+	return "unknown"
+}
+
 func (t *DPT) checkLeafTriggers(leaf *node) {
-	if t.pendingTrigger {
+	if t.trigger != TriggerNone {
 		return
 	}
 	// Under-representation: |S_i| << log(m)/α means the stratum cannot
@@ -32,9 +61,7 @@ func (t *DPT) checkLeafTriggers(leaf *node) {
 		alpha := float64(m) / float64(t.population)
 		want := math.Log(float64(m)) / alpha
 		if float64(leaf.stratum.len()) < want/4 && t.liveCount(leaf) > want {
-			t.pendingTrigger = true
-			t.pendingLeaf = leaf
-			t.triggerReason = fmt.Sprintf("under-represented stratum: %d samples, want ~%.0f", leaf.stratum.len(), want)
+			t.trigger, t.pendingLeaf = triggerUnderRepresented, leaf
 			return
 		}
 	}
@@ -44,32 +71,27 @@ func (t *DPT) checkLeafTriggers(leaf *node) {
 	beta := t.cfg.Beta
 	if leaf.m0 > 0 {
 		if cur > beta*leaf.m0 || cur < leaf.m0/beta {
-			t.pendingTrigger = true
-			t.pendingLeaf = leaf
-			t.triggerReason = fmt.Sprintf("variance drift: %.3g vs baseline %.3g (beta=%g)", cur, leaf.m0, beta)
+			t.trigger, t.pendingLeaf = triggerVarianceDrift, leaf
 		}
 		return
 	}
 	if cur > 0 && leaf.stratum.len() > 4 {
 		// The leaf had no measurable variance at construction but has some
 		// now; treat any significant mass as drift.
-		t.pendingTrigger = true
-		t.pendingLeaf = leaf
-		t.triggerReason = fmt.Sprintf("variance appeared in flat leaf: %.3g", cur)
+		t.trigger, t.pendingLeaf = triggerFlatLeafVariance, leaf
 	}
 }
 
-// TriggerPending reports whether a trigger fired since the last reset,
-// along with the reason.
-func (t *DPT) TriggerPending() (bool, string) {
-	return t.pendingTrigger, t.triggerReason
+// TriggerPending reports why a trigger fired since the last reset, or
+// TriggerNone.
+func (t *DPT) TriggerPending() TriggerReason {
+	return t.trigger
 }
 
 // ResetTrigger clears the pending trigger (called after the engine decided
 // whether to adopt a new partitioning).
 func (t *DPT) ResetTrigger() {
-	t.pendingTrigger = false
-	t.triggerReason = ""
+	t.trigger = TriggerNone
 	t.pendingLeaf = nil
 }
 

@@ -342,6 +342,15 @@ func MergeShardStats(parts []EngineStats) EngineStats {
 		out.Reinits += st.Reinits
 		out.TriggersFired += st.TriggersFired
 		out.TriggersRejected += st.TriggersRejected
+		for reason, tally := range st.TriggersByReason {
+			if out.TriggersByReason == nil {
+				out.TriggersByReason = make(map[string]TriggerTally)
+			}
+			sum := out.TriggersByReason[reason]
+			sum.Fired += tally.Fired
+			sum.Rejected += tally.Rejected
+			out.TriggersByReason[reason] = sum
+		}
 		out.PartialRepartitions += st.PartialRepartitions
 		out.ArchiveRows += st.ArchiveRows
 		out.StreamRejected += st.StreamRejected
