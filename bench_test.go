@@ -69,9 +69,6 @@ func BenchmarkFigure10Repartition(b *testing.B) { runExperiment(b, experiments.R
 // BenchmarkTable3Partitioning regenerates Table 3 (BS vs DP optimizers).
 func BenchmarkTable3Partitioning(b *testing.B) { runExperiment(b, experiments.RunTable3) }
 
-// BenchmarkTable4Samplers regenerates Table 4 (broker samplers).
-func BenchmarkTable4Samplers(b *testing.B) { runExperiment(b, experiments.RunTable4) }
-
 // BenchmarkAblationBeta sweeps the re-partitioning threshold.
 func BenchmarkAblationBeta(b *testing.B) { runExperiment(b, experiments.RunAblationBeta) }
 

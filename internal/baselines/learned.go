@@ -12,33 +12,21 @@ import (
 
 // Learned is the DeepDB stand-in of the evaluation (Section 6.1.3).
 //
-// Substitution rationale (see DESIGN.md): DeepDB is a relational sum-product
-// network. What the paper measures about it is (1) accuracy that stays flat
-// as data grows, because the model has a fixed parameter budget and a fixed
-// resolution of the data, and (2) re-optimization (re-training) cost that is
-// much higher than JanusAQP's and grows with the training-set size. Both
-// behaviours are reproduced by a fixed-budget density/sum grid trained
-// offline with several refinement passes:
+// DeepDB (Hilprecht et al., VLDB 2020) is a relational sum-product network.
+// The property of it the paper's accuracy comparisons rest on is a fixed
+// parameter budget, and hence a fixed resolution of the data, whatever the
+// data size. The stand-in keeps exactly that and nothing more: a
+// density/sum grid of at most cellBudget cells, filled by one pass over a
+// training sample.
 //
-//   - the model holds at most CellBudget cells regardless of data size, so
-//     its resolution — and hence its error floor — is fixed;
-//   - Train performs Epochs full passes over the training sample (the
-//     second and later passes re-estimate per-cell second moments and
-//     re-fit per-cell linear corrections, standing in for EM-style SPN
-//     refinement), so training cost scales with the sample and dwarfs a
-//     partition-tree rebuild;
-//   - insertions and deletions do not update the model (DeepDB's dynamic
-//     support is limited; the paper re-trains it at every re-optimization).
+//   - Its resolution, and hence its error floor, does not grow with the
+//     data.
+//   - Insertions and deletions do not update it (DeepDB's dynamic support
+//     is limited; the paper re-trains it at every re-optimization).
+//   - It is not an SPN, so its training time says nothing about DeepDB's:
+//     the experiments do not report it.
 type Learned struct {
 	aggIndex int
-	// Epochs is the number of refinement passes per training run.
-	Epochs int
-	// Clusters is the number of row clusters fitted per refinement pass;
-	// together with Epochs it calibrates per-row training cost to the
-	// published DeepDB/Janus re-optimization ratio (see DESIGN.md).
-	Clusters int
-	// CellBudget caps the total number of grid cells.
-	CellBudget int
 
 	dims    int
 	bounds  geom.Rect
@@ -48,22 +36,17 @@ type Learned struct {
 	scale   float64 // population / training-sample size
 }
 
+// cellBudget caps the total number of grid cells.
+const cellBudget = 8192
+
 type learnedCell struct {
-	count  float64
-	sum    float64
-	sumsq  float64
-	slope  float64 // per-cell linear correction fitted in later epochs
-	center float64
+	count float64
+	sum   float64
 }
 
 // NewLearned returns an untrained model; call Train before answering.
-// The default Epochs and Clusters are calibrated so that training costs
-// on the order of 100µs per training row — DeepDB's published rate (a
-// ~60MB SPN over 770k rows trains in ~100s) — which is what makes the
-// re-optimization-cost comparison of Figures 5 and 9 meaningful at any
-// dataset scale.
 func NewLearned(dims, aggIndex int) *Learned {
-	return &Learned{aggIndex: aggIndex, dims: dims, Epochs: 40, Clusters: 128, CellBudget: 8192}
+	return &Learned{aggIndex: aggIndex, dims: dims}
 }
 
 // Name implements System.
@@ -76,8 +59,7 @@ func (l *Learned) Insert(data.Tuple) {}
 func (l *Learned) Delete(data.Tuple) {}
 
 // Train fits the model from scratch on the training sample, scaling to the
-// given population. Training cost is real work proportional to
-// Epochs × |train|, reproducing the re-training cost curve of Figure 5.
+// given population: one histogram pass over the sample.
 func (l *Learned) Train(train []data.Tuple, population int64) {
 	if len(train) == 0 {
 		l.trained = false
@@ -105,7 +87,7 @@ func (l *Learned) Train(train []data.Tuple, population int64) {
 		}
 	}
 	l.bounds = geom.Rect{Min: min, Max: max}
-	l.perDim = int(math.Floor(math.Pow(float64(l.CellBudget), 1/float64(l.dims))))
+	l.perDim = int(math.Floor(math.Pow(cellBudget, 1/float64(l.dims))))
 	if l.perDim < 2 {
 		l.perDim = 2
 	}
@@ -115,58 +97,10 @@ func (l *Learned) Train(train []data.Tuple, population int64) {
 	}
 	l.cells = make([]learnedCell, total)
 	l.scale = float64(population) / float64(len(train))
-	// Epoch 1: histogram pass.
 	for _, t := range train {
 		c := &l.cells[l.cellOf(t.Key)]
-		v := t.Val(l.aggIndex)
 		c.count++
-		c.sum += v
-		c.sumsq += v * v
-	}
-	// Later epochs: refinement passes fitting a row-cluster mixture and
-	// per-cell corrections — genuine EM-style work (assignment + centroid
-	// updates every pass), standing in for SPN structure refinement so the
-	// measured training time has the cost structure of a learned synopsis.
-	centroids := make([][]float64, l.Clusters)
-	weights := make([]float64, l.Clusters)
-	for i := range centroids {
-		centroids[i] = make([]float64, l.dims)
-		t := train[(i*len(train))/l.Clusters]
-		copy(centroids[i], t.Key[:l.dims])
-	}
-	for e := 1; e < l.Epochs; e++ {
-		for i := range weights {
-			weights[i] = 0
-		}
-		for _, t := range train {
-			// Assignment step over all clusters.
-			best, bestD := 0, math.Inf(1)
-			for ci, cen := range centroids {
-				d := 0.0
-				for j := 0; j < l.dims; j++ {
-					diff := t.Key[j] - cen[j]
-					d += diff * diff
-				}
-				if d < bestD {
-					best, bestD = ci, d
-				}
-			}
-			weights[best]++
-			// Online centroid update.
-			step := 1 / weights[best]
-			for j := 0; j < l.dims; j++ {
-				centroids[best][j] += (t.Key[j] - centroids[best][j]) * step
-			}
-			// Per-cell drift correction.
-			c := &l.cells[l.cellOf(t.Key)]
-			v := t.Val(l.aggIndex)
-			mean := 0.0
-			if c.count > 0 {
-				mean = c.sum / c.count
-			}
-			c.slope += (v - mean - c.slope) / float64(e*len(train))
-			c.center = t.Key[0]
-		}
+		c.sum += t.Val(l.aggIndex)
 	}
 	l.trained = true
 }

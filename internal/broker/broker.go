@@ -1,5 +1,5 @@
 // Package broker is the in-process stand-in for the Apache Kafka deployment
-// JanusAQP runs on (Section 3.2 and Appendix A of the paper).
+// JanusAQP runs on (Section 3.2 of the paper).
 //
 // It preserves exactly the properties the system relies on:
 //
@@ -8,9 +8,7 @@
 //     queries are streams);
 //   - batch polling: Poll(offset, max) returns up to max records starting at
 //     an offset, like the Kafka consumer API, with *no* random-access reads
-//     other than by offset — which is what makes uniform sampling from the
-//     log non-trivial and motivates the singleton/sequential samplers of
-//     Appendix A;
+//     other than by offset;
 //   - archival storage: the broker retains the full log, and additionally
 //     maintains a live-table Archive supporting uniform random sampling of
 //     the *current* database state, used for reservoir re-draws and
@@ -19,9 +17,8 @@
 //     growth: once a checkpoint pins a live-table snapshot, the log prefix
 //     below it is redundant and CompactTo drops it from memory and disk.
 //
-// Network and API overheads are modeled with a deterministic per-poll cost
-// model instead of real I/O so that the Table 4 sampler experiment is
-// reproducible on any machine; see CostModel.
+// Everything runs in process, so it has no network or API costs to report:
+// Appendix A's sampler costs (Table 4) are not measured by this package.
 package broker
 
 import (

@@ -156,94 +156,6 @@ func TestBrokerPublish(t *testing.T) {
 	}
 }
 
-func TestSingletonSampler(t *testing.T) {
-	b := New()
-	const n = 1000
-	for i := int64(0); i < n; i++ {
-		b.PublishInsert(tup(i))
-	}
-	rng := rand.New(rand.NewSource(2))
-	res := SingletonSample(b.Inserts, 100, rng, DefaultCostModel())
-	if len(res.Tuples) != 100 {
-		t.Fatalf("collected %d samples, want 100", len(res.Tuples))
-	}
-	if res.Polls < 100 {
-		t.Errorf("polls = %d, must be >= samples", res.Polls)
-	}
-	seen := map[int64]bool{}
-	for _, x := range res.Tuples {
-		if seen[x.ID] {
-			t.Error("duplicate sample from singleton sampler")
-		}
-		seen[x.ID] = true
-	}
-	if res.SimMillis <= 0 {
-		t.Error("simulated time must be positive")
-	}
-}
-
-func TestSequentialSampler(t *testing.T) {
-	b := New()
-	const n = 10000
-	for i := int64(0); i < n; i++ {
-		b.PublishInsert(tup(i))
-	}
-	rng := rand.New(rand.NewSource(3))
-	res := SequentialSample(b.Inserts, 500, 1000, rng, DefaultCostModel())
-	if res.Polls != 10 {
-		t.Errorf("polls = %d, want 10 full-scan batches", res.Polls)
-	}
-	if res.Transferred != n {
-		t.Errorf("transferred = %d, want %d (full scan)", res.Transferred, n)
-	}
-	// Sample size concentrates around the target (binomial, ±5 sigma).
-	if len(res.Tuples) < 350 || len(res.Tuples) > 650 {
-		t.Errorf("sample size = %d, want ~500", len(res.Tuples))
-	}
-}
-
-func TestSamplerCostShape(t *testing.T) {
-	// The Table 4 shape: singleton total time exceeds large-batch sequential
-	// for big sample requests, while per-poll cost grows with batch size.
-	b := New()
-	const n = 100000
-	for i := int64(0); i < n; i++ {
-		b.PublishInsert(tup(i))
-	}
-	cost := DefaultCostModel()
-	rng := rand.New(rand.NewSource(4))
-	single := SingletonSample(b.Inserts, 30000, rng, cost)
-	seq := SequentialSample(b.Inserts, 30000, 10000, rng, cost)
-	if single.SimMillis <= seq.SimMillis {
-		t.Errorf("singleton (%.1fms) should be slower than batched sequential (%.1fms) at 30%% sample rate",
-			single.SimMillis, seq.SimMillis)
-	}
-	// At a tiny sample rate, singleton wins.
-	single = SingletonSample(b.Inserts, 100, rng, cost)
-	seq = SequentialSample(b.Inserts, 100, 10000, rng, cost)
-	if single.SimMillis >= seq.SimMillis {
-		t.Errorf("singleton (%.1fms) should beat sequential full scan (%.1fms) at 0.1%% sample rate",
-			single.SimMillis, seq.SimMillis)
-	}
-}
-
-func TestSamplerEdgeCases(t *testing.T) {
-	empty := &Topic{}
-	rng := rand.New(rand.NewSource(5))
-	if res := SingletonSample(empty, 10, rng, DefaultCostModel()); len(res.Tuples) != 0 {
-		t.Error("sampling an empty topic must return nothing")
-	}
-	if res := SequentialSample(empty, 10, 5, rng, DefaultCostModel()); len(res.Tuples) != 0 {
-		t.Error("sequential sampling an empty topic must return nothing")
-	}
-	tp := &Topic{}
-	tp.Append(Record{Tuple: tup(1)})
-	res := SingletonSample(tp, 100, rng, DefaultCostModel())
-	if len(res.Tuples) != 1 {
-		t.Errorf("requesting more samples than records should clamp: got %d", len(res.Tuples))
-	}
-}
-
 func TestArchiveDuplicateInsertPanics(t *testing.T) {
 	a := NewArchive()
 	a.Insert(tup(1))

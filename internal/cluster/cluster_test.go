@@ -375,7 +375,8 @@ func TestClusterFailoverDrill(t *testing.T) {
 	b0 := s0.store.Broker()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		ins, del := sb.Offsets()
+		sbb := sb.Store().Broker()
+		ins, del := sbb.Inserts.Len(), sbb.Deletes.Len()
 		if ins >= b0.Inserts.Len() && del >= b0.Deletes.Len() {
 			break
 		}

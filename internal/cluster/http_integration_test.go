@@ -235,7 +235,8 @@ func TestClusterHTTPIntegration(t *testing.T) {
 	b0 := shards[0].store.Broker()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		ins, del := sb.Offsets()
+		sbb := sb.Store().Broker()
+		ins, del := sbb.Inserts.Len(), sbb.Deletes.Len()
 		if ins >= b0.Inserts.Len() && del >= b0.Deletes.Len() {
 			break
 		}

@@ -66,14 +66,6 @@ func NewStandby(ctx context.Context, dir string, primary *transport.Client, cfg 
 // Store returns the standby's local replicated store.
 func (s *Standby) Store() *janus.Store { return s.store }
 
-// Offsets reports the standby's replicated log lengths — how caught up it
-// is. A standby is eligible for promotion once these reach the
-// coordinator's acknowledged-write watermark.
-func (s *Standby) Offsets() (ins, del int64) {
-	b := s.store.Broker()
-	return b.Inserts.Len(), b.Deletes.Len()
-}
-
 // Pull replicates whatever the primary's topics hold beyond the standby's
 // position, returning how many records landed. Network errors are
 // returned as-is (the caller's loop retries — a briefly unreachable

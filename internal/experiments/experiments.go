@@ -1,13 +1,14 @@
 // Package experiments reproduces every table and figure of the JanusAQP
-// evaluation (Section 6 plus Appendix A). Each Run* function regenerates
-// one artifact and returns it as a printable Table; cmd/janusbench exposes
-// them on the command line and bench_test.go wraps them as Go benchmarks.
+// evaluation (Section 6). Each Run* function regenerates one artifact and
+// returns it as a printable Table; cmd/janusbench exposes them on the
+// command line and bench_test.go wraps them as Go benchmarks.
 //
 // Absolute numbers differ from the paper (different hardware, synthetic
 // data analogues, scaled row counts), but each runner preserves the shape
 // the paper reports: which system wins, by roughly what factor, and where
-// the crossovers fall. EXPERIMENTS.md records paper-vs-measured for every
-// artifact.
+// the crossovers fall. Each Table ends with a "shape check" note that states
+// the paper's claim, or says that a quantity is not measured here; the
+// shape tests in experiments_test.go assert looser variants of some notes.
 package experiments
 
 import (

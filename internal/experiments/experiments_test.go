@@ -12,7 +12,6 @@ func quick() Options { return Options{Quick: true, Seed: 1} }
 // cell parses a table cell like "1.23%" or "0.456s" or "1234" to a float.
 func cell(t *testing.T, s string) float64 {
 	t.Helper()
-	s = strings.TrimSuffix(s, "ms(sim)")
 	s = strings.TrimSuffix(s, "%")
 	s = strings.TrimSuffix(s, "ms")
 	s = strings.TrimSuffix(s, "s")
@@ -78,14 +77,6 @@ func TestFigure5Shape(t *testing.T) {
 			t.Errorf("insert throughput %.0f req/s implausibly low", ins)
 		}
 	}
-	// Re-optimization: Janus's fixed setup cost can exceed model training
-	// on very small data; the paper's claim is about scaling, so assert at
-	// the largest ratio (where the quick run is still 30x below the
-	// paper's smallest configuration).
-	last := tbl.Rows[len(tbl.Rows)-1]
-	if reopt, retrain := cell(t, last[3]), cell(t, last[4]); reopt > retrain {
-		t.Errorf("at the largest ratio Janus re-opt (%.3fs) should beat learned re-training (%.3fs)", reopt, retrain)
-	}
 	// Throughput roughly flat across ratios: max/min within 5x.
 	insFirst, insLast := cell(t, tbl.Rows[0][1]), cell(t, tbl.Rows[len(tbl.Rows)-1][1])
 	if insFirst/insLast > 5 || insLast/insFirst > 5 {
@@ -120,8 +111,8 @@ func TestFigure7Shape(t *testing.T) {
 	}
 	t.Log("\n" + render(t, tbl))
 	for _, r := range tbl.Rows {
-		if goal, reached := cell(t, r[0]), cell(t, r[5]); reached < goal {
-			t.Errorf("catch-up goal %s: the synopsis reached only %s", r[0], r[5])
+		if goal, reached := cell(t, r[0]), cell(t, r[4]); reached < goal {
+			t.Errorf("catch-up goal %s: the synopsis reached only %s", r[0], r[4])
 		}
 	}
 	first := cell(t, tbl.Rows[0][1])
@@ -165,12 +156,6 @@ func TestFigure9Shape(t *testing.T) {
 	if wins == 0 {
 		t.Error("Janus never beat the learned model on 5-D error")
 	}
-	// Re-optimization cost: assert at the largest progress point, where
-	// data volume rather than fixed setup cost dominates.
-	last := tbl.Rows[len(tbl.Rows)-1]
-	if reopt, retrain := cell(t, last[3]), cell(t, last[4]); reopt > retrain {
-		t.Errorf("at 90%% progress Janus re-opt (%.3fs) should beat learned re-training (%.3fs)", reopt, retrain)
-	}
 }
 
 func TestFigure10Shape(t *testing.T) {
@@ -202,32 +187,6 @@ func TestTable3Shape(t *testing.T) {
 		if cell(t, r[2]) > cell(t, r[1])*2+0.001 {
 			t.Errorf("k=%s: BS (%ss) should not be slower than DP (%ss)", r[0], r[2], r[1])
 		}
-	}
-}
-
-func TestTable4Shape(t *testing.T) {
-	tbl, err := RunTable4(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + render(t, tbl))
-	if len(tbl.Rows) < 4 {
-		t.Fatalf("rows = %d", len(tbl.Rows))
-	}
-	// Sequential total time decreases (or flattens) as pollSize grows.
-	prev := cell(t, tbl.Rows[1][2])
-	for _, r := range tbl.Rows[2:] {
-		cur := cell(t, r[2])
-		if cur > prev*1.3 {
-			t.Errorf("sequential cost rose sharply at pollSize %s: %.0f -> %.0f", r[0], prev, cur)
-		}
-		prev = cur
-	}
-	// Singleton at a 33% sampling rate must be slower than big-batch scans.
-	single := cell(t, tbl.Rows[0][2])
-	bigBatch := cell(t, tbl.Rows[len(tbl.Rows)-1][2])
-	if single < bigBatch {
-		t.Errorf("singleton (%.0f) should lose to big-batch sequential (%.0f) at a 33%% rate", single, bigBatch)
 	}
 }
 

@@ -334,13 +334,10 @@ var orphanAllowlist = map[string]string{
 	// References tests compare against.
 	"(*janusaqp/internal/maxvar.Oracle).BruteForce1D": "reference: the O(m²) exact answer MaxVariance is checked against",
 	"janusaqp/internal/transport.DecodeFrame":         "reference: the byte-slice decoder ReadFrame is checked against, and the frame fuzz target",
-	"(*janusaqp/internal/stats.Moments).Remove":       "the inverse of Add, the identity the moments tests check Merge/Unmerge and the variance clamp with",
-	"(*janusaqp/internal/metrics.Histogram).Count":    "the total the histogram tests assert; exposition sums the buckets inline",
 
 	// Kept surface without a caller yet.
-	"janusaqp/internal/workload.LoadCSV":           "the loader for the paper's real datasets, which wait until their files are in the repository",
-	"janusaqp/internal/baselines.System":           "the shape every comparison system shares; its test pins RS, SRS and Learned to it",
-	"(*janusaqp/internal/cluster.Standby).Offsets": "promotion readiness, which the standby failover tests wait on",
+	"janusaqp/internal/workload.LoadCSV": "the loader for the paper's real datasets, which wait until their files are in the repository",
+	"janusaqp/internal/baselines.System": "the shape every comparison system shares; its test pins RS, SRS and Learned to it",
 }
 
 // objectKey names obj by package path and name, with its receiver for a

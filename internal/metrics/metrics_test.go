@@ -36,13 +36,32 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 }
 
+// count reads h's observation total the way a scraper does: from the
+// _count line of its exposition, the sum of its buckets.
+func count(t *testing.T, h *Histogram) uint64 {
+	t.Helper()
+	var b strings.Builder
+	writeHistogramBody(&b, "h", "", h)
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, "h_count "); ok {
+			n, err := strconv.ParseUint(v, 10, 64)
+			if err != nil {
+				t.Fatalf("parsing %q: %v", line, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("no _count line in:\n%s", b.String())
+	return 0
+}
+
 func TestHistogramCountSum(t *testing.T) {
 	h := NewHistogram([]float64{0.01, 0.1, 1})
 	for _, v := range []float64{0.005, 0.05, 0.5, 5} {
 		h.Observe(v)
 	}
-	if got := h.Count(); got != 4 {
-		t.Fatalf("Count() = %d, want 4", got)
+	if got := count(t, h); got != 4 {
+		t.Fatalf("count = %d, want 4", got)
 	}
 	if got := h.Sum(); math.Abs(got-5.555) > 1e-9 {
 		t.Fatalf("Sum() = %g, want 5.555", got)
@@ -108,10 +127,10 @@ func TestHistogramVecSeries(t *testing.T) {
 	v.With("0").Observe(0.001)
 	v.With("1").Observe(0.002)
 	v.With("1").Observe(0.003)
-	if got := v.With("1").Count(); got != 2 {
+	if got := count(t, v.With("1")); got != 2 {
 		t.Fatalf("shard=1 count = %d, want 2", got)
 	}
-	if got := v.With("0").Count(); got != 1 {
+	if got := count(t, v.With("0")); got != 1 {
 		t.Fatalf("shard=0 count = %d, want 1", got)
 	}
 }
@@ -131,7 +150,7 @@ func TestVecConcurrent(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if got := v.With("0").Count() + v.With("1").Count(); got != 8000 {
+	if got := count(t, v.With("0")) + count(t, v.With("1")); got != 8000 {
 		t.Fatalf("total across series = %d, want 8000", got)
 	}
 }

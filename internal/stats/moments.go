@@ -24,13 +24,6 @@ func (m *Moments) Add(v float64) {
 	m.SumSq += v * v
 }
 
-// Remove deletes one previously recorded observation.
-func (m *Moments) Remove(v float64) {
-	m.N--
-	m.Sum -= v
-	m.SumSq -= v * v
-}
-
 // Merge folds other into m.
 func (m *Moments) Merge(other Moments) {
 	m.N += other.N

@@ -7,6 +7,14 @@ import (
 	"testing/quick"
 )
 
+// one is the Moments of the single observation v, so that Unmerge(one(v))
+// removes v.
+func one(v float64) Moments {
+	var m Moments
+	m.Add(v)
+	return m
+}
+
 func TestMomentsAddRemove(t *testing.T) {
 	var m Moments
 	vals := []float64{3, 1, 4, 1, 5, 9, 2, 6}
@@ -21,7 +29,7 @@ func TestMomentsAddRemove(t *testing.T) {
 	}
 	// Remove everything; moments should return to zero (within epsilon).
 	for _, v := range vals {
-		m.Remove(v)
+		m.Unmerge(one(v))
 	}
 	if m.N != 0 || math.Abs(m.Sum) > 1e-9 || math.Abs(m.SumSq) > 1e-9 {
 		t.Errorf("after removal: %+v, want zeroed", m)
@@ -96,7 +104,7 @@ func TestVarianceNeverNegative(t *testing.T) {
 		// Remove half to stress cancellation.
 		for i, v := range vals {
 			if i%2 == 0 {
-				m.Remove(v)
+				m.Unmerge(one(v))
 			}
 		}
 		return m.Variance() >= 0

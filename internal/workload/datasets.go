@@ -4,8 +4,7 @@
 // and an indexed exact ground-truth engine.
 //
 // The real datasets are not redistributable inside this repository, so each
-// generator reproduces the documented statistical shape that drives the
-// experiments (see DESIGN.md, Substitutions):
+// generator reproduces the statistical shape that drives the experiments:
 //
 //   - Intel Wireless: time-ordered sensor readings whose light attribute
 //     follows a diurnal on/off cycle with bursty noise — highly non-uniform

@@ -312,7 +312,7 @@ func (r *Router) Stats() EngineStats {
 }
 
 // StatsFor gathers and merges one template's stats from every shard
-// (MergeShardTemplateStats).
+// (mergeShardTemplateStats).
 func (r *Router) StatsFor(template string) (TemplateStats, error) {
 	parts := make([]TemplateStats, len(r.backends))
 	errs := make([]error, len(parts))
@@ -320,7 +320,7 @@ func (r *Router) StatsFor(template string) (TemplateStats, error) {
 	if err := firstShardErr(errs); err != nil {
 		return TemplateStats{}, err
 	}
-	return MergeShardTemplateStats(parts), nil
+	return mergeShardTemplateStats(parts), nil
 }
 
 // Template returns the declaration of the named template. Registrations

@@ -303,10 +303,10 @@ func (g *ShardGroup) StatsFor(template string) (TemplateStats, error) {
 // the synced insert offset reports the group watermark.
 func (g *ShardGroup) Stats() EngineStats { return g.layout.Load().router.Stats() }
 
-// MergeShardTemplateStats merges one template's per-shard synopsis stats
+// mergeShardTemplateStats merges one template's per-shard synopsis stats
 // into a group-wide view: sizes and populations add; catch-up progress
 // reports the least caught-up shard.
-func MergeShardTemplateStats(parts []TemplateStats) TemplateStats {
+func mergeShardTemplateStats(parts []TemplateStats) TemplateStats {
 	var out TemplateStats
 	for i, st := range parts {
 		if i == 0 {
