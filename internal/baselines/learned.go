@@ -21,8 +21,8 @@ import (
 //
 //   - Its resolution, and hence its error floor, does not grow with the
 //     data.
-//   - Insertions and deletions do not update it (DeepDB's dynamic support
-//     is limited; the paper re-trains it at every re-optimization).
+//   - It has no update path: only Train changes it (DeepDB's dynamic
+//     support is limited; the paper re-trains it at every re-optimization).
 //   - It is not an SPN, so its training time says nothing about DeepDB's:
 //     the experiments do not report it.
 type Learned struct {
@@ -48,15 +48,6 @@ type learnedCell struct {
 func NewLearned(dims, aggIndex int) *Learned {
 	return &Learned{aggIndex: aggIndex, dims: dims}
 }
-
-// Name implements System.
-func (l *Learned) Name() string { return "Learned(DeepDB-substitute)" }
-
-// Insert implements System; the model ignores dynamic updates by design.
-func (l *Learned) Insert(data.Tuple) {}
-
-// Delete implements System; the model ignores dynamic updates by design.
-func (l *Learned) Delete(data.Tuple) {}
 
 // Train fits the model from scratch on the training sample, scaling to the
 // given population: one histogram pass over the sample.
@@ -122,51 +113,13 @@ func (l *Learned) cellOf(p geom.Point) int {
 	return idx
 }
 
-// cellRect reconstructs the rectangle of a flattened cell index.
-func (l *Learned) cellRect(idx int) geom.Rect {
-	min := make(geom.Point, l.dims)
-	max := make(geom.Point, l.dims)
-	for j := l.dims - 1; j >= 0; j-- {
-		k := idx % l.perDim
-		idx /= l.perDim
-		w := (l.bounds.Max[j] - l.bounds.Min[j]) / float64(l.perDim)
-		min[j] = l.bounds.Min[j] + float64(k)*w
-		max[j] = min[j] + w
-	}
-	return geom.Rect{Min: min, Max: max}
-}
-
 // Answer evaluates the query against the grid, assuming uniformity within
 // each cell (the fixed-resolution error source).
 func (l *Learned) Answer(q core.Query) (core.Result, error) {
 	if !l.trained {
 		return core.Result{}, fmt.Errorf("baselines: learned model not trained")
 	}
-	var cnt, sum float64
-	for i, c := range l.cells {
-		if c.count == 0 {
-			continue
-		}
-		rect := l.cellRect(i)
-		inter, ok := rect.Intersection(q.Rect)
-		if !ok {
-			continue
-		}
-		frac := 1.0
-		for j := 0; j < l.dims; j++ {
-			w := rect.Extent(j)
-			if w > 0 {
-				frac *= inter.Extent(j) / w
-			}
-		}
-		if frac <= 0 {
-			// Degenerate overlap (point predicate): count the shared face
-			// proportionally to a single grid step.
-			frac = 1e-9
-		}
-		cnt += frac * c.count
-		sum += frac * c.sum
-	}
+	cnt, sum := l.addCells(q.Rect, 0, 0, 1, 0, 0)
 	cnt *= l.scale
 	sum *= l.scale
 	var est float64
@@ -185,4 +138,43 @@ func (l *Learned) Answer(q core.Query) (core.Result, error) {
 	// The model offers no statistical guarantee; report a zero-width
 	// interval, matching DeepDB's lack of confidence intervals.
 	return core.Result{Estimate: est, Interval: stats.Interval{Estimate: est}}, nil
+}
+
+// addCells adds to cnt and sum the cells below index prefix (the steps the
+// walk took in dimensions 0..j-1) that meet rect, each pro-rated by its
+// overlap: the product, in dimension order, of its steps' overlaps, of
+// which frac holds the first j. The walk computes a step's overlap once per
+// prefix, descends only into steps that meet rect, and reaches the cells in
+// index order, so nothing is allocated and the sums add up in the order a
+// pass over every cell would.
+func (l *Learned) addCells(rect geom.Rect, j, prefix int, frac, cnt, sum float64) (float64, float64) {
+	w := (l.bounds.Max[j] - l.bounds.Min[j]) / float64(l.perDim)
+	for k := 0; k < l.perDim; k++ {
+		lo := l.bounds.Min[j] + float64(k)*w
+		hi := lo + w
+		if rect.Max[j] < lo || rect.Min[j] > hi {
+			continue
+		}
+		f := frac
+		if ext := hi - lo; ext > 0 {
+			f *= (math.Min(hi, rect.Max[j]) - math.Max(lo, rect.Min[j])) / ext
+		}
+		idx := prefix*l.perDim + k
+		if j+1 < l.dims {
+			cnt, sum = l.addCells(rect, j+1, idx, f, cnt, sum)
+			continue
+		}
+		c := l.cells[idx]
+		if c.count == 0 {
+			continue
+		}
+		if f <= 0 {
+			// Degenerate overlap (point predicate): count the shared face
+			// proportionally to a single grid step.
+			f = 1e-9
+		}
+		cnt += f * c.count
+		sum += f * c.sum
+	}
+	return cnt, sum
 }

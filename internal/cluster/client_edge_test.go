@@ -16,9 +16,9 @@ import (
 	"janusaqp/internal/workload"
 )
 
-// serveClient exposes a frame handler on loopback and returns a binary
-// client dialed at it, both torn down with the test.
-func serveClient(t *testing.T, h transport.Handler) *client.Client {
+// serveHandler exposes a frame handler on loopback, torn down with the
+// test, and returns its address.
+func serveHandler(t *testing.T, h transport.Handler) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -27,7 +27,14 @@ func serveClient(t *testing.T, h transport.Handler) *client.Client {
 	srv := transport.NewServer(h)
 	go func() { _ = srv.Serve(ln) }()
 	t.Cleanup(srv.Close)
-	cl := client.Dial(ln.Addr().String())
+	return ln.Addr().String()
+}
+
+// serveClient exposes a frame handler on loopback and returns a binary
+// client dialed at it, both torn down with the test.
+func serveClient(t *testing.T, h transport.Handler) *client.Client {
+	t.Helper()
+	cl := client.Dial(serveHandler(t, h))
 	t.Cleanup(cl.Close)
 	return cl
 }
@@ -318,5 +325,71 @@ func TestBinaryClientEquivalence(t *testing.T) {
 		if _, err := s.cl.Ingest(ctx, nil, nil); !errors.Is(err, janus.ErrInvalidRequest) {
 			t.Fatalf("%s: empty batch error = %v", s.name, err)
 		}
+	}
+}
+
+// TestNodeServesClientFramesAsEdge sends each client frame a shard node
+// answers — a client query, stats, templates, one template's stats, and an
+// unknown template's stats — to a primary node and to a client edge over
+// the same engine: the replies must carry the same bytes (a query's
+// elapsed time aside). A standby node must refuse each frame with
+// ErrShardUnavailable.
+func TestNodeServesClientFramesAsEdge(t *testing.T) {
+	cfg := clusterConfig()
+	ctx := context.Background()
+	_, parts := bootRows(t, 1000, 1)
+	s0 := bootDurableShard(t, parts[0], 0, cfg)
+	if _, err := s0.store.WriteCheckpoint(s0.eng); err != nil {
+		t.Fatal(err)
+	}
+	sb, err := NewStandby(ctx, t.TempDir(), transport.NewClient(s0.addr), cfg.WithShardSeed(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	node, edge, standby := transport.NewClient(s0.addr), transport.NewClient(serveHandler(t, NewClientEdge(s0.eng, nil))),
+		transport.NewClient(serveHandler(t, NewStandbyNode(sb)))
+	for _, cl := range []*transport.Client{node, edge, standby} {
+		defer cl.Close()
+	}
+	query := transport.EncodeQueryRequest(janus.Request{Template: "trips",
+		Query: janus.Query{Func: janus.FuncSum, AggIndex: -1, Rect: janus.NewRect(janus.Point{0}, janus.Point{43200})}})
+	for _, fr := range []struct {
+		name  string
+		typ   byte
+		body  []byte
+		fails bool
+	}{
+		{"client-query", transport.MsgClientQuery, query, false},
+		{"stats", transport.MsgStats, nil, false},
+		{"templates", transport.MsgTemplates, nil, false},
+		{"stats-for", transport.MsgStatsFor, []byte("trips"), false},
+		{"stats-for-unknown", transport.MsgStatsFor, []byte("nope"), true},
+	} {
+		t.Run(fr.name, func(t *testing.T) {
+			call := func(cl *transport.Client) []byte {
+				f, err := cl.Call(ctx, fr.typ, "", fr.body)
+				if (err != nil) != fr.fails {
+					t.Fatalf("answered %v", err)
+				}
+				if err != nil {
+					return []byte(err.Error())
+				}
+				if fr.typ != transport.MsgClientQuery {
+					return f.Body
+				}
+				res, err := transport.DecodeQueryResult(f.Body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res.ElapsedMicros = 0
+				return transport.AppendQueryResult(nil, res)
+			}
+			if got, want := call(node), call(edge); string(got) != string(want) {
+				t.Errorf("node replied %q, edge %q", got, want)
+			}
+			if _, err := standby.Call(ctx, fr.typ, "", fr.body); !errors.Is(err, janus.ErrShardUnavailable) {
+				t.Errorf("standby answered %v, want ErrShardUnavailable", err)
+			}
+		})
 	}
 }

@@ -112,9 +112,6 @@ func (n *Node) ServeFrame(f transport.Frame, w *transport.ResponseWriter) {
 	case transport.MsgQuery:
 		n.serveQuery(f, w)
 
-	case transport.MsgClientQuery:
-		n.serveClientQuery(f, w)
-
 	case transport.MsgIngest:
 		n.serveIngest(f, w)
 
@@ -134,41 +131,16 @@ func (n *Node) ServeFrame(f transport.Frame, w *transport.ResponseWriter) {
 		n.mu.RUnlock()
 		w.Reply(transport.EncodeStatus(st))
 
-	case transport.MsgStats:
+	case transport.MsgClientQuery, transport.MsgStats, transport.MsgTemplates, transport.MsgStatsFor:
+		// A primary answers client frames as the client edge over its
+		// engine does, so a client dialed straight at a shard daemon gets
+		// the same answers (and the same validation) as at a coordinator.
 		eng := n.Engine()
 		if eng == nil {
 			w.Error(errStandby())
 			return
 		}
-		replyJSON(w, eng.Stats())
-
-	case transport.MsgTemplates:
-		eng := n.Engine()
-		if eng == nil {
-			w.Error(errStandby())
-			return
-		}
-		names := eng.Templates()
-		decls := make([]janus.Template, 0, len(names))
-		for _, name := range names {
-			if t, ok := eng.Template(name); ok {
-				decls = append(decls, t)
-			}
-		}
-		replyJSON(w, decls)
-
-	case transport.MsgStatsFor:
-		eng := n.Engine()
-		if eng == nil {
-			w.Error(errStandby())
-			return
-		}
-		st, err := eng.StatsFor(string(f.Body))
-		if err != nil {
-			w.Error(err)
-			return
-		}
-		replyJSON(w, st)
+		(&ClientEdge{eng: eng}).ServeFrame(f, w)
 
 	default:
 		w.Error(fmt.Errorf("cluster: unknown message type %d", f.Type))
@@ -223,20 +195,6 @@ func (n *Node) serveQuery(f transport.Frame, w *transport.ResponseWriter) {
 		Confidence:      a.Confidence,
 		AnswerMicros:    elapsed.Microseconds(),
 	}))
-}
-
-// serveClientQuery answers one client query with the merged final result —
-// a producer talking straight to a single shard daemon gets the same
-// answer shape (and the same validation) as the coordinator's client edge.
-func (n *Node) serveClientQuery(f transport.Frame, w *transport.ResponseWriter) {
-	eng := n.Engine()
-	if eng == nil {
-		w.Error(errStandby())
-		return
-	}
-	bp := replyBufPool.Get().(*[]byte)
-	reply, err := server.AnswerBinary(context.Background(), eng, f.Body, (*bp)[:0])
-	sendPooled(w, bp, reply, err)
 }
 
 // serveIngest applies one hash-routed sub-batch (server.ApplyIngest — the

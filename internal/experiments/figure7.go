@@ -29,7 +29,7 @@ func RunFigure7(opts Options) (*Table, error) {
 
 	// RS 1% reference line.
 	rsSample := projectSample(tuples, spec, opts.Seed+2, len(tuples)/100)
-	rs := baselines.NewRS(maxInt(len(rsSample)/2, 1), opts.Seed+3, rsSample, int64(len(tuples)), spec.aggVal, nil)
+	rs := baselines.NewSRS(1, rsSample, int64(len(tuples)), spec.aggVal)
 	rsRes := evaluate(rs.Answer, queries, truth)
 
 	tbl := &Table{

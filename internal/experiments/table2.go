@@ -63,11 +63,12 @@ func RunTable2(opts Options) (*Table, error) {
 
 			// RS: 1% uniform sample of the current data.
 			rsSample := projectSample(tuples[:upto], spec, opts.Seed+3, upto/100)
-			rs := baselines.NewRS(maxInt(len(rsSample)/2, 1), opts.Seed+4, rsSample, int64(upto), spec.aggVal, nil)
+			rs := baselines.NewSRS(1, rsSample, int64(upto), spec.aggVal)
 			res["rs"] = evaluate(rs.Answer, queries, truth)
 
-			// SRS: same budget, equal-depth strata.
-			srs := baselines.NewSRS(16, maxInt(len(rsSample)/32, 1), opts.Seed+5, rsSample, int64(upto), spec.aggVal)
+			// SRS: the same sample, hence the same budget, in equal-depth
+			// strata.
+			srs := baselines.NewSRS(16, rsSample, int64(upto), spec.aggVal)
 			res["srs"] = evaluate(srs.Answer, queries, truth)
 
 			tbl.AddRow(
@@ -103,11 +104,4 @@ func projectSample(tuples []workloadTuple, spec dsSpec, seed int64, k int) []wor
 		out[i] = t
 	}
 	return out
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -106,7 +106,7 @@ func RunTable3(opts Options) (*Table, error) {
 func newSynopsis(bp *partition.Blueprint, k int, pooled []data.Tuple, tuples []data.Tuple, spec dsSpec, seed int64) *core.DPT {
 	cfg := core.Config{
 		Dims: 1, NumVals: spec.aggVal + 1, AggIndex: spec.aggVal, Agg: maxvar.Sum,
-		K: k, SampleLowerBound: maxInt(len(pooled)/2, 1), Seed: seed,
+		K: k, SampleLowerBound: max(len(pooled)/2, 1), Seed: seed,
 	}
 	return core.New(cfg, bp, pooled, int64(len(tuples)), projectAll(tuples, spec), nil)
 }

@@ -337,7 +337,6 @@ var orphanAllowlist = map[string]string{
 
 	// Kept surface without a caller yet.
 	"janusaqp/internal/workload.LoadCSV": "the loader for the paper's real datasets, which wait until their files are in the repository",
-	"janusaqp/internal/baselines.System": "the shape every comparison system shares; its test pins RS, SRS and Learned to it",
 }
 
 // objectKey names obj by package path and name, with its receiver for a

@@ -38,14 +38,6 @@ func (m *Moments) Unmerge(other Moments) {
 	m.SumSq -= other.SumSq
 }
 
-// Mean returns the sample mean, or 0 when empty.
-func (m Moments) Mean() float64 {
-	if m.N == 0 {
-		return 0
-	}
-	return m.Sum / float64(m.N)
-}
-
 // Variance returns the population variance (1/N normalization), clamped at
 // zero to absorb floating-point cancellation from removals.
 func (m Moments) Variance() float64 {

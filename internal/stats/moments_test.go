@@ -152,10 +152,3 @@ func TestSumEstimate(t *testing.T) {
 		t.Errorf("SumEstimate with mi=0 = %g, want 0", got)
 	}
 }
-
-func TestMeanEmpty(t *testing.T) {
-	var m Moments
-	if m.Mean() != 0 {
-		t.Error("empty Mean should be 0")
-	}
-}
